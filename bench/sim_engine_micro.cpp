@@ -1,8 +1,8 @@
 // Micro-benchmark: discrete-event engine throughput (events/second), the
 // cost of one "measured data point" on the simulation substrate, and the
 // scaling knobs added by the million-client refactor — old engine vs new
-// (slab + calendar queue), callback shim vs raw dispatch, replication
-// fan-out across threads, and the fluid fast path.
+// (slab + calendar queue), cancel churn, replication fan-out across
+// threads, and the fluid fast path.
 //
 // Results print as the usual google-benchmark console table and are also
 // written to --json-out (default BENCH_sim.json) so CI can record the
@@ -68,20 +68,6 @@ void BM_EngineScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleRun)->Arg(1000)->Arg(100000);
 
-void BM_EngineScheduleRunCallback(benchmark::State& state) {
-  // Same workload through the std::function compat shim.
-  for (auto _ : state) {
-    Engine engine;
-    const long n = state.range(0);
-    for (long i = 0; i < n; ++i)
-      engine.schedule_at(static_cast<double>(i % 97), [] {});
-    engine.run_all();
-    benchmark::DoNotOptimize(engine.events_processed());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EngineScheduleRunCallback)->Arg(100000);
-
 void BM_EngineCancelChurn(benchmark::State& state) {
   // Timer-wheel style load: every event reschedules and cancels, so the
   // slab's eager reclaim and generation checks sit on the hot path.
@@ -109,9 +95,12 @@ void BM_PsResourceChurn(benchmark::State& state) {
     PsResource cpu(engine, 1.0);
     const long n = state.range(0);
     for (long i = 0; i < n; ++i)
-      engine.schedule_at(0.001 * static_cast<double>(i), [&cpu] {
-        cpu.add_job(0.01, [] {});
-      });
+      engine.schedule_raw_at(
+          0.001 * static_cast<double>(i),
+          [](void* ctx, std::uint64_t) {
+            static_cast<PsResource*>(ctx)->add_job(0.01, [] {});
+          },
+          &cpu);
     engine.run_all();
     benchmark::DoNotOptimize(cpu.active_jobs());
   }

@@ -76,8 +76,14 @@ void PredictionServer::wait() {
   if (accept_thread_.joinable()) accept_thread_.join();
   reap_sessions(/*all=*/true);
   // Readers are gone: nothing can be admitted any more. Let the workers
-  // finish what was queued, then stop.
-  workers_stop_.store(true, std::memory_order_release);
+  // finish what was queued, then stop. The flag is stored under the queue
+  // lock: a worker that has checked its wait predicate but not yet blocked
+  // still holds that lock, so the store cannot slip in between and the
+  // notification below cannot be lost.
+  {
+    const std::lock_guard lock(queue_mutex_);
+    workers_stop_.store(true, std::memory_order_release);
+  }
   queue_cv_.notify_all();
   for (std::thread& worker : workers_)
     // epp-lint: ignore(EPP-CONC-003) serialized join is this lock's purpose

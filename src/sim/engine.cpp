@@ -28,19 +28,6 @@ std::size_t next_pow2(std::size_t n) noexcept {
 
 Engine::Engine() : buckets_(kMinBuckets) {}
 
-Engine::~Engine() {
-  // Destroy any Callback payloads still alive in pending records.
-  for (std::size_t chunk = 0; chunk < chunks_.size(); ++chunk) {
-    for (std::size_t i = 0; i < kChunkSize; ++i) {
-      Record& rec = chunks_[chunk][i];
-      if (rec.has_callback) {
-        reinterpret_cast<Callback*>(rec.payload)->~Callback();
-        rec.has_callback = false;
-      }
-    }
-  }
-}
-
 std::uint32_t Engine::allocate_slot() {
   if (free_slots_.empty()) {
     if (chunks_.size() >= (std::size_t{1} << (32 - kChunkShift)))
@@ -59,57 +46,34 @@ std::uint32_t Engine::allocate_slot() {
 }
 
 void Engine::free_slot(std::uint32_t slot) noexcept {
-  Record& rec = record(slot);
-  if (rec.has_callback) {
-    reinterpret_cast<Callback*>(rec.payload)->~Callback();
-    rec.has_callback = false;
-  }
-  ++rec.gen;  // invalidates outstanding handles and stale queue entries
+  // Invalidates outstanding handles and stale queue entries.
+  ++record(slot).gen;
   free_slots_.push_back(slot);
-}
-
-Engine::Handle Engine::schedule_at(double time, Callback fn) {
-  return schedule_impl(time, nullptr, nullptr, 0, &fn);
-}
-
-Engine::Handle Engine::schedule_after(double delay, Callback fn) {
-  if (!(delay >= 0.0))
-    throw std::invalid_argument("Engine::schedule_after: negative delay");
-  return schedule_impl(now_ + delay, nullptr, nullptr, 0, &fn);
 }
 
 Engine::Handle Engine::schedule_raw_at(double time, RawFn fn, void* ctx,
                                        std::uint64_t arg) {
-  return schedule_impl(time, fn, ctx, arg, nullptr);
-}
-
-Engine::Handle Engine::schedule_raw_after(double delay, RawFn fn, void* ctx,
-                                          std::uint64_t arg) {
-  if (!(delay >= 0.0))
-    throw std::invalid_argument("Engine::schedule_after: negative delay");
-  return schedule_impl(now_ + delay, fn, ctx, arg, nullptr);
-}
-
-Engine::Handle Engine::schedule_impl(double time, RawFn fn, void* ctx,
-                                     std::uint64_t arg, Callback* callback) {
   // !(time >= now_) also rejects NaN; infinities would park forever in
   // the overflow ladder and break the year-jump logic, so refuse them.
   if (!(time >= now_) || !std::isfinite(time))
-    throw std::invalid_argument("Engine::schedule_at: time in the past");
+    throw std::invalid_argument("Engine::schedule_raw_at: time in the past");
   const std::uint32_t slot = allocate_slot();
   Record& rec = record(slot);
   rec.time = time;
   rec.fn = fn;
   rec.ctx = ctx;
   rec.arg = arg;
-  if (callback) {
-    new (rec.payload) Callback(std::move(*callback));
-    rec.has_callback = true;
-  }
   const QEntry entry{time, next_seq_++, slot, rec.gen};
   ++live_;
   insert(entry);
   return Handle{slot, rec.gen};
+}
+
+Engine::Handle Engine::schedule_raw_after(double delay, RawFn fn, void* ctx,
+                                          std::uint64_t arg) {
+  if (!(delay >= 0.0))
+    throw std::invalid_argument("Engine::schedule_raw_after: negative delay");
+  return schedule_raw_at(now_ + delay, fn, ctx, arg);
 }
 
 void Engine::cancel(Handle handle) noexcept {
@@ -251,19 +215,12 @@ bool Engine::step() {
   now_ = rec.time;
   ++processed_;
   --live_;
-  if (rec.has_callback) {
-    // Move the callable out so captured state releases promptly and the
-    // slot can be reused by events the callback itself schedules.
-    Callback fn = std::move(*reinterpret_cast<Callback*>(rec.payload));
-    free_slot(top.slot);
-    fn();
-  } else {
-    const RawFn fn = rec.fn;
-    void* ctx = rec.ctx;
-    const std::uint64_t arg = rec.arg;
-    free_slot(top.slot);
-    fn(ctx, arg);
-  }
+  const RawFn fn = rec.fn;
+  void* ctx = rec.ctx;
+  const std::uint64_t arg = rec.arg;
+  // Free first so the slot can be reused by events the handler schedules.
+  free_slot(top.slot);
+  fn(ctx, arg);
   return true;
 }
 

@@ -15,11 +15,11 @@
 //     drained is kept as a binary heap, so inserts into future buckets
 //     are O(1) amortised. Far-future events sit in an unsorted overflow
 //     ladder and are redistributed when the calendar year wraps.
-//   * Typed dispatch. The fast path schedules a plain function pointer
-//     plus (ctx, arg) — zero type erasure. The old std::function
-//     Callback API is kept as a thin compatibility shim (the callable is
-//     constructed in the record's small payload buffer) so PsResource /
-//     SessionCache / testbed callers migrate incrementally.
+//   * One scheduling API: typed dispatch. An event is a plain function
+//     pointer plus (ctx, arg) — zero type erasure, 40-byte records.
+//     Callers that need a closure keep it themselves: the resources in
+//     resources.hpp hold their std::function continuations and pass
+//     only `this` as ctx.
 //   * Generation-checked integer handles. cancel() is O(1), idempotent,
 //     and immune to slot reuse: a stale handle simply misses.
 //
@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -40,9 +39,7 @@ namespace epp::sim {
 
 class Engine {
  public:
-  /// Compatibility shim: type-erased callable API (see header comment).
-  using Callback = std::function<void()>;
-  /// Typed-dispatch trampoline — the zero-allocation steady-state path.
+  /// Event handler: `fn(ctx, arg)` runs when the event fires.
   using RawFn = void (*)(void* ctx, std::uint64_t arg);
 
   static constexpr std::uint32_t kNoSlot =
@@ -63,18 +60,13 @@ class Engine {
   Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-  ~Engine();
 
   double now() const noexcept { return now_; }
   std::uint64_t events_processed() const noexcept { return processed_; }
 
-  /// Schedule at an absolute time >= now() (must be finite). Returns a
-  /// handle usable with cancel(); discard it if cancellation is not
-  /// needed. These are the compatibility shim over schedule_raw_at.
-  Handle schedule_at(double time, Callback fn);
-  Handle schedule_after(double delay, Callback fn);
-
-  /// Zero-allocation scheduling: `fn(ctx, arg)` runs at `time`.
+  /// Schedule `fn(ctx, arg)` at an absolute time >= now() (must be
+  /// finite), or `delay` >= 0 after now(). Returns a handle usable with
+  /// cancel(); discard it if cancellation is not needed.
   Handle schedule_raw_at(double time, RawFn fn, void* ctx,
                          std::uint64_t arg = 0);
   Handle schedule_raw_after(double delay, RawFn fn, void* ctx,
@@ -122,8 +114,6 @@ class Engine {
     void* ctx = nullptr;
     std::uint64_t arg = 0;
     std::uint32_t gen = 0;  // bumped on every free; handles/entries match it
-    bool has_callback = false;  // payload holds a live Callback
-    alignas(Callback) unsigned char payload[sizeof(Callback)];
   };
 
   // ---- two-tier calendar / overflow ladder --------------------------
@@ -151,8 +141,6 @@ class Engine {
   std::uint32_t allocate_slot();
   void free_slot(std::uint32_t slot) noexcept;
 
-  Handle schedule_impl(double time, RawFn fn, void* ctx, std::uint64_t arg,
-                       Callback* callback);
   void insert(const QEntry& entry);
   /// Move to the next bucket with a live entry; caller guarantees
   /// live_ > 0. Wrapping past the last bucket starts a new calendar year

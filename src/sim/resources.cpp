@@ -27,7 +27,7 @@ void PsResource::on_completion(void* self, std::uint64_t) {
   ps.advance_vtime();
   // Numerical guard: the front job is complete by construction.
   auto it = ps.jobs_.begin();
-  Engine::Callback done = std::move(it->second.on_complete);
+  Continuation done = std::move(it->second.on_complete);
   ps.jobs_.erase(it);
   ps.schedule_next_completion();
   done();
@@ -47,7 +47,7 @@ void PsResource::schedule_next_completion() {
                                                    this);
 }
 
-void PsResource::add_job(double demand, Engine::Callback on_complete) {
+void PsResource::add_job(double demand, Continuation on_complete) {
   if (demand < 0.0) throw std::invalid_argument("PsResource: negative demand");
   advance_vtime();
   const double finish_v = vtime_ + demand;
@@ -67,7 +67,7 @@ FifoResource::FifoResource(Engine& engine, double speed, std::string name)
   if (speed <= 0.0) throw std::invalid_argument("FifoResource: speed <= 0");
 }
 
-void FifoResource::add_job(double demand, Engine::Callback on_complete) {
+void FifoResource::add_job(double demand, Continuation on_complete) {
   if (demand < 0.0) throw std::invalid_argument("FifoResource: negative demand");
   queue_.push_back(Job{demand, std::move(on_complete)});
   if (!busy_) start_next();
@@ -76,7 +76,7 @@ void FifoResource::add_job(double demand, Engine::Callback on_complete) {
 void FifoResource::on_job_done(void* self, std::uint64_t) {
   auto& fifo = *static_cast<FifoResource*>(self);
   fifo.busy_time_ += fifo.engine_.now() - fifo.busy_since_;
-  Engine::Callback done = std::move(fifo.current_done_);
+  Continuation done = std::move(fifo.current_done_);
   fifo.start_next();
   done();
 }
@@ -108,7 +108,7 @@ SlotPool::SlotPool(std::size_t capacity, std::size_t num_queues)
   if (num_queues == 0) throw std::invalid_argument("SlotPool: zero queues");
 }
 
-void SlotPool::acquire(std::size_t queue, Engine::Callback on_acquired) {
+void SlotPool::acquire(std::size_t queue, Continuation on_acquired) {
   if (queue >= queues_.size())
     throw std::out_of_range("SlotPool: bad queue index");
   if (in_use_ < capacity_) {
@@ -127,7 +127,7 @@ void SlotPool::release() {
     auto& q = queues_[(rr_next_ + probe) % queues_.size()];
     if (!q.empty()) {
       rr_next_ = (rr_next_ + probe + 1) % queues_.size();
-      Engine::Callback next = std::move(q.front());
+      Continuation next = std::move(q.front());
       q.pop_front();
       next();  // slot ownership transfers to the admitted waiter
       return;

@@ -25,6 +25,10 @@
 
 namespace epp::sim {
 
+/// What a resource runs when a job completes or a slot is granted. The
+/// resources call it themselves; it never goes through the engine.
+using Continuation = std::function<void()>;
+
 /// Egalitarian processor sharing at a fixed total speed. A job with demand
 /// d (seconds of work at speed 1) completes after attaining d/speed seconds
 /// of virtual service. With n active jobs each progresses at speed/n.
@@ -33,7 +37,7 @@ class PsResource {
   PsResource(Engine& engine, double speed, std::string name = "ps");
 
   /// Begin serving a job; on_complete fires when its demand is exhausted.
-  void add_job(double demand, Engine::Callback on_complete);
+  void add_job(double demand, Continuation on_complete);
 
   std::size_t active_jobs() const noexcept { return jobs_.size(); }
   const std::string& name() const noexcept { return name_; }
@@ -46,7 +50,7 @@ class PsResource {
   struct Job {
     double finish_vtime;
     std::uint64_t seq;
-    Engine::Callback on_complete;
+    Continuation on_complete;
     bool operator<(const Job& other) const noexcept {
       if (finish_vtime != other.finish_vtime)
         return finish_vtime < other.finish_vtime;
@@ -76,7 +80,7 @@ class FifoResource {
  public:
   FifoResource(Engine& engine, double speed, std::string name = "fifo");
 
-  void add_job(double demand, Engine::Callback on_complete);
+  void add_job(double demand, Continuation on_complete);
 
   std::size_t queue_length() const noexcept { return queue_.size(); }
   bool busy() const noexcept { return busy_; }
@@ -85,7 +89,7 @@ class FifoResource {
  private:
   struct Job {
     double demand;
-    Engine::Callback on_complete;
+    Continuation on_complete;
   };
 
   void start_next();
@@ -95,7 +99,7 @@ class FifoResource {
   double speed_;
   std::string name_;
   std::deque<Job> queue_;
-  Engine::Callback current_done_;  // completion of the job in service
+  Continuation current_done_;  // completion of the job in service
   bool busy_ = false;
   double busy_time_ = 0.0;
   double busy_since_ = 0.0;
@@ -112,7 +116,7 @@ class SlotPool {
 
   /// Request a slot on behalf of source queue `queue`; on_acquired runs
   /// immediately if a slot is free, otherwise when one is released.
-  void acquire(std::size_t queue, Engine::Callback on_acquired);
+  void acquire(std::size_t queue, Continuation on_acquired);
 
   /// Release a held slot, admitting the next waiter if any.
   void release();
@@ -124,7 +128,7 @@ class SlotPool {
  private:
   std::size_t capacity_;
   std::size_t in_use_ = 0;
-  std::vector<std::deque<Engine::Callback>> queues_;
+  std::vector<std::deque<Continuation>> queues_;
   std::size_t rr_next_ = 0;
 };
 

@@ -1,257 +1,77 @@
 #include "sim/trade/cluster.hpp"
 
-#include <memory>
 #include <stdexcept>
 
-#include "sim/engine.hpp"
-#include "sim/metrics.hpp"
-#include "sim/resources.hpp"
+#include "sim/trade/simulation.hpp"
 
 namespace epp::sim::trade {
 namespace {
 
-constexpr double kMeanBuysPerSession = 10.0;
+ClusterClassResult summarize(const util::SampleSet& samples) {
+  return {samples.count(), samples.mean(), samples.quantile(0.90)};
+}
 
-// Same struct-of-arrays layout as the single-server testbed (see
-// testbed.cpp): client state lives in parallel pool vectors, request
-// state in a recycled slab, and think timers go through the engine's raw
-// typed dispatch — the steady-state path allocates nothing.
-class ClusterSimulation {
- public:
-  explicit ClusterSimulation(const ClusterConfig& config)
-      : config_(config),
-        db_cpu_(engine_, config.db_speed, "db.cpu"),
-        disk_(engine_, config.disk_speed, "db.disk"),
-        db_slots_(config.db_concurrency,
-                  config.servers.empty() ? 1 : config.servers.size()),
-        metrics_(config.warmup_s),
-        rng_(config.seed, 0xC1057E4) {
-    metrics_class_.set_warmup(config.warmup_s);
-    if (config.servers.empty())
-      throw std::invalid_argument("Cluster: no application servers");
-    if (config.classes.empty())
-      throw std::invalid_argument("Cluster: no service classes");
-    for (const ServerSpec& server : config.servers) {
-      app_cpus_.push_back(
-          std::make_unique<PsResource>(engine_, server.speed, server.name));
-      app_slots_.push_back(std::make_unique<SlotPool>(server.concurrency, 1));
-    }
-    std::size_t total = 0;
-    for (std::size_t ci = 0; ci < config.classes.size(); ++ci) {
-      const ClusterClassSpec& cls = config.classes[ci];
-      if (cls.clients_per_server.size() != config.servers.size())
-        throw std::invalid_argument(
-            "Cluster: allocation row for class '" + cls.name +
-            "' does not match the number of servers");
-      for (const std::size_t n : cls.clients_per_server) total += n;
-    }
-    client_class_.reserve(total);
-    client_server_.reserve(total);
-    client_rng_.reserve(total);
-    logged_in_.reserve(total);
-    remaining_buys_.reserve(total);
-    portfolio_.reserve(total);
-    for (std::size_t ci = 0; ci < config.classes.size(); ++ci) {
-      const ClusterClassSpec& cls = config.classes[ci];
-      for (std::size_t si = 0; si < config.servers.size(); ++si) {
-        if (cls.clients_per_server[si] == 0) continue;
-        // Each populated (class, server) bucket registers two metric
-        // handles so the per-completion path is lookup-free. Empty pairs
-        // get no bucket at all, matching the lazy pre-refactor collector.
-        const std::size_t bucket = bucket_handles_.size();
-        bucket_handles_.push_back(
-            metrics_.class_handle(cls.name + "@" + std::to_string(si)));
-        class_handles_.push_back(metrics_class_.class_handle(cls.name));
-        for (std::size_t i = 0; i < cls.clients_per_server[si]; ++i) {
-          client_class_.push_back(static_cast<std::uint32_t>(ci));
-          client_server_.push_back(static_cast<std::uint32_t>(si));
-          client_bucket_.push_back(static_cast<std::uint32_t>(bucket));
-          client_rng_.push_back(rng_.spawn());
-          logged_in_.push_back(0);
-          remaining_buys_.push_back(0);
-          portfolio_.push_back(0);
-        }
-      }
-    }
+ClusterRunResult collect(const Simulation& sim, std::size_t servers,
+                         double end) {
+  const MetricsCollector& metrics = sim.metrics();
+  ClusterRunResult out;
+  out.total_throughput_rps = metrics.throughput(end);
+  out.db_cpu_utilization = sim.db_cpu().utilization(end);
+  out.disk_utilization = sim.disk().utilization(end);
+  for (std::size_t s = 0; s < servers; ++s)
+    out.app_cpu_utilization.push_back(sim.app_cpu(s).utilization(end));
+  // Per-class figures merge the class's buckets ("class@server") in
+  // bucket-name order, so a class mean sums its samples in that order.
+  std::map<std::string, util::SampleSet> per_class;
+  for (const std::string& bucket : metrics.service_classes()) {
+    const util::SampleSet& samples = metrics.samples(bucket);
+    out.per_bucket[bucket] = summarize(samples);
+    util::SampleSet& merged = per_class[bucket.substr(0, bucket.rfind('@'))];
+    for (const double s : samples.samples()) merged.add(s);
   }
-
-  ClusterRunResult run() {
-    for (std::uint32_t c = 0; c < client_class_.size(); ++c)
-      think_then_issue(c);
-    const double end = config_.warmup_s + config_.measure_s;
-    engine_.run_until(end);
-    return collect(end);
-  }
-
- private:
-  struct Request {
-    double issue_time = 0.0;
-    double app_slice_s = 0.0;
-    double call_cpu_s = 0.0;
-    double call_disk_s = 0.0;
-    std::uint32_t client = 0;
-    std::uint8_t total_calls = 0;
-    std::uint8_t next_call = 0;
-  };
-
-  const ClusterClassSpec& spec_of(std::uint32_t c) const {
-    return config_.classes[client_class_[c]];
-  }
-
-  std::uint32_t alloc_request() {
-    if (free_requests_.empty()) {
-      requests_.emplace_back();
-      return static_cast<std::uint32_t>(requests_.size() - 1);
-    }
-    const std::uint32_t r = free_requests_.back();
-    free_requests_.pop_back();
-    requests_[r] = Request{};
-    return r;
-  }
-
-  void free_request(std::uint32_t r) { free_requests_.push_back(r); }
-
-  void think_then_issue(std::uint32_t c) {
-    const double think =
-        client_rng_[c].exponential(spec_of(c).mean_think_time_s);
-    engine_.schedule_raw_after(think, &ClusterSimulation::think_fired, this, c);
-  }
-
-  static void think_fired(void* self, std::uint64_t client) {
-    static_cast<ClusterSimulation*>(self)->issue(
-        static_cast<std::uint32_t>(client));
-  }
-
-  Operation next_operation(std::uint32_t c) {
-    if (spec_of(c).type == UserType::kBrowse)
-      return sample_browse_operation(client_rng_[c]);
-    if (!logged_in_[c]) {
-      logged_in_[c] = 1;
-      portfolio_[c] = 0;
-      remaining_buys_[c] =
-          client_rng_[c].geometric_trials(1.0 / kMeanBuysPerSession);
-      return Operation::kRegisterLogin;
-    }
-    if (remaining_buys_[c] > 0) {
-      --remaining_buys_[c];
-      ++portfolio_[c];
-      return Operation::kBuy;
-    }
-    logged_in_[c] = 0;
-    return Operation::kLogoff;
-  }
-
-  void issue(std::uint32_t c) {
-    const std::uint32_t r = alloc_request();
-    Request& req = requests_[r];
-    req.client = c;
-    const Operation op = next_operation(c);
-    req.issue_time = engine_.now();
-    // There is no session cache here, so the call count can be sampled at
-    // issue rather than admission: each client has one outstanding request
-    // and its own rng, so the draw sequence per client is unchanged.
-    const OperationProfile& prof = profile(op);
-    const std::size_t op_calls = sample_db_calls(prof, client_rng_[c]);
-    req.total_calls = static_cast<std::uint8_t>(op_calls);
-    req.call_cpu_s = prof.db_cpu_per_call;
-    req.call_disk_s = prof.disk_per_call;
-    req.app_slice_s = prof.app_cpu_s / static_cast<double>(op_calls + 1);
-    app_slots_[client_server_[c]]->acquire(0, [this, r] { do_slice(r); });
-  }
-
-  void do_slice(std::uint32_t r) {
-    const std::uint32_t server = client_server_[requests_[r].client];
-    app_cpus_[server]->add_job(requests_[r].app_slice_s, [this, r] {
-      const Request& req = requests_[r];
-      if (req.next_call < req.total_calls) {
-        db_call(r);
-      } else {
-        finish(r);
-      }
-    });
-  }
-
-  void db_call(std::uint32_t r) {
-    // The DB tier keeps one FIFO queue per application server.
-    db_slots_.acquire(client_server_[requests_[r].client], [this, r] {
-      db_cpu_.add_job(requests_[r].call_cpu_s, [this, r] {
-        disk_.add_job(requests_[r].call_disk_s, [this, r] {
-          db_slots_.release();
-          ++requests_[r].next_call;
-          do_slice(r);
-        });
-      });
-    });
-  }
-
-  void finish(std::uint32_t r) {
-    const Request req = requests_[r];
-    const std::uint32_t c = req.client;
-    app_slots_[client_server_[c]]->release();
-    metrics_.record(bucket_handles_[client_bucket_[c]], req.issue_time,
-                    engine_.now());
-    metrics_class_.record(class_handles_[client_bucket_[c]], req.issue_time,
-                          engine_.now());
-    free_request(r);
-    think_then_issue(c);
-  }
-
-  ClusterRunResult collect(double end) const {
-    ClusterRunResult out;
-    out.total_throughput_rps = metrics_class_.throughput(end);
-    out.db_cpu_utilization = db_cpu_.utilization(end);
-    out.disk_utilization = disk_.utilization(end);
-    for (const auto& cpu : app_cpus_)
-      out.app_cpu_utilization.push_back(cpu->utilization(end));
-    for (const std::string& bucket : metrics_.service_classes()) {
-      ClusterClassResult r;
-      r.completions = metrics_.completions(bucket);
-      r.mean_rt_s = metrics_.mean_response_time(bucket);
-      r.p90_rt_s = metrics_.response_time_quantile(bucket, 0.90);
-      out.per_bucket[bucket] = r;
-    }
-    for (const std::string& name : metrics_class_.service_classes()) {
-      ClusterClassResult r;
-      r.completions = metrics_class_.completions(name);
-      r.mean_rt_s = metrics_class_.mean_response_time(name);
-      r.p90_rt_s = metrics_class_.response_time_quantile(name, 0.90);
-      out.per_class[name] = r;
-    }
-    return out;
-  }
-
-  ClusterConfig config_;
-  Engine engine_;
-  std::vector<std::unique_ptr<PsResource>> app_cpus_;
-  std::vector<std::unique_ptr<SlotPool>> app_slots_;
-  PsResource db_cpu_;
-  FifoResource disk_;
-  SlotPool db_slots_;
-  MetricsCollector metrics_;        // per (class, server) bucket
-  MetricsCollector metrics_class_;  // per class (warmup set in constructor)
-  util::Rng rng_;
-
-  // Client pool (SoA), filled in (class, server) allocation order so rng
-  // spawn order matches the pre-refactor per-client construction.
-  std::vector<std::uint32_t> client_class_;
-  std::vector<std::uint32_t> client_server_;
-  std::vector<std::uint32_t> client_bucket_;  // index into bucket_handles_
-  std::vector<util::Rng> client_rng_;
-  std::vector<std::uint8_t> logged_in_;
-  std::vector<std::uint64_t> remaining_buys_;
-  std::vector<std::uint64_t> portfolio_;
-  std::vector<std::size_t> bucket_handles_;  // per (class, server)
-  std::vector<std::size_t> class_handles_;   // parallel to bucket_handles_
-
-  std::vector<Request> requests_;
-  std::vector<std::uint32_t> free_requests_;
-};
+  for (const auto& [name, samples] : per_class)
+    out.per_class[name] = summarize(samples);
+  return out;
+}
 
 }  // namespace
 
 ClusterRunResult run_cluster(const ClusterConfig& config) {
-  ClusterSimulation sim(config);
-  return sim.run();
+  if (config.servers.empty())
+    throw std::invalid_argument("Cluster: no application servers");
+  if (config.classes.empty())
+    throw std::invalid_argument("Cluster: no service classes");
+  std::size_t total = 0;
+  for (const ClusterClassSpec& cls : config.classes) {
+    if (cls.clients_per_server.size() != config.servers.size())
+      throw std::invalid_argument("Cluster: allocation row for class '" +
+                                  cls.name +
+                                  "' does not match the number of servers");
+    for (const std::size_t n : cls.clients_per_server) total += n;
+  }
+  Simulation sim(config.servers, config.db_concurrency, config.db_speed,
+                 config.disk_speed, config.warmup_s, std::nullopt);
+  sim.reserve_clients(total);
+  // Client RNGs are spawned in (class, server) allocation order. Each
+  // populated (class, server) pair is one metrics bucket; empty pairs get
+  // none.
+  util::Rng rng(config.seed, 0xC1057E4);
+  for (const ClusterClassSpec& spec : config.classes) {
+    const std::uint32_t cls = sim.add_class(
+        {spec.name, spec.type, 0, spec.mean_think_time_s, 0.0});
+    for (std::uint32_t si = 0; si < config.servers.size(); ++si) {
+      if (spec.clients_per_server[si] == 0) continue;
+      const std::size_t bucket =
+          sim.metrics().class_handle(spec.name + "@" + std::to_string(si));
+      for (std::size_t i = 0; i < spec.clients_per_server[si]; ++i)
+        sim.add_client(cls, si, bucket, rng.spawn());
+    }
+  }
+  // Every client draws its first think from its own RNG.
+  for (std::uint32_t c = 0; c < total; ++c) sim.think(c);
+  const double end = config.warmup_s + config.measure_s;
+  sim.run_until(end);
+  return collect(sim, config.servers.size(), end);
 }
 
 }  // namespace epp::sim::trade

@@ -7,7 +7,7 @@
 // with clients partitioned across (service class, server) pairs — i.e.
 // exactly the deployment a resource-manager allocation describes. It is
 // used to validate Algorithm 1's allocations end-to-end by simulation
-// rather than through a model stand-in.
+// rather than through a model stand-in. Both run on one request path.
 #pragma once
 
 #include <cstdint>

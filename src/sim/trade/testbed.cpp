@@ -2,11 +2,10 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 #include "sim/fluid.hpp"
-#include "util/annotations.hpp"
 #include "sim/replicate.hpp"
+#include "sim/trade/simulation.hpp"
 
 namespace epp::sim::trade {
 
@@ -16,340 +15,86 @@ ServerSpec app_serv_vf() { return {"AppServVF", 320.0 / 186.0, 50, true}; }
 
 namespace {
 
-/// Mean buy requests per buy-user session before logoff.
-constexpr double kMeanBuysPerSession = 10.0;
-
-// The simulation keeps client state in a struct-of-arrays pool and
-// request state in a recycled slab, so the steady-state path performs no
-// heap allocation: timers go through the engine's raw typed dispatch,
-// and every resource callback captures only (this, index) — inside
-// std::function's small-buffer optimisation.
-class Simulation {
- public:
-  explicit Simulation(const TestbedConfig& config)
-      : config_(config),
-        app_cpu_(engine_, config.server.speed, config.server.name + ".cpu"),
-        db_cpu_(engine_, config.db_speed, "db.cpu"),
-        disk_(engine_, config.disk_speed, "db.disk"),
-        app_slots_(config.server.concurrency, 1),
-        db_slots_(config.db_concurrency, 1),
-        cache_(config.cache ? config.cache->capacity_bytes : 0),
-        metrics_(config.warmup_s),
-        rng_(config.seed, 0x7E57BED) {
-    if (config.classes.empty())
-      throw std::invalid_argument("Testbed: no service classes");
-    std::size_t closed_total = 0;
-    for (const auto& spec : config.classes)
-      if (spec.open_arrival_rps <= 0.0) closed_total += spec.clients;
-    reserve_clients(closed_total + config.classes.size());
-    for (std::size_t ci = 0; ci < config_.classes.size(); ++ci) {
-      const auto& spec = config_.classes[ci];
-      class_handles_.push_back(metrics_.class_handle(spec.name));
-      if (spec.open_arrival_rps > 0.0) {
-        // Open stream: one generator "client" supplies rng and operation
-        // state; its pool slot also keys the session-cache entry.
-        generators_.push_back(add_client(ci));
-        continue;
-      }
-      class_begin_.push_back(closed_.size());
-      for (std::size_t i = 0; i < spec.clients; ++i)
-        closed_.push_back(add_client(ci));
-      class_end_.push_back(closed_.size());
-    }
-  }
-
-  RunResult run(bool keep_samples) {
-    arm_initial_thinks();
-    for (const std::uint32_t g : generators_) schedule_open_arrival(g);
-    const double end = config_.warmup_s + config_.measure_s;
-    engine_.run_until(end);
-    return collect(end, keep_samples);
-  }
-
- private:
-  // ---- struct-of-arrays client pool ---------------------------------
-  void reserve_clients(std::size_t n) {
-    client_class_.reserve(n);
-    client_rng_.reserve(n);
-    logged_in_.reserve(n);
-    remaining_buys_.reserve(n);
-    portfolio_.reserve(n);
-  }
-
-  std::uint32_t add_client(std::size_t class_index) {
-    const auto id = static_cast<std::uint32_t>(client_class_.size());
-    client_class_.push_back(static_cast<std::uint32_t>(class_index));
-    client_rng_.push_back(rng_.spawn());
-    logged_in_.push_back(0);
-    remaining_buys_.push_back(0);
-    portfolio_.push_back(0);
-    return id;
-  }
-
-  const ServiceClassSpec& spec_of(std::uint32_t c) const {
-    return config_.classes[client_class_[c]];
-  }
-
-  // ---- recycled request slab ----------------------------------------
-  struct Request {
-    double issue_time = 0.0;
-    double app_slice_s = 0.0;
-    double call_cpu_s = 0.0;   // per regular DB call
-    double call_disk_s = 0.0;
-    double fetch_cpu_s = 0.0;  // session fetch, charged as call 0
-    double fetch_disk_s = 0.0;
-    std::uint32_t client = 0;
-    Operation op = Operation::kQuote;
-    std::uint8_t total_calls = 0;
-    std::uint8_t next_call = 0;
-    std::uint8_t has_fetch = 0;
-    std::uint8_t open_request = 0;  // from a Poisson stream, no think cycle
+RunResult collect(const TestbedConfig& config, const Simulation& sim,
+                  double end, bool keep_samples) {
+  const MetricsCollector& metrics = sim.metrics();
+  const auto ratio = [](std::uint64_t num, std::uint64_t den) {
+    return den == 0 ? 0.0
+                    : static_cast<double>(num) / static_cast<double>(den);
   };
-
-  std::uint32_t alloc_request() {
-    if (free_requests_.empty()) {
-      requests_.emplace_back();
-      return static_cast<std::uint32_t>(requests_.size() - 1);
-    }
-    const std::uint32_t r = free_requests_.back();
-    free_requests_.pop_back();
-    requests_[r] = Request{};
-    return r;
+  RunResult out;
+  out.mean_rt_s = metrics.mean_response_time();
+  out.p90_rt_s = metrics.response_time_quantile(0.90);
+  out.throughput_rps = metrics.throughput(end);
+  out.app_cpu_utilization = sim.app_cpu(0).utilization(end);
+  out.db_cpu_utilization = sim.db_cpu().utilization(end);
+  out.disk_utilization = sim.disk().utilization(end);
+  out.cache_miss_ratio = sim.cache().miss_ratio();
+  out.buy_request_fraction =
+      ratio(sim.measured_buy_requests(), sim.measured_requests());
+  out.db_calls_per_request =
+      ratio(sim.measured_db_calls(), sim.measured_requests());
+  for (const auto& spec : config.classes) {
+    ClassResult cr;
+    cr.completions = metrics.completions(spec.name);
+    cr.mean_rt_s = metrics.mean_response_time(spec.name);
+    cr.p90_rt_s = metrics.response_time_quantile(spec.name, 0.90);
+    cr.throughput_rps = metrics.throughput(spec.name, end);
+    out.per_class[spec.name] = cr;
   }
-
-  void free_request(std::uint32_t r) { free_requests_.push_back(r); }
-
-  // ---- client behaviour ---------------------------------------------
-  Operation next_operation(std::uint32_t c) {
-    if (spec_of(c).type == UserType::kBrowse)
-      return sample_browse_operation(client_rng_[c]);
-    if (!logged_in_[c]) {
-      logged_in_[c] = 1;
-      portfolio_[c] = 0;
-      remaining_buys_[c] =
-          client_rng_[c].geometric_trials(1.0 / kMeanBuysPerSession);
-      return Operation::kRegisterLogin;
-    }
-    if (remaining_buys_[c] > 0) {
-      --remaining_buys_[c];
-      ++portfolio_[c];
-      return Operation::kBuy;
-    }
-    logged_in_[c] = 0;
-    return Operation::kLogoff;
+  if (keep_samples) {
+    out.rt_samples_s.reserve(metrics.total_completions());
+    for (const auto& name : metrics.service_classes())
+      for (double s : metrics.samples(name).samples())
+        out.rt_samples_s.push_back(s);
   }
-
-  std::uint64_t session_bytes(std::uint32_t c) const {
-    const CacheConfig& cc = *config_.cache;
-    if (spec_of(c).type == UserType::kBrowse) return cc.browse_session_bytes;
-    return cc.buy_session_base_bytes + cc.per_holding_bytes * portfolio_[c];
-  }
-
-  /// Arm every closed client's first think timer. The delays are drawn
-  /// in one bulk pass per class (util::Rng::fill_exponential) from a
-  /// dedicated arrival stream, then scheduled via raw dispatch.
-  void arm_initial_thinks() {
-    util::Rng arrivals = rng_.spawn();
-    std::vector<double> thinks(closed_.size());
-    std::size_t span = 0;
-    for (std::size_t ci = 0, k = 0; ci < config_.classes.size(); ++ci) {
-      const auto& spec = config_.classes[ci];
-      if (spec.open_arrival_rps > 0.0) continue;
-      const std::size_t begin = class_begin_[k];
-      const std::size_t end = class_end_[k];
-      ++k;
-      arrivals.fill_exponential(spec.mean_think_time_s, thinks.data() + begin,
-                                end - begin);
-      span = end;
-    }
-    for (std::size_t i = 0; i < span; ++i)
-      engine_.schedule_raw_at(thinks[i], &Simulation::think_fired, this,
-                              closed_[i]);
-  }
-
-  EPP_HOT_BEGIN(request_path);
-
-  static void think_fired(void* self, std::uint64_t client) {
-    static_cast<Simulation*>(self)->issue(static_cast<std::uint32_t>(client));
-  }
-
-  static void open_arrival_fired(void* self, std::uint64_t generator) {
-    auto& sim = *static_cast<Simulation*>(self);
-    const auto g = static_cast<std::uint32_t>(generator);
-    const std::uint32_t r = sim.alloc_request();
-    Request& req = sim.requests_[r];
-    req.client = g;
-    req.op = sim.next_operation(g);
-    req.issue_time = sim.engine_.now();
-    req.open_request = 1;
-    sim.app_slots_.acquire(0, [self, r] {
-      static_cast<Simulation*>(self)->admitted(r);
-    });
-    sim.schedule_open_arrival(g);
-  }
-
-  void issue(std::uint32_t c) {
-    const std::uint32_t r = alloc_request();
-    Request& req = requests_[r];
-    req.client = c;
-    req.op = next_operation(c);
-    req.issue_time = engine_.now();
-    app_slots_.acquire(0, [this, r] { admitted(r); });
-  }
-
-  void schedule_open_arrival(std::uint32_t g) {
-    const double rate = spec_of(g).open_arrival_rps;
-    engine_.schedule_raw_after(client_rng_[g].exponential(1.0 / rate),
-                               &Simulation::open_arrival_fired, this, g);
-  }
-
-  void admitted(std::uint32_t r) {
-    Request& req = requests_[r];
-    const OperationProfile& prof = profile(req.op);
-    const std::uint32_t c = req.client;
-    // Session-cache lookup happens when processing starts; a miss costs an
-    // extra DB call to read the session before the operation's own calls.
-    if (config_.cache && cache_.enabled()) {
-      if (req.op == Operation::kLogoff) {
-        cache_.invalidate(c);
-      } else if (!cache_.access(c, session_bytes(c))) {
-        req.has_fetch = 1;
-        req.fetch_cpu_s = config_.cache->session_fetch_db_cpu_s;
-        req.fetch_disk_s = config_.cache->session_fetch_disk_s;
-      }
-    }
-    const std::size_t op_calls = sample_db_calls(prof, client_rng_[c]);
-    req.total_calls = static_cast<std::uint8_t>(op_calls + req.has_fetch);
-    req.call_cpu_s = prof.db_cpu_per_call;
-    req.call_disk_s = prof.disk_per_call;
-    req.app_slice_s = prof.app_cpu_s / static_cast<double>(req.total_calls + 1);
-    do_slice(r);
-  }
-
-  void do_slice(std::uint32_t r) {
-    app_cpu_.add_job(requests_[r].app_slice_s, [this, r] {
-      const Request& req = requests_[r];
-      if (req.next_call < req.total_calls) {
-        db_call(r);
-      } else {
-        finish(r);
-      }
-    });
-  }
-
-  EPP_HOT_END(request_path);
-
-  void db_call(std::uint32_t r) {
-    if (requests_[r].issue_time >= config_.warmup_s) ++measured_db_calls_;
-    db_slots_.acquire(0, [this, r] {
-      const Request& req = requests_[r];
-      const bool fetch = req.has_fetch && req.next_call == 0;
-      db_cpu_.add_job(fetch ? req.fetch_cpu_s : req.call_cpu_s, [this, r] {
-        const Request& inner = requests_[r];
-        const bool f = inner.has_fetch && inner.next_call == 0;
-        disk_.add_job(f ? inner.fetch_disk_s : inner.call_disk_s, [this, r] {
-          db_slots_.release();
-          ++requests_[r].next_call;
-          do_slice(r);
-        });
-      });
-    });
-  }
-
-  void finish(std::uint32_t r) {
-    app_slots_.release();
-    const Request req = requests_[r];
-    const std::uint32_t c = req.client;
-    metrics_.record(class_handles_[client_class_[c]], req.issue_time,
-                    engine_.now());
-    if (req.issue_time >= config_.warmup_s) {
-      ++measured_requests_;
-      if (req.op == Operation::kBuy) ++measured_buy_requests_;
-    }
-    free_request(r);
-    if (!req.open_request) {
-      const double think =
-          client_rng_[c].exponential(spec_of(c).mean_think_time_s);
-      engine_.schedule_raw_after(think, &Simulation::think_fired, this, c);
-    }
-  }
-
-  RunResult collect(double end, bool keep_samples) const {
-    RunResult out;
-    out.mean_rt_s = metrics_.mean_response_time();
-    out.p90_rt_s = metrics_.response_time_quantile(0.90);
-    out.throughput_rps = metrics_.throughput(end);
-    out.app_cpu_utilization = app_cpu_.utilization(end);
-    out.db_cpu_utilization = db_cpu_.utilization(end);
-    out.disk_utilization = disk_.utilization(end);
-    out.cache_miss_ratio = cache_.miss_ratio();
-    out.buy_request_fraction =
-        measured_requests_ == 0
-            ? 0.0
-            : static_cast<double>(measured_buy_requests_) /
-                  static_cast<double>(measured_requests_);
-    out.db_calls_per_request =
-        measured_requests_ == 0
-            ? 0.0
-            : static_cast<double>(measured_db_calls_) /
-                  static_cast<double>(measured_requests_);
-    for (const auto& spec : config_.classes) {
-      ClassResult cr;
-      cr.completions = metrics_.completions(spec.name);
-      cr.mean_rt_s = metrics_.mean_response_time(spec.name);
-      cr.p90_rt_s = metrics_.response_time_quantile(spec.name, 0.90);
-      cr.throughput_rps = metrics_.throughput(spec.name, end);
-      out.per_class[spec.name] = cr;
-    }
-    if (keep_samples) {
-      out.rt_samples_s.reserve(metrics_.total_completions());
-      for (const auto& name : metrics_.service_classes())
-        for (double s : metrics_.samples(name).samples())
-          out.rt_samples_s.push_back(s);
-    }
-    return out;
-  }
-
-  TestbedConfig config_;
-  Engine engine_;
-  PsResource app_cpu_;
-  PsResource db_cpu_;
-  FifoResource disk_;
-  SlotPool app_slots_;
-  SlotPool db_slots_;
-  SessionCache cache_;
-  MetricsCollector metrics_;
-  util::Rng rng_;
-
-  // Client pool (SoA; index == session-cache key). `closed_` lists the
-  // closed-loop clients in creation order, `generators_` the open-stream
-  // generators; `class_begin_/class_end_` bracket each closed class's
-  // contiguous span inside `closed_` for bulk think-time sampling.
-  std::vector<std::uint32_t> client_class_;
-  std::vector<util::Rng> client_rng_;
-  std::vector<std::uint8_t> logged_in_;
-  std::vector<std::uint64_t> remaining_buys_;
-  std::vector<std::uint64_t> portfolio_;
-  std::vector<std::uint32_t> closed_;
-  std::vector<std::uint32_t> generators_;
-  std::vector<std::size_t> class_begin_;
-  std::vector<std::size_t> class_end_;
-  std::vector<std::size_t> class_handles_;  // metrics handle per class
-
-  std::vector<Request> requests_;
-  std::vector<std::uint32_t> free_requests_;
-
-  std::uint64_t measured_requests_ = 0;
-  std::uint64_t measured_buy_requests_ = 0;
-  std::uint64_t measured_db_calls_ = 0;
-};
+  return out;
+}
 
 }  // namespace
 
 RunResult run_testbed(const TestbedConfig& config, bool keep_samples) {
   if (fluid_engages(config)) return run_testbed_fluid(config);
-  Simulation sim(config);
-  return sim.run(keep_samples);
+  if (config.classes.empty())
+    throw std::invalid_argument("Testbed: no service classes");
+  Simulation sim({config.server}, config.db_concurrency, config.db_speed,
+                 config.disk_speed, config.warmup_s, config.cache);
+  util::Rng rng(config.seed, 0x7E57BED);
+  std::size_t closed_total = 0;
+  for (const auto& spec : config.classes)
+    if (spec.open_arrival_rps <= 0.0) closed_total += spec.clients;
+  sim.reserve_clients(closed_total + config.classes.size());
+  // Client RNGs are spawned in class order. An open class gets one
+  // generator client, whose pool slot also keys its session-cache entry.
+  std::vector<std::uint32_t> closed;
+  std::vector<std::uint32_t> generators;
+  closed.reserve(closed_total);
+  for (const auto& spec : config.classes) {
+    const std::uint32_t cls = sim.add_class(spec);
+    const std::size_t bucket = sim.metrics().class_handle(spec.name);
+    if (spec.open_arrival_rps > 0.0) {
+      generators.push_back(sim.add_client(cls, 0, bucket, rng.spawn()));
+      continue;
+    }
+    for (std::size_t i = 0; i < spec.clients; ++i)
+      closed.push_back(sim.add_client(cls, 0, bucket, rng.spawn()));
+  }
+  // First thinks are drawn in one bulk pass per closed class
+  // (util::Rng::fill_exponential) from a dedicated arrival stream.
+  util::Rng arrivals = rng.spawn();
+  std::vector<double> thinks;
+  std::size_t next = 0;
+  for (const auto& spec : config.classes) {
+    if (spec.open_arrival_rps > 0.0) continue;
+    thinks.resize(spec.clients);
+    arrivals.fill_exponential(spec.mean_think_time_s, thinks.data(),
+                              spec.clients);
+    for (const double t : thinks) sim.issue_at(closed[next++], t);
+  }
+  for (const std::uint32_t g : generators) sim.schedule_open_arrival(g);
+  const double end = config.warmup_s + config.measure_s;
+  sim.run_until(end);
+  return collect(config, sim, end, keep_samples);
 }
 
 TestbedConfig typical_workload(const ServerSpec& server, std::size_t clients,

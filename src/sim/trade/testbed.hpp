@@ -1,12 +1,13 @@
 // The simulated testbed: the executable stand-in for the paper's
 // WebSphere + DB2 + Trade deployment (see DESIGN.md, substitutions table).
 //
-// One Testbed instance simulates a single application server plus the
-// database server, driven by closed-loop clients grouped into service
-// classes — exactly the unit the paper measures when calibrating and
-// validating its prediction methods (servers are benchmarked one at a
-// time; the multi-server scenarios in section 9 are evaluated through the
-// performance models, as in the paper).
+// run_testbed simulates a single application server plus the database
+// server, driven by closed-loop clients (and optional open Poisson
+// streams) grouped into service classes — exactly the unit the paper
+// measures when calibrating and validating its prediction methods, since
+// servers are benchmarked one at a time. It shares its request path with
+// run_cluster (cluster.hpp), which simulates a tier of such servers on
+// one database server.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -78,7 +79,9 @@ TEST(Robustness, EngineManyEqualTimeEvents) {
   sim::Engine engine;
   long count = 0;
   for (int i = 0; i < 100000; ++i)
-    engine.schedule_at(1.0, [&count] { ++count; });
+    engine.schedule_raw_at(
+        1.0, [](void* ctx, std::uint64_t) { ++*static_cast<long*>(ctx); },
+        &count);
   engine.run_all();
   EXPECT_EQ(count, 100000);
 }

@@ -9,12 +9,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "calib/bundle.hpp"
@@ -512,6 +517,38 @@ TEST(PredictionServer, StopFromOwnerThreadDrainsAndJoins) {
   EXPECT_EQ(stats.queue_depth, 0u);
   // Idempotent: a second stop is a no-op.
   fixture.server->stop();
+}
+
+// Regression: wait() stored the workers' stop flag and notified them
+// without holding the queue lock, so a worker that had checked its wait
+// predicate but not yet blocked missed the wake-up and join() never
+// returned. Stopping right after start hits that window at once. The
+// loop runs on its own thread so that a hang fails the test instead of
+// stalling the suite.
+TEST(PredictionServer, ImmediateStartStopNeverHangs) {
+  BundleRegistry registry(registry_options({}));
+  ASSERT_TRUE(registry.promote(corpus_bundle(), "corpus/trade.epp").accepted);
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread loop([&registry, &done] {
+    ServerOptions options;
+    options.workers = 8;
+    for (int i = 0; i < 200; ++i) {
+      PredictionServer server(registry, options);
+      server.start();
+      server.stop();
+    }
+    done.set_value();
+  });
+  if (finished.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    // The loop thread is parked in join() for good and can be neither
+    // joined nor destroyed; end the process so the hang is a failure.
+    std::fprintf(stderr,
+                 "start/stop hung: a worker missed the stop notification\n");
+    std::_Exit(1);
+  }
+  loop.join();
 }
 
 TEST(PredictionServer, DoubleStartThrows) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -13,40 +15,61 @@
 namespace epp::sim {
 namespace {
 
+// Raw-dispatch handlers the tests schedule: each takes its state as ctx.
+void push_arg(void* ctx, std::uint64_t arg) {
+  static_cast<std::vector<std::uint64_t>*>(ctx)->push_back(arg);
+}
+void count(void* ctx, std::uint64_t) { ++*static_cast<int*>(ctx); }
+void set_flag(void* ctx, std::uint64_t) { *static_cast<bool*>(ctx) = true; }
+void noop(void*, std::uint64_t) {}
+
+/// An engine plus the firing times a handler records into it.
+struct TimeLog {
+  Engine engine;
+  std::vector<double> fired;
+  static void record(void* ctx, std::uint64_t) {
+    auto& log = *static_cast<TimeLog*>(ctx);
+    log.fired.push_back(log.engine.now());
+  }
+};
+
 TEST(Engine, EventsRunInTimeOrder) {
   Engine engine;
-  std::vector<int> order;
-  engine.schedule_at(3.0, [&] { order.push_back(3); });
-  engine.schedule_at(1.0, [&] { order.push_back(1); });
-  engine.schedule_at(2.0, [&] { order.push_back(2); });
+  std::vector<std::uint64_t> order;
+  engine.schedule_raw_at(3.0, push_arg, &order, 3);
+  engine.schedule_raw_at(1.0, push_arg, &order, 1);
+  engine.schedule_raw_at(2.0, push_arg, &order, 2);
   engine.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(engine.now(), 3.0);
 }
 
 TEST(Engine, EqualTimesRunFifo) {
   Engine engine;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i)
-    engine.schedule_at(1.0, [&, i] { order.push_back(i); });
+  std::vector<std::uint64_t> order;
+  for (std::uint64_t i = 0; i < 5; ++i)
+    engine.schedule_raw_at(1.0, push_arg, &order, i);
   engine.run_all();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(Engine, ScheduleAfterUsesCurrentTime) {
-  Engine engine;
-  double fired_at = -1.0;
-  engine.schedule_at(5.0, [&] {
-    engine.schedule_after(2.5, [&] { fired_at = engine.now(); });
-  });
-  engine.run_all();
-  EXPECT_DOUBLE_EQ(fired_at, 7.5);
+  TimeLog log;
+  log.engine.schedule_raw_at(
+      5.0,
+      [](void* ctx, std::uint64_t) {
+        static_cast<TimeLog*>(ctx)->engine.schedule_raw_after(
+            2.5, &TimeLog::record, ctx);
+      },
+      &log);
+  log.engine.run_all();
+  EXPECT_EQ(log.fired, (std::vector<double>{7.5}));
 }
 
 TEST(Engine, CancelPreventsExecution) {
   Engine engine;
   bool ran = false;
-  Engine::Handle handle = engine.schedule_at(1.0, [&] { ran = true; });
+  Engine::Handle handle = engine.schedule_raw_at(1.0, set_flag, &ran);
   EXPECT_TRUE(handle);
   engine.cancel(handle);
   engine.run_all();
@@ -57,12 +80,12 @@ TEST(Engine, CancelPreventsExecution) {
 TEST(Engine, CancelIsIdempotentAndSafeOnStaleHandles) {
   Engine engine;
   int fired = 0;
-  Engine::Handle first = engine.schedule_at(1.0, [&] { ++fired; });
+  Engine::Handle first = engine.schedule_raw_at(1.0, count, &fired);
   engine.cancel(first);
   engine.cancel(first);  // double cancel: no-op
   // The slot is reclaimed eagerly, so this schedule reuses it; the stale
   // handle's generation no longer matches and must not cancel it.
-  Engine::Handle second = engine.schedule_at(2.0, [&] { ++fired; });
+  Engine::Handle second = engine.schedule_raw_at(2.0, count, &fired);
   engine.cancel(first);
   engine.run_all();
   EXPECT_EQ(fired, 1);
@@ -72,15 +95,15 @@ TEST(Engine, CancelIsIdempotentAndSafeOnStaleHandles) {
 
 TEST(Engine, RunUntilStopsAtBoundary) {
   Engine engine;
-  int count = 0;
-  engine.schedule_at(1.0, [&] { ++count; });
-  engine.schedule_at(2.0, [&] { ++count; });
-  engine.schedule_at(3.0, [&] { ++count; });
+  int fired = 0;
+  engine.schedule_raw_at(1.0, count, &fired);
+  engine.schedule_raw_at(2.0, count, &fired);
+  engine.schedule_raw_at(3.0, count, &fired);
   engine.run_until(2.0);
-  EXPECT_EQ(count, 2);
+  EXPECT_EQ(fired, 2);
   EXPECT_DOUBLE_EQ(engine.now(), 2.0);
   engine.run_until(10.0);
-  EXPECT_EQ(count, 3);
+  EXPECT_EQ(fired, 3);
   EXPECT_DOUBLE_EQ(engine.now(), 10.0);
 }
 
@@ -92,8 +115,8 @@ TEST(Engine, RunUntilStopsAtBoundary) {
 TEST(Engine, RunUntilIgnoresCanceledHeadBeforeLaterEvent) {
   Engine engine;
   bool late_ran = false;
-  Engine::Handle canceled = engine.schedule_at(1.0, [] {});
-  engine.schedule_at(20.0, [&] { late_ran = true; });
+  Engine::Handle canceled = engine.schedule_raw_at(1.0, noop, nullptr);
+  engine.schedule_raw_at(20.0, set_flag, &late_ran);
   engine.cancel(canceled);
   engine.run_until(10.0);
   EXPECT_FALSE(late_ran);
@@ -105,8 +128,8 @@ TEST(Engine, RunUntilIgnoresCanceledHeadBeforeLaterEvent) {
 TEST(Engine, PeekLiveTimeSkipsCanceledEvents) {
   Engine engine;
   EXPECT_EQ(engine.peek_live_time(), std::numeric_limits<double>::infinity());
-  Engine::Handle early = engine.schedule_at(1.0, [] {});
-  engine.schedule_at(5.0, [] {});
+  Engine::Handle early = engine.schedule_raw_at(1.0, noop, nullptr);
+  engine.schedule_raw_at(5.0, noop, nullptr);
   EXPECT_DOUBLE_EQ(engine.peek_live_time(), 1.0);
   engine.cancel(early);
   EXPECT_DOUBLE_EQ(engine.peek_live_time(), 5.0);
@@ -116,46 +139,49 @@ TEST(Engine, PeekLiveTimeSkipsCanceledEvents) {
 
 TEST(Engine, PastSchedulingRejected) {
   Engine engine;
-  engine.schedule_at(5.0, [] {});
+  engine.schedule_raw_at(5.0, noop, nullptr);
   engine.run_all();
-  EXPECT_THROW(engine.schedule_at(1.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(engine.schedule_after(-1.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(engine.schedule_at(std::nan(""), [] {}),
+  EXPECT_THROW(engine.schedule_raw_at(1.0, noop, nullptr),
                std::invalid_argument);
-  EXPECT_THROW(
-      engine.schedule_at(std::numeric_limits<double>::infinity(), [] {}),
-      std::invalid_argument);
+  EXPECT_THROW(engine.schedule_raw_after(-1.0, noop, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(engine.schedule_raw_at(std::nan(""), noop, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(engine.schedule_raw_at(std::numeric_limits<double>::infinity(),
+                                      noop, nullptr),
+               std::invalid_argument);
 }
 
 TEST(Engine, StepReturnsFalseWhenEmpty) {
   Engine engine;
   EXPECT_FALSE(engine.step());
-  engine.schedule_at(1.0, [] {});
+  engine.schedule_raw_at(1.0, noop, nullptr);
   EXPECT_TRUE(engine.step());
   EXPECT_FALSE(engine.step());
 }
 
 TEST(Engine, EventsCanScheduleMoreEvents) {
-  Engine engine;
-  int depth = 0;
-  std::function<void()> chain = [&] {
-    if (++depth < 100) engine.schedule_after(1.0, chain);
-  };
-  engine.schedule_at(0.0, chain);
-  engine.run_all();
-  EXPECT_EQ(depth, 100);
-  EXPECT_EQ(engine.events_processed(), 100u);
+  struct Chain {
+    Engine engine;
+    int depth = 0;
+    static void link(void* ctx, std::uint64_t) {
+      auto& chain = *static_cast<Chain*>(ctx);
+      if (++chain.depth < 100)
+        chain.engine.schedule_raw_after(1.0, &Chain::link, ctx);
+    }
+  } chain;
+  chain.engine.schedule_raw_at(0.0, &Chain::link, &chain);
+  chain.engine.run_all();
+  EXPECT_EQ(chain.depth, 100);
+  EXPECT_EQ(chain.engine.events_processed(), 100u);
 }
 
 TEST(Engine, RawDispatchCarriesContextAndArg) {
   Engine engine;
   std::vector<std::uint64_t> seen;
-  const Engine::RawFn push = [](void* ctx, std::uint64_t arg) {
-    static_cast<std::vector<std::uint64_t>*>(ctx)->push_back(arg);
-  };
-  engine.schedule_raw_at(2.0, push, &seen, 7);
-  engine.schedule_raw_at(1.0, push, &seen, 3);
-  engine.schedule_raw_after(3.0, push, &seen, 9);
+  engine.schedule_raw_at(2.0, push_arg, &seen, 7);
+  engine.schedule_raw_at(1.0, push_arg, &seen, 3);
+  engine.schedule_raw_after(3.0, push_arg, &seen, 9);
   engine.run_all();
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{3, 7, 9}));
   EXPECT_EQ(engine.events_processed(), 3u);
@@ -168,7 +194,7 @@ TEST(Engine, CanceledSlotsAreReusedWithoutGrowingTheSlab) {
   EXPECT_EQ(engine.pending(), 0u);
   std::vector<Engine::Handle> handles;
   for (int i = 0; i < 1000; ++i)
-    handles.push_back(engine.schedule_at(1.0 + i, [] {}));
+    handles.push_back(engine.schedule_raw_at(1.0 + i, noop, nullptr));
   EXPECT_EQ(engine.pending(), 1000u);
   const std::size_t capacity_before = engine.capacity();
   EXPECT_GE(capacity_before, 1000u);
@@ -179,7 +205,7 @@ TEST(Engine, CanceledSlotsAreReusedWithoutGrowingTheSlab) {
   for (int round = 0; round < 20; ++round) {
     handles.clear();
     for (int i = 0; i < 1000; ++i)
-      handles.push_back(engine.schedule_at(1.0 + i, [] {}));
+      handles.push_back(engine.schedule_raw_at(1.0 + i, noop, nullptr));
     for (const Engine::Handle& h : handles) engine.cancel(h);
   }
   EXPECT_EQ(engine.capacity(), capacity_before);
@@ -190,9 +216,9 @@ TEST(Engine, CanceledSlotsAreReusedWithoutGrowingTheSlab) {
 
 TEST(Engine, PendingTracksLiveEvents) {
   Engine engine;
-  engine.schedule_at(1.0, [] {});
-  Engine::Handle h = engine.schedule_at(2.0, [] {});
-  engine.schedule_at(3.0, [] {});
+  engine.schedule_raw_at(1.0, noop, nullptr);
+  Engine::Handle h = engine.schedule_raw_at(2.0, noop, nullptr);
+  engine.schedule_raw_at(3.0, noop, nullptr);
   EXPECT_EQ(engine.pending(), 3u);
   engine.cancel(h);
   EXPECT_EQ(engine.pending(), 2u);
@@ -205,18 +231,17 @@ TEST(Engine, PendingTracksLiveEvents) {
 // The calendar queue's overflow ladder and year wrap: events spread over
 // ten orders of magnitude of simulated time still run in order.
 TEST(Engine, WidelySpacedTimesRunInOrder) {
-  Engine engine;
-  std::vector<double> fired;
+  TimeLog log;
   util::Rng rng(7, 7);
   std::vector<double> times;
   for (int i = 0; i < 2000; ++i)
     times.push_back(rng.uniform() * std::pow(10.0, rng.uniform(0.0, 10.0)));
   for (const double t : times)
-    engine.schedule_at(t, [&fired, &engine] { fired.push_back(engine.now()); });
-  engine.run_all();
-  ASSERT_EQ(fired.size(), times.size());
-  for (std::size_t i = 1; i < fired.size(); ++i)
-    EXPECT_LE(fired[i - 1], fired[i]);
+    log.engine.schedule_raw_at(t, &TimeLog::record, &log);
+  log.engine.run_all();
+  ASSERT_EQ(log.fired.size(), times.size());
+  for (std::size_t i = 1; i < log.fired.size(); ++i)
+    EXPECT_LE(log.fired[i - 1], log.fired[i]);
 }
 
 // Satellite (c): one million equal-time events preserve global FIFO order.
@@ -225,13 +250,10 @@ TEST(Engine, MillionEqualTimeEventsRunFifo) {
   constexpr std::uint64_t kEvents = 1'000'000;
   std::vector<std::uint64_t> order;
   order.reserve(kEvents);
-  const Engine::RawFn push = [](void* ctx, std::uint64_t arg) {
-    static_cast<std::vector<std::uint64_t>*>(ctx)->push_back(arg);
-  };
   // Two interleaved time values so the FIFO guarantee is exercised within
   // a bucket heap, not just by insertion order.
   for (std::uint64_t i = 0; i < kEvents; ++i)
-    engine.schedule_raw_at(i % 2 == 0 ? 1.0 : 2.0, push, &order, i);
+    engine.schedule_raw_at(i % 2 == 0 ? 1.0 : 2.0, push_arg, &order, i);
   engine.run_all();
   ASSERT_EQ(order.size(), kEvents);
   for (std::uint64_t i = 1; i < kEvents / 2; ++i) {
@@ -246,32 +268,33 @@ TEST(Engine, MillionEqualTimeEventsRunFifo) {
 // Satellite (c): the new engine's execution trace is bit-identical to the
 // frozen pre-refactor engine's under an adversarial stochastic schedule —
 // random times (with deliberate ties), nested scheduling, and cancels.
+// LegacyEngine is driven through its own closure API, Engine through raw
+// dispatch with the firing closure as ctx.
 TEST(Engine, TraceMatchesLegacyEngineBitForBit) {
   struct Trace {
     std::vector<double> times;
     std::vector<std::uint64_t> ids;
   };
+  using Fire = std::function<void(std::uint64_t)>;
   // Quantized times manufacture equal-time collisions; every third event
   // schedules a follow-up and every seventh pre-scheduled event is
-  // canceled before the run.
-  const auto drive = [](auto& engine, auto cancel_fn) {
+  // canceled before the run. `at`/`after` schedule a call of fire(id).
+  const auto drive = [](auto& engine, auto at, auto after, auto cancel_fn) {
     Trace trace;
     util::Rng rng(12345, 99);
     std::uint64_t next_id = 0;
-    std::function<void(std::uint64_t)> fire = [&](std::uint64_t id) {
+    Fire fire = [&](std::uint64_t id) {
       trace.times.push_back(engine.now());
       trace.ids.push_back(id);
       if (id % 3 == 0) {
         const double delay = std::floor(rng.uniform() * 50.0) * 0.25;
-        const std::uint64_t child = 100000 + id;
-        engine.schedule_after(delay, [&fire, child] { fire(child); });
+        after(engine, delay, fire, 100000 + id);
       }
     };
-    std::vector<decltype(engine.schedule_at(0.0, Engine::Callback{}))> handles;
+    std::vector<decltype(at(engine, 0.0, fire, 0))> handles;
     for (int i = 0; i < 4000; ++i) {
       const double t = std::floor(rng.uniform() * 400.0) * 0.25;
-      const std::uint64_t id = next_id++;
-      handles.push_back(engine.schedule_at(t, [&fire, id] { fire(id); }));
+      handles.push_back(at(engine, t, fire, next_id++));
     }
     for (std::size_t i = 0; i < handles.size(); i += 7)
       cancel_fn(engine, handles[i]);
@@ -281,13 +304,30 @@ TEST(Engine, TraceMatchesLegacyEngineBitForBit) {
   };
 
   LegacyEngine legacy;
-  Engine engine;
   const Trace want = drive(
-      legacy, [](LegacyEngine&, const LegacyEngine::Handle& h) {
+      legacy,
+      [](LegacyEngine& e, double t, Fire& fire, std::uint64_t id) {
+        return e.schedule_at(t, [&fire, id] { fire(id); });
+      },
+      [](LegacyEngine& e, double d, Fire& fire, std::uint64_t id) {
+        return e.schedule_after(d, [&fire, id] { fire(id); });
+      },
+      [](LegacyEngine&, const LegacyEngine::Handle& h) {
         LegacyEngine::cancel(h);
       });
+  constexpr Engine::RawFn kCall = [](void* ctx, std::uint64_t id) {
+    (*static_cast<Fire*>(ctx))(id);
+  };
+  Engine engine;
   const Trace got = drive(
-      engine, [](Engine& e, const Engine::Handle& h) { e.cancel(h); });
+      engine,
+      [](Engine& e, double t, Fire& fire, std::uint64_t id) {
+        return e.schedule_raw_at(t, kCall, &fire, id);
+      },
+      [](Engine& e, double d, Fire& fire, std::uint64_t id) {
+        return e.schedule_raw_after(d, kCall, &fire, id);
+      },
+      [](Engine& e, const Engine::Handle& h) { e.cancel(h); });
   ASSERT_EQ(want.ids.size(), got.ids.size());
   EXPECT_EQ(want.ids, got.ids);
   for (std::size_t i = 0; i < want.times.size(); ++i)

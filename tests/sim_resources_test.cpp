@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -37,9 +38,15 @@ TEST(PsResource, StaggeredArrivalExactCompletion) {
   PsResource cpu(engine, 1.0);
   double a_done = -1.0, b_done = -1.0;
   cpu.add_job(2.0, [&] { a_done = engine.now(); });
-  engine.schedule_at(1.0, [&] {
+  auto arrive_b = [&] {
     cpu.add_job(1.0, [&] { b_done = engine.now(); });
-  });
+  };
+  engine.schedule_raw_at(
+      1.0,
+      [](void* ctx, std::uint64_t) {
+        (*static_cast<decltype(arrive_b)*>(ctx))();
+      },
+      &arrive_b);
   engine.run_all();
   EXPECT_NEAR(a_done, 3.0, 1e-12);
   EXPECT_NEAR(b_done, 3.0, 1e-12);
@@ -61,7 +68,12 @@ TEST(PsResource, ShorterJobFinishesFirst) {
 TEST(PsResource, UtilizationIntegratesBusyTime) {
   Engine engine;
   PsResource cpu(engine, 1.0);
-  engine.schedule_at(2.0, [&] { cpu.add_job(1.0, [] {}); });
+  engine.schedule_raw_at(
+      2.0,
+      [](void* ctx, std::uint64_t) {
+        static_cast<PsResource*>(ctx)->add_job(1.0, [] {});
+      },
+      &cpu);
   engine.run_until(4.0);
   // Busy from t=2 to t=3 out of 4 seconds.
   EXPECT_NEAR(cpu.utilization(4.0), 0.25, 1e-12);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/resources.hpp"
@@ -37,26 +40,32 @@ double simulate_repairman_rt(int n_clients, double think, double demand,
   const double warmup = 200.0;
   const double end = 2200.0;
 
-  struct Client {
-    util::Rng rng;
-  };
-  std::vector<Client> clients;
+  std::vector<util::Rng> clients;
   clients.reserve(n_clients);
-  for (int i = 0; i < n_clients; ++i) clients.push_back({rng.spawn()});
+  for (int i = 0; i < n_clients; ++i) clients.push_back(rng.spawn());
 
-  std::function<void(Client&)> think_then_go = [&](Client& c) {
-    engine.schedule_after(c.rng.exponential(think), [&] {
-      const double issued = engine.now();
-      cpu.add_job(c.rng.exponential(demand), [&, issued] {
-        if (issued >= warmup) {
-          total_rt += engine.now() - issued;
-          ++completions;
-        }
-        think_then_go(c);
-      });
+  // Client i's think timer fires issue(i) through raw dispatch.
+  using Issue = std::function<void(std::uint64_t)>;
+  Issue issue;
+  const auto think_then_go = [&](std::uint64_t i) {
+    engine.schedule_raw_after(
+        clients[i].exponential(think),
+        [](void* ctx, std::uint64_t client) {
+          (*static_cast<Issue*>(ctx))(client);
+        },
+        &issue, i);
+  };
+  issue = [&](std::uint64_t i) {
+    const double issued = engine.now();
+    cpu.add_job(clients[i].exponential(demand), [&, i, issued] {
+      if (issued >= warmup) {
+        total_rt += engine.now() - issued;
+        ++completions;
+      }
+      think_then_go(i);
     });
   };
-  for (auto& c : clients) think_then_go(c);
+  for (std::uint64_t i = 0; i < clients.size(); ++i) think_then_go(i);
   engine.run_until(end);
   return completions ? total_rt / static_cast<double>(completions) : 0.0;
 }
