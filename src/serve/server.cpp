@@ -20,6 +20,16 @@ net::ResponseMessage error_response(std::uint64_t id, svc::ErrorCode code,
   return response;
 }
 
+svc::PredictionRequest prediction_request(const net::RequestMessage& request) {
+  svc::PredictionRequest prediction;
+  prediction.method = static_cast<svc::Method>(request.method);
+  prediction.server = request.server;
+  prediction.workload.browse_clients = request.browse_clients;
+  prediction.workload.buy_clients = request.buy_clients;
+  prediction.workload.think_time_s = request.think_time_s;
+  return prediction;
+}
+
 /// Bytes per slow-loris chunk: small enough that a typical ~70-byte
 /// response frame dribbles out over several paced sends.
 constexpr std::size_t kDribbleChunk = 16;
@@ -207,6 +217,19 @@ void PredictionServer::session_loop(SessionPtr session) {
       continue;
     }
 
+    // A cached answer takes microseconds, less than handing the request
+    // to a worker and back. Answer it here with the same evaluate and
+    // write a worker runs. Misses, observes and methods whose breaker is
+    // not closed queue as below.
+    if (request.kind == net::MessageKind::kPredict &&
+        request.method <= static_cast<std::uint8_t>(svc::Method::kHybrid) &&
+        pinned->resilient->answers_from_cache(prediction_request(request))) {
+      counters_.requests_enqueued.fetch_add(1, std::memory_order_relaxed);
+      counters_.served_inline.fetch_add(1, std::memory_order_relaxed);
+      serve(*session, request, *pinned);
+      continue;
+    }
+
     // Admission control: bounded queue, shed-on-full with a typed error
     // — overload turns into fast failures, never an unbounded backlog.
     bool admitted = false;
@@ -257,15 +280,21 @@ void PredictionServer::worker_loop() {
     if (options_.worker_delay_s > 0.0)
       std::this_thread::sleep_for(
           std::chrono::duration<double>(options_.worker_delay_s));
-    net::ResponseMessage response = evaluate(item.request, *item.pinned);
-    if (item.request.kind == net::MessageKind::kObserve && response.ok()) {
-      drift_track_version(item.pinned->version);
-      drift_.observe(response.mean_rt_s, item.request.observed_rt_s);
-    }
-    response.health = static_cast<std::uint8_t>(drift_.state());
-    write_response(*item.session, response);
-    counters_.requests_served.fetch_add(1, std::memory_order_relaxed);
+    serve(*item.session, item.request, *item.pinned);
   }
+}
+
+void PredictionServer::serve(Session& session,
+                             const net::RequestMessage& request,
+                             const ServingVersion& version) {
+  net::ResponseMessage response = evaluate(request, version);
+  if (request.kind == net::MessageKind::kObserve && response.ok()) {
+    drift_track_version(version.version);
+    drift_.observe(response.mean_rt_s, request.observed_rt_s);
+  }
+  response.health = static_cast<std::uint8_t>(drift_.state());
+  write_response(session, response);
+  counters_.requests_served.fetch_add(1, std::memory_order_relaxed);
 }
 
 net::ResponseMessage PredictionServer::evaluate(
@@ -274,13 +303,6 @@ net::ResponseMessage PredictionServer::evaluate(
     return error_response(request.id, svc::ErrorCode::kInvalidWorkload,
                           "unknown method byte " +
                               std::to_string(request.method));
-  svc::PredictionRequest prediction_request;
-  prediction_request.method = static_cast<svc::Method>(request.method);
-  prediction_request.server = request.server;
-  prediction_request.workload.browse_clients = request.browse_clients;
-  prediction_request.workload.buy_clients = request.buy_clients;
-  prediction_request.workload.think_time_s = request.think_time_s;
-
   double deadline_s = request.deadline_ms / 1e3;
   if (options_.max_request_deadline_s > 0.0)
     deadline_s = std::min(deadline_s, options_.max_request_deadline_s);
@@ -289,7 +311,8 @@ net::ResponseMessage PredictionServer::evaluate(
 
   const util::Timer timer;
   const svc::Outcome outcome =
-      version.resilient->predict_with_deadline(prediction_request, deadline_s);
+      version.resilient->predict_with_deadline(prediction_request(request),
+                                               deadline_s);
   const double predictor_latency_s = timer.elapsed_seconds();
 
   net::ResponseMessage response;
@@ -341,6 +364,7 @@ void PredictionServer::handle_control(Session& session,
       text << "connections_accepted=" << server_stats.connections_accepted
            << " requests_enqueued=" << server_stats.requests_enqueued
            << " requests_served=" << server_stats.requests_served
+           << " served_inline=" << server_stats.served_inline
            << " requests_shed=" << server_stats.requests_shed
            << " queue_depth=" << server_stats.queue_depth
            << " queue_peak=" << server_stats.queue_peak
@@ -479,6 +503,7 @@ ServerStats PredictionServer::stats() const {
       counters_.requests_enqueued.load(std::memory_order_relaxed);
   stats.requests_served =
       counters_.requests_served.load(std::memory_order_relaxed);
+  stats.served_inline = counters_.served_inline.load(std::memory_order_relaxed);
   stats.requests_shed =
       counters_.requests_shed.load(std::memory_order_relaxed);
   stats.bad_frames = counters_.bad_frames.load(std::memory_order_relaxed);

@@ -8,21 +8,28 @@
 //   * one accept thread — accepts connections and spawns one session
 //     reader per connection (bounded by max_connections; excess
 //     connections are closed immediately);
-//   * one reader thread per live session — decodes frames and either
-//     answers control frames inline (ping/stats/shutdown/reload) or
-//     enqueues predict/observe work on the bounded dispatch queue;
+//   * one reader thread per live session — decodes frames and answers
+//     control frames inline (ping/stats/shutdown/reload). A predict
+//     frame whose requested method has a cached answer and a closed
+//     breaker on the pinned version is answered inline too, by the
+//     same serve() the workers run, so its response bytes are the
+//     same; a non-mutating probe (ResilientPredictor::
+//     answers_from_cache) decides. Every other predict frame, and
+//     every observe frame, goes on the bounded dispatch queue;
 //   * a fixed pool of worker threads — pop queued requests, evaluate
 //     them through the *version-pinned* ResilientPredictor, and write
-//     the response under the session's write lock, so concurrent
-//     workers can interleave responses on one connection safely
-//     (responses carry the request id; clients match, not order).
+//     the response under the session's write lock, so workers and the
+//     reader can interleave responses on one connection safely
+//     (responses carry the request id; clients match, not order — a
+//     hit can overtake a miss sent before it).
 //
 // Version pinning: the reader captures the registry's active
-// ServingVersion (a shared_ptr) at admission and the work item carries
-// it to the worker — a request admitted under version N is evaluated on
-// version N even when a reload promotes N+1 mid-flight, and never mixes
-// relationships across versions. The response reports the version that
-// answered in `bundle_version`.
+// ServingVersion (a shared_ptr) at admission, probes the cache on it and
+// either serves on it or lets the work item carry it to the worker — a
+// request admitted under version N is evaluated on version N even when a
+// reload promotes N+1 mid-flight, and never mixes relationships across
+// versions. The response reports the version that answered in
+// `bundle_version`.
 //
 // Drift: kObserve frames carry a client-measured RT; the worker
 // evaluates the same workload on the pinned version and feeds the
@@ -40,6 +47,8 @@
 // reader thread sheds the request *immediately* with a typed
 // ErrorCode::kOverloaded response instead of queueing without bound —
 // under overload clients see fast failures, not a latency collapse.
+// Cache hits answered inline never occupy the queue; they still count
+// as admitted (requests_enqueued) and served.
 //
 // Graceful shutdown (request_stop or a kShutdown frame): stop accepting,
 // stop reading new frames, let the workers drain every request already
@@ -102,8 +111,8 @@ struct ServerOptions {
   /// serves cleanly.
   const net::ChaosPolicy* chaos = nullptr;
   /// Test hook: sleep this long in the worker before each evaluation,
-  /// to provoke queue buildup/shedding deterministically. Never set in
-  /// production paths.
+  /// to provoke queue buildup/shedding deterministically (cache hits
+  /// answered on the reader do not sleep). Never set in production paths.
   double worker_delay_s = 0.0;
 };
 
@@ -112,8 +121,9 @@ struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_rejected = 0;  // over max_connections
   std::uint64_t frames_received = 0;
-  std::uint64_t requests_enqueued = 0;
-  std::uint64_t requests_served = 0;   // responses written by workers
+  std::uint64_t requests_enqueued = 0; // admitted, inline ones included
+  std::uint64_t requests_served = 0;   // predict/observe responses written
+  std::uint64_t served_inline = 0;     // of those, by the reader (cache hits)
   std::uint64_t requests_shed = 0;     // kOverloaded at admission
   std::uint64_t bad_frames = 0;        // undecodable payloads
   std::uint64_t responses_dropped = 0; // peer gone before the write
@@ -184,6 +194,11 @@ class PredictionServer {
   void accept_loop();
   void session_loop(SessionPtr session);
   void worker_loop();
+  /// Evaluate one admitted predict/observe request on its pinned
+  /// version, feed the drift detector and write the response. Workers
+  /// run it for queued requests, readers for cache hits.
+  void serve(Session& session, const net::RequestMessage& request,
+             const ServingVersion& version);
   /// Serialize and send under the session write lock, applying any
   /// armed chaos verdict (reset / truncate / dribble); counts drops.
   void write_response(Session& session, const net::ResponseMessage& response);
@@ -236,6 +251,7 @@ class PredictionServer {
     std::atomic<std::uint64_t> frames_received{0};
     std::atomic<std::uint64_t> requests_enqueued{0};
     std::atomic<std::uint64_t> requests_served{0};
+    std::atomic<std::uint64_t> served_inline{0};
     std::atomic<std::uint64_t> requests_shed{0};
     std::atomic<std::uint64_t> bad_frames{0};
     std::atomic<std::uint64_t> responses_dropped{0};

@@ -83,6 +83,12 @@ class BatchPredictor {
       const std::vector<PredictionRequest>& requests,
       util::ThreadPool* pool = nullptr) const;
 
+  /// Whether predict(request) would be answered from the cache now. A
+  /// probe for routing: counts no hit or miss, touches no LRU order.
+  bool cached(const PredictionRequest& request) const {
+    return cache_.contains(cache_key(request));
+  }
+
   /// The workload a request is actually evaluated at (the cache-key grid).
   core::WorkloadSpec quantized(const core::WorkloadSpec& workload) const;
 

@@ -56,7 +56,7 @@ PredictionCache::PredictionCache(std::size_t capacity_per_shard,
     shards_.push_back(std::make_unique<Shard>());
 }
 
-PredictionCache::Shard& PredictionCache::shard_for(const CacheKey& key) {
+PredictionCache::Shard& PredictionCache::shard_for(const CacheKey& key) const {
   // High bits pick the shard so it decorrelates from the hash map's
   // low-bit bucket selection; shard count is a power of two.
   const std::size_t h = CacheKeyHash{}(key);
@@ -74,6 +74,12 @@ std::optional<CachedPrediction> PredictionCache::lookup(const CacheKey& key) {
   ++shard.hits_;
   shard.lru_.splice(shard.lru_.begin(), shard.lru_, it->second);
   return it->second->second;
+}
+
+bool PredictionCache::contains(const CacheKey& key) const {
+  Shard& shard = shard_for(key);
+  const util::MutexLock lock(shard.mutex);
+  return shard.index_.count(key) > 0;
 }
 
 void PredictionCache::insert(const CacheKey& key,

@@ -83,6 +83,9 @@ class PredictionCache {
 
   /// Find and touch (move to LRU front). Counts a hit or a miss.
   std::optional<CachedPrediction> lookup(const CacheKey& key);
+  /// Whether the key has an entry. A probe: counts no hit or miss and
+  /// leaves the LRU order alone.
+  bool contains(const CacheKey& key) const;
   /// Insert or refresh; evicts the shard's least-recently-used entry when
   /// the shard is at capacity.
   void insert(const CacheKey& key, const CachedPrediction& value);
@@ -109,7 +112,7 @@ class PredictionCache {
     std::uint64_t evictions_ EPP_GUARDED_BY(mutex) = 0;
   };
 
-  Shard& shard_for(const CacheKey& key);
+  Shard& shard_for(const CacheKey& key) const;
 
   std::size_t capacity_per_shard_;
   std::vector<std::unique_ptr<Shard>> shards_;

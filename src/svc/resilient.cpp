@@ -176,28 +176,33 @@ bool ResilientPredictor::breaker_admit(Breaker& breaker) const {
   const auto state =
       static_cast<BreakerState>(breaker.state.load(std::memory_order_acquire));
   if (state == BreakerState::kClosed) return true;
-  if (state == BreakerState::kOpen) {
-    const std::int64_t opened = breaker.opened_at_ns.load(std::memory_order_acquire);
-    const auto cooldown_ns = static_cast<std::int64_t>(
-        options_.breaker_cooldown_s * 1e9);
-    if (now_ns() - opened < cooldown_ns) return false;
-    int expected = static_cast<int>(BreakerState::kOpen);
-    if (breaker.state.compare_exchange_strong(
-            expected, static_cast<int>(BreakerState::kHalfOpen),
-            std::memory_order_acq_rel)) {
-      breaker.probe_in_flight.store(true, std::memory_order_release);
-      return true;  // we are the probe
-    }
-    // Someone else transitioned; fall through to half-open contention.
-  }
-  return !breaker.probe_in_flight.exchange(true, std::memory_order_acq_rel);
+  if (state == BreakerState::kHalfOpen) return false;  // a probe is out
+  const auto cooldown_ns =
+      static_cast<std::int64_t>(options_.breaker_cooldown_s * 1e9);
+  const auto cooled = [&] {
+    return now_ns() - breaker.opened_at_ns.load(std::memory_order_acquire) >=
+           cooldown_ns;
+  };
+  if (!cooled()) return false;
+  // The state carries the probe: only the caller that moves it
+  // Open -> HalfOpen is admitted, and every outcome of that call moves it
+  // on (success, failure or release).
+  int expected = static_cast<int>(BreakerState::kOpen);
+  if (!breaker.state.compare_exchange_strong(
+          expected, static_cast<int>(BreakerState::kHalfOpen),
+          std::memory_order_acq_rel))
+    return false;
+  // A probe that failed since our first look re-opened the circuit with a
+  // fresh stamp (stored before the state): honour that cooldown too.
+  if (cooled()) return true;
+  breaker_release(breaker);
+  return false;
 }
 
 void ResilientPredictor::breaker_success(Breaker& breaker) const {
   breaker.consecutive_failures.store(0, std::memory_order_relaxed);
   breaker.state.store(static_cast<int>(BreakerState::kClosed),
                       std::memory_order_release);
-  breaker.probe_in_flight.store(false, std::memory_order_release);
 }
 
 void ResilientPredictor::breaker_failure(Breaker& breaker) const {
@@ -209,7 +214,6 @@ void ResilientPredictor::breaker_failure(Breaker& breaker) const {
     breaker.opened_at_ns.store(now_ns(), std::memory_order_release);
     breaker.state.store(static_cast<int>(BreakerState::kOpen),
                         std::memory_order_release);
-    breaker.probe_in_flight.store(false, std::memory_order_release);
     counters_.breaker_opens.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -217,18 +221,24 @@ void ResilientPredictor::breaker_failure(Breaker& breaker) const {
       breaker.consecutive_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
   if (failures >= options_.breaker_failure_threshold &&
       state == BreakerState::kClosed) {
+    // Stamp the cooldown before the state flips, so no caller sees an
+    // open circuit with an older stamp and probes at once.
+    breaker.opened_at_ns.store(now_ns(), std::memory_order_release);
     int expected = static_cast<int>(BreakerState::kClosed);
     if (breaker.state.compare_exchange_strong(
             expected, static_cast<int>(BreakerState::kOpen),
-            std::memory_order_acq_rel)) {
-      breaker.opened_at_ns.store(now_ns(), std::memory_order_release);
+            std::memory_order_acq_rel))
       counters_.breaker_opens.fetch_add(1, std::memory_order_relaxed);
-    }
   }
 }
 
 void ResilientPredictor::breaker_release(Breaker& breaker) {
-  breaker.probe_in_flight.store(false, std::memory_order_release);
+  // Back to open under the stamp it had, so the next caller probes at
+  // once. A no-op unless a probe is out.
+  int expected = static_cast<int>(BreakerState::kHalfOpen);
+  breaker.state.compare_exchange_strong(
+      expected, static_cast<int>(BreakerState::kOpen),
+      std::memory_order_acq_rel);
 }
 
 double ResilientPredictor::next_backoff_s(int attempt) const {
@@ -557,6 +567,16 @@ CapacityOutcome ResilientPredictor::max_clients_for_goal(
     counters_.errors.fetch_add(1, std::memory_order_relaxed);
     return error;
   }
+}
+
+bool ResilientPredictor::answers_from_cache(
+    const PredictionRequest& request) const {
+  const Breaker* breaker = breaker_lookup(request.method, request.server);
+  if (breaker != nullptr &&
+      breaker->state.load(std::memory_order_acquire) !=
+          static_cast<int>(BreakerState::kClosed))
+    return false;
+  return engine_.cached(request);
 }
 
 BreakerState ResilientPredictor::breaker_state(

@@ -206,6 +206,13 @@ class ResilientPredictor {
                                        double buy_fraction = 0.0,
                                        double think_time_s = 7.0) const;
 
+  /// Whether predict(request) would be answered by the requested method
+  /// from the engine's cache: its breaker is closed and the quantized
+  /// request has a cache entry. A probe for routing cheap requests: it
+  /// counts nothing and changes no cache or breaker state, so the answer
+  /// may be out of date by the time the caller acts on it.
+  bool answers_from_cache(const PredictionRequest& request) const;
+
   /// Current stored state of a (method, server) breaker (kClosed when the
   /// pair has never failed).
   BreakerState breaker_state(Method method, const std::string& server) const;
@@ -226,7 +233,6 @@ class ResilientPredictor {
     std::atomic<int> consecutive_failures{0};
     std::atomic<int> state{0};  // BreakerState underlying value
     std::atomic<std::int64_t> opened_at_ns{0};
-    std::atomic<bool> probe_in_flight{false};
   };
   struct StaleEntry {
     PredictionResult prediction;
@@ -249,12 +255,14 @@ class ResilientPredictor {
   /// and the lock — entirely behind one relaxed atomic load.
   Breaker* breaker_lookup(Method method, const std::string& server) const;
   Breaker& breaker_obtain(Method method, const std::string& server) const;
-  /// Admission decision; sets *probe when the call is the half-open probe.
+  /// Admission decision. Closed admits everyone; after the cooldown the
+  /// one caller that moves the state Open -> HalfOpen is the probe, and
+  /// half-open rejects everyone else.
   bool breaker_admit(Breaker& breaker) const;
   void breaker_success(Breaker& breaker) const;
   void breaker_failure(Breaker& breaker) const;
-  /// Release a half-open probe without a verdict (deadline, non-breaker
-  /// error): the breaker stays half-open for the next caller.
+  /// End a half-open probe without a verdict (deadline, non-breaker
+  /// error): back to open under the old stamp, so the next caller probes.
   static void breaker_release(Breaker& breaker);
 
   double next_backoff_s(int attempt) const;

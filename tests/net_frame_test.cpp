@@ -1,13 +1,16 @@
 // Wire protocol: encode/decode round-trips, malformed-payload rejection
-// and framing over a real loopback socket pair.
+// and framing over a real loopback socket pair, including frames that
+// arrive split across or joined within segments.
 #include "net/frame.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/socket.hpp"
@@ -228,6 +231,124 @@ TEST(NetFrame, TruncationMidFrameThrows) {
   pair.client.shutdown_write();  // peer dies mid-frame
   std::vector<std::uint8_t> payload;
   EXPECT_THROW(read_frame(pair.server, payload), SocketError);
+}
+
+// ---------------------------------------------------------------------------
+// Frame boundaries that do not match segment boundaries.
+// ---------------------------------------------------------------------------
+
+std::vector<std::uint8_t> request_wire(std::uint64_t id) {
+  RequestMessage request = sample_request();
+  request.id = id;
+  return frame_wire(encode_request(request));
+}
+
+std::vector<std::uint8_t> concat(const std::vector<std::uint8_t>& a,
+                                 const std::vector<std::uint8_t>& b) {
+  std::vector<std::uint8_t> out = a;
+  out.insert(out.end(), b.begin(), b.end());
+  return out;
+}
+
+TEST(NetFrame, FramesCoalescedInOneSegmentAreReadInOrder) {
+  LoopbackPair pair;
+  const std::vector<std::uint8_t> wire =
+      concat(concat(request_wire(1), request_wire(2)), request_wire(3));
+  ASSERT_TRUE(pair.client.send_all(wire.data(), wire.size()));
+  pair.client.shutdown_write();
+  std::vector<std::uint8_t> payload;
+  // Three frames in one segment come out whole and in order, then EOF.
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    ASSERT_TRUE(read_frame(pair.server, payload)) << id;
+    EXPECT_EQ(decode_request(payload).id, id);
+  }
+  EXPECT_FALSE(read_frame(pair.server, payload));
+}
+
+TEST(NetFrame, FrameSentOneByteAtATimeIsReassembled) {
+  LoopbackPair pair;
+  const std::vector<std::uint8_t> wire = request_wire(7);
+  std::thread dribbler([&] {
+    for (const std::uint8_t byte : wire) {
+      ASSERT_TRUE(pair.client.send_all(&byte, 1));
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::vector<std::uint8_t> payload;
+  const bool got = read_frame(pair.server, payload);
+  dribbler.join();
+  ASSERT_TRUE(got);
+  EXPECT_EQ(decode_request(payload).id, 7u);
+  EXPECT_EQ(decode_request(payload).server, "AppServVF");
+}
+
+TEST(NetFrame, FrameSpanningManySegmentsIsReadWhole) {
+  LoopbackPair pair;
+  // Several times loopback's 64 KiB segment size: many recvs per frame.
+  const std::vector<std::uint8_t> big(3 * 65536 + 5, 0xA5);
+  std::thread writer([&] { ASSERT_TRUE(write_frame(pair.client, big)); });
+  std::vector<std::uint8_t> payload;
+  const bool got = read_frame(pair.server, payload);
+  writer.join();
+  ASSERT_TRUE(got);
+  EXPECT_EQ(payload, big);
+}
+
+TEST(NetFrame, OversizedPrefixBehindAGoodFrameIsStillRefused) {
+  LoopbackPair pair;
+  const std::uint32_t huge = kMaxFrameBytes + 1;
+  const std::vector<std::uint8_t> oversized{
+      static_cast<std::uint8_t>(huge & 0xFF),
+      static_cast<std::uint8_t>((huge >> 8) & 0xFF),
+      static_cast<std::uint8_t>((huge >> 16) & 0xFF),
+      static_cast<std::uint8_t>((huge >> 24) & 0xFF)};
+  const std::vector<std::uint8_t> wire = concat(request_wire(1), oversized);
+  ASSERT_TRUE(pair.client.send_all(wire.data(), wire.size()));
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(read_frame(pair.server, payload));
+  EXPECT_THROW(read_frame(pair.server, payload), FrameError);
+}
+
+TEST(NetFrame, EofInsideTheLengthPrefixThrows) {
+  LoopbackPair pair;
+  const std::vector<std::uint8_t> wire = request_wire(1);
+  ASSERT_TRUE(pair.client.send_all(wire.data(), 2));
+  pair.client.shutdown_write();
+  std::vector<std::uint8_t> payload;
+  EXPECT_THROW(read_frame(pair.server, payload), SocketError);
+}
+
+TEST(NetFrame, TimeoutWithAPartialFrameReadThrowsSocketTimeout) {
+  LoopbackPair pair;
+  pair.server.set_recv_timeout(0.05);
+  const std::vector<std::uint8_t> wire = request_wire(1);
+  // The prefix and half the payload arrive; the rest never does, and
+  // the peer stays connected.
+  ASSERT_TRUE(pair.client.send_all(wire.data(), 4 + (wire.size() - 4) / 2));
+  std::vector<std::uint8_t> payload;
+  EXPECT_THROW(read_frame(pair.server, payload), SocketTimeout);
+}
+
+TEST(NetFrame, MovedSocketKeepsItsUnreadFrames) {
+  LoopbackPair pair;
+  const std::vector<std::uint8_t> wire =
+      concat(request_wire(1), concat(request_wire(2), request_wire(3)));
+  ASSERT_TRUE(pair.client.send_all(wire.data(), wire.size()));
+  pair.client.shutdown_write();
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(read_frame(pair.server, payload));
+  EXPECT_EQ(decode_request(payload).id, 1u);
+
+  // Frames 2 and 3 are still unread: moving the connection must not
+  // lose them.
+  Socket moved(std::move(pair.server));
+  ASSERT_TRUE(read_frame(moved, payload));
+  EXPECT_EQ(decode_request(payload).id, 2u);
+  Socket assigned;
+  assigned = std::move(moved);
+  ASSERT_TRUE(read_frame(assigned, payload));
+  EXPECT_EQ(decode_request(payload).id, 3u);
+  EXPECT_FALSE(read_frame(assigned, payload));
 }
 
 TEST(NetFrame, ListenerInterruptUnblocksAccept) {

@@ -161,6 +161,119 @@ TEST(PredictionServer, SecondIdenticalRequestIsACacheHit) {
   EXPECT_EQ(second->mean_rt_s, first->mean_rt_s);
 }
 
+TEST(PredictionServer, CacheHitIsAnsweredBeforeAMissQueuedAheadOfIt) {
+  // A cached answer is given on the reading thread. With the only worker
+  // held on a miss, a hit sent after that miss on the same connection
+  // comes back first, with the same bytes a worker would have written.
+  ServerOptions options;
+  options.workers = 1;
+  options.worker_delay_s = 0.25;
+  ServerFixture fixture(options);
+  net::Socket client = fixture.connect();
+  send(client, predict_request(1, Method::kLqn, "AppServF", 640.0));
+  const auto warm = receive(client);  // a miss: the worker fills the cache
+  ASSERT_TRUE(warm.has_value() && warm->ok()) << warm->detail;
+
+  send(client, predict_request(2, Method::kLqn, "AppServF", 900.0));  // miss
+  send(client, predict_request(3, Method::kLqn, "AppServF", 640.0));  // hit
+  const auto first = receive(client);
+  const auto second = receive(client);
+  ASSERT_TRUE(first.has_value() && second.has_value());
+  EXPECT_EQ(first->id, 3u) << "the hit waited behind the miss";
+  EXPECT_EQ(second->id, 2u);
+  ASSERT_TRUE(first->ok() && second->ok());
+  EXPECT_EQ(first->flags, net::kFlagCached);
+  EXPECT_EQ(first->mean_rt_s, warm->mean_rt_s);
+  EXPECT_EQ(first->bundle_version, 1u);
+
+  net::RequestMessage stats;
+  stats.kind = net::MessageKind::kStats;
+  stats.id = 4;
+  send(client, stats);
+  const auto reply = receive(client);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_NE(reply->detail.find("served_inline=1 "), std::string::npos)
+      << reply->detail;
+
+  fixture.server->stop();
+  const ServerStats final_stats = fixture.server->stats();
+  EXPECT_EQ(final_stats.served_inline, 1u);
+  EXPECT_EQ(final_stats.requests_enqueued, 3u);
+  EXPECT_EQ(final_stats.requests_served, 3u);
+  EXPECT_EQ(final_stats.queue_peak, 1u);
+}
+
+TEST(PredictionServer, HotSwapServesQueuedMissesOnTheirAdmissionVersion) {
+  // BundleRegistry.HotSwapUnderLoadPinsVersionsAndDropsNothing with a
+  // distinct load for every request: none is a cache hit answered on
+  // the reading thread, so the first burst waits in the queue behind the
+  // slow worker while version 2 is promoted, and is still served
+  // entirely on version 1.
+  calib::CalibrationBundle slow = corpus_bundle();
+  slow.lqn.browse.app_demand_s *= 2.0;
+  slow.lqn.buy.app_demand_s *= 2.0;
+
+  ServerOptions options;
+  options.workers = 1;
+  options.worker_delay_s = 0.02;
+  ServerFixture fixture(options);
+  const std::shared_ptr<const ServingVersion> v1 = fixture.registry.active();
+  net::Socket client = fixture.connect();
+
+  constexpr std::uint64_t kBurst = 10;
+  const auto clients_for = [](std::uint64_t id) {
+    return 400.0 + 10.0 * static_cast<double>(id);
+  };
+  for (std::uint64_t id = 1; id <= kBurst; ++id)
+    send(client, predict_request(id, Method::kLqn, "AppServF", clients_for(id)));
+  // Promote once the reader has admitted (and pinned) the whole burst.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fixture.server->stats().requests_enqueued < kBurst &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(fixture.server->stats().requests_enqueued, kBurst);
+  EXPECT_GT(fixture.server->stats().queue_depth, 0u)
+      << "nothing was left queued at the swap";
+  ASSERT_TRUE(fixture.registry.promote(std::move(slow), "slow").accepted);
+  const std::shared_ptr<const ServingVersion> v2 = fixture.registry.active();
+  ASSERT_EQ(v2->version, 2u);
+
+  for (std::uint64_t id = 100; id < 100 + kBurst; ++id)
+    send(client, predict_request(id, Method::kLqn, "AppServF", clients_for(id)));
+
+  std::map<std::uint64_t, net::ResponseMessage> responses;
+  for (std::uint64_t i = 0; i < 2 * kBurst; ++i) {
+    const auto response = receive(client);
+    ASSERT_TRUE(response.has_value()) << "response " << i << " dropped";
+    responses.emplace(response->id, *response);
+  }
+  ASSERT_EQ(responses.size(), 2 * kBurst);
+  fixture.server->stop();
+  EXPECT_EQ(fixture.server->stats().served_inline, 0u)
+      << "a distinct load was answered as a hit";
+  EXPECT_EQ(fixture.server->stats().responses_dropped, 0u);
+
+  // The reference answers come from each version's own engine, after the
+  // server has stopped, so they cannot turn a request into a hit.
+  for (const auto& [id, response] : responses) {
+    ASSERT_TRUE(response.ok()) << id << ": " << response.detail;
+    const ServingVersion& expected = id <= kBurst ? *v1 : *v2;
+    const ServingVersion& other = id <= kBurst ? *v2 : *v1;
+    svc::PredictionRequest request;
+    request.method = Method::kLqn;
+    request.server = "AppServF";
+    request.workload.browse_clients = clients_for(id);
+    EXPECT_EQ(response.bundle_version, expected.version) << id;
+    EXPECT_EQ(response.mean_rt_s,
+              expected.predictors.batch->predict(request).mean_rt_s)
+        << "request " << id << " answered with foreign relationships";
+    EXPECT_NE(response.mean_rt_s,
+              other.predictors.batch->predict(request).mean_rt_s)
+        << "the versions agree at " << clients_for(id) << " clients";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Typed errors.
 // ---------------------------------------------------------------------------

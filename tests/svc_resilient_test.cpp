@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -477,30 +479,82 @@ TEST(ResilientPredictor, ConcurrentBreakerTransitionsStaySane) {
   EXPECT_EQ(resilient.stats().requests, storm.size());
 }
 
+/// A stand-in for a calibrated method whose behaviour a test scripts:
+/// fail with a breaker-worthy error, fail with a caller error that trips
+/// no breaker, or answer. While held, a call first waits for release(),
+/// so a test decides when a half-open probe ends instead of a clock.
+class ScriptedPredictor : public core::Predictor {
+ public:
+  enum class Mode { kFail, kNotCalibrated, kAnswer };
+
+  std::string name() const override { return "scripted"; }
+  double predict_mean_rt_s(const std::string&,
+                           const core::WorkloadSpec&) const override {
+    return act(0.1);
+  }
+  double predict_throughput_rps(const std::string&,
+                                const core::WorkloadSpec&) const override {
+    return act(10.0);
+  }
+  double predict_max_throughput_rps(const std::string&, double) const override {
+    return act(100.0);
+  }
+
+  void set_mode(Mode mode) { mode_.store(mode); }
+  void hold() { held_.store(true); }
+  void release() {
+    const std::lock_guard lock(mutex_);
+    released_ = true;
+    released_cv_.notify_all();
+  }
+  /// Calls that have waited (or are waiting) on the gate.
+  int entered() const { return entered_.load(); }
+
+ private:
+  double act(double answer) const {
+    if (held_.load()) {
+      entered_.fetch_add(1);
+      std::unique_lock lock(mutex_);
+      released_cv_.wait(lock, [this] { return released_; });
+    }
+    switch (mode_.load()) {
+      case Mode::kFail:
+        throw std::runtime_error("scripted predictor: still broken");
+      case Mode::kNotCalibrated:
+        throw std::out_of_range("scripted predictor: not calibrated");
+      case Mode::kAnswer:
+        break;
+    }
+    return answer;
+  }
+
+  std::atomic<Mode> mode_{Mode::kFail};
+  std::atomic<bool> held_{false};
+  mutable std::atomic<int> entered_{0};
+  mutable std::mutex mutex_;
+  mutable std::condition_variable released_cv_;
+  bool released_ = false;
+};
+
 TEST(ResilientPredictor, HalfOpenAdmitsOneProbeAndFastFailsTheRest) {
   // The half-open contract under *concurrent* callers: after the
-  // cooldown exactly one request becomes the probe (and pays the full
-  // retry-loop price against the still-broken engine) while every
-  // simultaneous caller is rejected at the breaker in microseconds with
-  // a typed kCircuitOpen — never queued behind the probe, never admitted
-  // as a second probe. The probe is kept measurably busy (~200 ms of
-  // jittered retry backoff at fail=1.0) so the race window is real.
-  FaultInjector injector(failing(Method::kHistorical, 1.0));
-  BatchOptions batch_options;
-  batch_options.fault = &injector;
-  const auto engine = make_engine(batch_options);
+  // cooldown exactly one request becomes the probe while every
+  // simultaneous caller is rejected at the breaker with a typed
+  // kCircuitOpen — never queued behind the probe, never admitted as a
+  // second probe. The probe is held inside the predictor until every
+  // other caller has its verdict, so the outcome does not depend on how
+  // fast the callers run: the probe cannot fail, re-open the circuit and
+  // let its cooldown expire again while a slow caller is still racing.
+  ScriptedPredictor broken;
+  Predictors& p = predictors();
+  const BatchPredictor engine(&broken, &p.lqn, &p.hybrid);
   ResilienceOptions options;
-  options.max_retries = 100;
-  options.backoff_base_s = 0.002;
-  options.backoff_cap_s = 0.002;
+  options.max_retries = 0;
   options.serve_stale = false;
   options.fallback_enabled = false;
   options.breaker_failure_threshold = 1;
-  // Long enough that a loser delayed past the probe's completion still
-  // lands inside the re-opened circuit's cooldown (no accidental second
-  // probe), short enough to keep the test fast.
-  options.breaker_cooldown_s = 0.15;
-  const ResilientPredictor resilient(*engine, options);
+  options.breaker_cooldown_s = 0.05;
+  const ResilientPredictor resilient(engine, options);
   const PredictionRequest request{Method::kHistorical, "AppServF",
                                   browse_load(250.0)};
 
@@ -509,10 +563,12 @@ TEST(ResilientPredictor, HalfOpenAdmitsOneProbeAndFastFailsTheRest) {
   ASSERT_FALSE(resilient.predict(request).ok());
   ASSERT_EQ(resilient.breaker_state(Method::kHistorical, "AppServF"),
             BreakerState::kOpen);
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  broken.hold();
 
   constexpr int kCallers = 8;
   std::atomic<int> ready{0};
+  std::atomic<int> decided{0};
   std::atomic<bool> go{false};
   std::vector<ErrorCode> verdicts(kCallers);
   std::vector<std::thread> callers;
@@ -520,20 +576,27 @@ TEST(ResilientPredictor, HalfOpenAdmitsOneProbeAndFastFailsTheRest) {
   for (int i = 0; i < kCallers; ++i)
     callers.emplace_back([&, i] {
       ready.fetch_add(1);
-      while (!go.load(std::memory_order_acquire)) {
-      }
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       const Outcome outcome = resilient.predict(request);
-      ASSERT_FALSE(outcome.ok()) << i;
-      verdicts[i] = outcome.error().code;
+      if (!outcome.ok()) verdicts[i] = outcome.error().code;
+      decided.fetch_add(1);
     });
-  while (ready.load() < kCallers) {
-  }
+  while (ready.load() < kCallers) std::this_thread::yield();
   go.store(true, std::memory_order_release);
+  // Let the probe finish once every other caller has its verdict, or as
+  // soon as a second caller reaches the predictor (a second probe, which
+  // the assertions below report). The deadline only bounds a hang.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (decided.load() < kCallers - 1 && broken.entered() < 2 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  broken.release();
   for (std::thread& caller : callers) caller.join();
 
   int probes = 0, rejected = 0;
   for (const ErrorCode code : verdicts) {
-    if (code == ErrorCode::kTransientFailure) {
+    if (code == ErrorCode::kInternal) {
       ++probes;
     } else {
       EXPECT_EQ(code, ErrorCode::kCircuitOpen) << error_code_name(code);
@@ -543,11 +606,136 @@ TEST(ResilientPredictor, HalfOpenAdmitsOneProbeAndFastFailsTheRest) {
   EXPECT_EQ(probes, 1) << "the half-open slot admitted " << probes
                        << " probes";
   EXPECT_EQ(rejected, kCallers - 1);
+  EXPECT_EQ(broken.entered(), 1);
   EXPECT_GE(resilient.stats().breaker_rejections,
             static_cast<std::uint64_t>(kCallers - 1));
   // The failed probe re-opened the circuit.
   EXPECT_EQ(resilient.breaker_state(Method::kHistorical, "AppServF"),
             BreakerState::kOpen);
+}
+
+TEST(ResilientPredictor, BreakerProbesAgainAfterClosingAndReopening) {
+  // A full cycle twice over: failures open the circuit, the probe after
+  // the cooldown closes it, new failures open it again, and after that
+  // cooldown a probe must be admitted once more. Every request is
+  // distinct, so each one reaches the predictor.
+  ScriptedPredictor method;
+  Predictors& p = predictors();
+  const BatchPredictor engine(&method, &p.lqn, &p.hybrid);
+  ResilienceOptions options;
+  options.max_retries = 0;
+  options.serve_stale = false;
+  options.fallback_enabled = false;
+  options.breaker_failure_threshold = 2;
+  options.breaker_cooldown_s = 0.02;
+  const ResilientPredictor resilient(engine, options);
+  double clients = 100.0;
+  const auto ask = [&] {
+    clients += 1.0;
+    return resilient.predict(
+        {Method::kHistorical, "AppServF", browse_load(clients)});
+  };
+  const auto state = [&] {
+    return resilient.breaker_state(Method::kHistorical, "AppServF");
+  };
+  const auto cool_down = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  };
+
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    method.set_mode(ScriptedPredictor::Mode::kFail);
+    for (int i = 0; i < 2; ++i) {
+      const Outcome outcome = ask();
+      ASSERT_FALSE(outcome.ok()) << cycle << "/" << i;
+      EXPECT_EQ(outcome.error().code, ErrorCode::kInternal) << cycle;
+    }
+    ASSERT_EQ(state(), BreakerState::kOpen) << cycle;
+    cool_down();
+    // Still broken: the probe is admitted, fails and re-opens.
+    const Outcome failed_probe = ask();
+    ASSERT_FALSE(failed_probe.ok()) << cycle;
+    EXPECT_EQ(failed_probe.error().code, ErrorCode::kInternal) << cycle;
+    ASSERT_EQ(state(), BreakerState::kOpen) << cycle;
+    cool_down();
+    method.set_mode(ScriptedPredictor::Mode::kAnswer);
+    ASSERT_TRUE(ask().ok()) << cycle;
+    ASSERT_EQ(state(), BreakerState::kClosed) << cycle;
+  }
+  EXPECT_EQ(resilient.stats().breaker_opens, 4u);
+}
+
+TEST(ResilientPredictor, FlappingPairNeverStrandsTheBreaker) {
+  // TSan target: a pair that fails most calls, hammered by many threads
+  // with no cooldown, churns through every breaker transition while
+  // probes race late callers. Once the storm ends and the pair heals,
+  // the circuit must not be left half-open with nobody probing: the next
+  // request is admitted and closes it.
+  FaultInjector injector(failing(Method::kHistorical, 0.6));
+  BatchOptions batch_options;
+  batch_options.fault = &injector;
+  const auto engine = make_engine(batch_options);
+  ResilienceOptions options;
+  options.max_retries = 0;
+  options.serve_stale = false;
+  options.fallback_enabled = false;
+  options.breaker_failure_threshold = 2;
+  options.breaker_cooldown_s = 0.0;
+  const ResilientPredictor resilient(*engine, options);
+
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 1000;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i)
+        (void)resilient.predict({Method::kHistorical, "AppServF",
+                                 browse_load(100.0 + t * kPerThread + i)});
+    });
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_NE(resilient.breaker_state(Method::kHistorical, "AppServF"),
+            BreakerState::kHalfOpen);
+
+  injector.set_enabled(false);
+  const Outcome healed = resilient.predict(
+      {Method::kHistorical, "AppServF", browse_load(50.0)});
+  ASSERT_TRUE(healed.ok()) << healed.error().to_string();
+  EXPECT_EQ(resilient.breaker_state(Method::kHistorical, "AppServF"),
+            BreakerState::kClosed);
+}
+
+TEST(ResilientPredictor, ProbeWithoutVerdictLetsTheNextCallerProbeAtOnce) {
+  // A probe that ends in a caller error says nothing about the pair: the
+  // circuit goes back to open under its old stamp, so the next caller is
+  // the probe without waiting out another cooldown.
+  ScriptedPredictor method;
+  Predictors& p = predictors();
+  const BatchPredictor engine(&method, &p.lqn, &p.hybrid);
+  ResilienceOptions options;
+  options.max_retries = 0;
+  options.serve_stale = false;
+  options.fallback_enabled = false;
+  options.breaker_failure_threshold = 1;
+  options.breaker_cooldown_s = 0.05;
+  const ResilientPredictor resilient(engine, options);
+  const auto ask = [&](double clients) {
+    return resilient.predict(
+        {Method::kHistorical, "AppServF", browse_load(clients)});
+  };
+
+  ASSERT_FALSE(ask(100.0).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  method.set_mode(ScriptedPredictor::Mode::kNotCalibrated);
+  const Outcome released = ask(101.0);
+  ASSERT_FALSE(released.ok());
+  EXPECT_EQ(released.error().code, ErrorCode::kNotCalibrated);
+  EXPECT_EQ(resilient.breaker_state(Method::kHistorical, "AppServF"),
+            BreakerState::kOpen);
+  method.set_mode(ScriptedPredictor::Mode::kAnswer);
+  EXPECT_TRUE(ask(102.0).ok());
+  EXPECT_EQ(resilient.breaker_state(Method::kHistorical, "AppServF"),
+            BreakerState::kClosed);
+  EXPECT_EQ(resilient.stats().breaker_opens, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -297,6 +297,7 @@ int main(int argc, char** argv) try {
   const serve::DriftSnapshot drift = server.drift();
   std::cerr << "served " << server_stats.requests_served << " of "
             << server_stats.requests_enqueued << " admitted ("
+            << server_stats.served_inline << " inline, "
             << server_stats.requests_shed << " shed, "
             << server_stats.bad_frames << " bad frames, "
             << server_stats.idle_closes << " idle closes, peak queue "
