@@ -1,6 +1,6 @@
 // Micro-benchmark: cost of the artifact pre-flight gates (google-benchmark).
 //
-// Every serving tool front-loads a structural lint (tools/epp_lint rules)
+// Every serving tool front-loads a structural lint (`epp_check verify` rules)
 // and, since the EPP-SEM family landed, a semantic verification pass —
 // interval-arithmetic curve proofs, the LQN convergence pre-check and
 // fallback-chain coverage. Both run once per tool invocation, before any

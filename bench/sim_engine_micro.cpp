@@ -31,7 +31,7 @@ using namespace epp::sim;
 
 // Provenance constants, emitted into BENCH_sim.json so a benchmark
 // trajectory is attributable to the exact experiment it measured (and
-// replay-diffable: epp_replay strips the "timing" object and compares
+// replay-diffable: `epp_check replay` strips the "timing" object and compares
 // the rest byte-for-byte).
 constexpr std::uint64_t kWorkloadSeed = 42;
 constexpr int kReplications = 8;
@@ -198,7 +198,7 @@ double items_per_second_of(const std::vector<CapturedRun>& runs,
 }
 
 bool write_json(const std::string& path, const std::vector<CapturedRun>& runs) {
-  // Layout contract with lint/canon.hpp (the epp_replay canonicalizer):
+  // Layout contract with lint/canon.hpp (the `epp_check replay` canonicalizer):
   // every wall-clock measurement lives under the top-level "timing"
   // object, which the canonicalizer strips before byte-comparing runs;
   // "provenance" and the benchmark name list are deterministic and must

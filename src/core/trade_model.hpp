@@ -55,7 +55,7 @@ struct WorkloadSpec {
 /// Rule-coded workload lint (the EPP-WKL-* rules): appends one diagnostic
 /// per violated field to `diagnostics`, located at `where`. This is the
 /// single source of truth for workload plausibility — validate_workload
-/// and the epp_lint grid checks both run it.
+/// and the epp_lint grid checks (`epp_check verify`) both run it.
 ///   EPP-WKL-001 (error)   non-finite or negative client count
 ///   EPP-WKL-002 (error)   non-finite or negative think time
 ///   EPP-WKL-003 (error)   buy fraction outside [0, 1]

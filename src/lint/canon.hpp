@@ -1,6 +1,6 @@
 // Artifact canonicalization for the determinism replay gate.
 //
-// tools/epp_replay runs a pipeline command twice (or at two thread
+// `epp_check replay` runs a pipeline command twice (or at two thread
 // counts) and byte-compares what it wrote. Most artifacts in this tree
 // (.epp bundles, sweep CSV tables) are already bit-deterministic and
 // compare verbatim — but the BENCH_*.json emitters measure wall time,

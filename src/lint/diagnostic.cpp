@@ -1,6 +1,7 @@
 #include "lint/diagnostic.hpp"
 
 #include <algorithm>
+#include <ostream>
 #include <sstream>
 #include <utility>
 
@@ -143,6 +144,13 @@ std::string render_json(const Diagnostics& diagnostics) {
   }
   os << "\n]\n";
   return os.str();
+}
+
+bool report_findings(const Diagnostics& findings, std::ostream& out) {
+  Diagnostics sorted = findings;
+  sorted.sort_by_location();
+  if (!sorted.empty()) out << render_text(sorted);
+  return sorted.has_errors();
 }
 
 }  // namespace epp::lint

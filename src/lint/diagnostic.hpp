@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -95,5 +96,11 @@ std::string render_text(const Diagnostics& diagnostics);
 /// JSON array of {file, line, severity, rule, message, hint} objects
 /// (machine-readable CI artifact; stable key order).
 std::string render_json(const Diagnostics& diagnostics);
+
+/// The pre-run gate every tool applies to its inputs: print the whole
+/// findings list, sorted by location, as text to `out` (nothing when
+/// there are none) and return whether any finding is an error. The
+/// caller prints its own refusal line and picks its exit code.
+bool report_findings(const Diagnostics& findings, std::ostream& out);
 
 }  // namespace epp::lint

@@ -49,7 +49,7 @@
 //
 // The WKL and FLT rules live next to their parsers (core and svc); this
 // library adds the model/bundle rules and the file-level dispatcher the
-// epp_lint tool and the pre-run hooks in epp_sweep/epp_calibrate use.
+// `epp_check verify` and the pre-run gates in epp_sweep/epp_serve use.
 #pragma once
 
 #include <map>

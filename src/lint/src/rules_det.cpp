@@ -10,7 +10,7 @@
 // order-sensitive effects, racy floating-point accumulation in pool
 // lambdas, silently default-seeded generators, and pointer keys whose
 // order is the allocator's mood. The runtime twin of this family is
-// tools/epp_replay, which reruns a pipeline and byte-compares the
+// `epp_check replay`, which reruns a pipeline and byte-compares the
 // canonicalized artifacts; the rules here name the line to fix when
 // that gate trips.
 

@@ -16,6 +16,14 @@
 namespace epp::lint {
 namespace {
 
+constexpr std::string_view kRuleIds[] = {
+    "EPP-CONC-001", "EPP-CONC-002", "EPP-CONC-003", "EPP-CONC-004",
+    "EPP-CONC-005", "EPP-CONC-006", "EPP-CONC-007", "EPP-CONC-008",
+    "EPP-HOT-001",  "EPP-HOT-002",  "EPP-HOT-003",  "EPP-HOT-004",
+    "EPP-HOT-005",  "EPP-DET-001",  "EPP-DET-002",  "EPP-DET-003",
+    "EPP-DET-004",  "EPP-DET-005",  "EPP-DET-006",  "EPP-META-001",
+    "EPP-META-002"};
+
 bool lintable_extension(const std::filesystem::path& path) {
   const std::string ext = path.extension().string();
   return ext == ".hpp" || ext == ".h" || ext == ".hh" || ext == ".cpp" ||
@@ -52,6 +60,8 @@ std::vector<std::string> expand_paths(const std::vector<std::string>& paths,
 }
 
 }  // namespace
+
+std::span<const std::string_view> srclint_rule_ids() { return kRuleIds; }
 
 void lint_sources(const std::vector<std::string>& paths, Diagnostics& out,
                   const SrclintOptions& options) {

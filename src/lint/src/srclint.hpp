@@ -62,7 +62,9 @@
 // lock-rank tracker that shares the same EPP_LOCK_RANK declarations.
 #pragma once
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lint/diagnostic.hpp"
@@ -79,6 +81,11 @@ struct SrclintOptions {
   /// stale.
   std::vector<std::string> rule_prefixes;
 };
+
+/// Every rule ID in the catalog above, in catalog order. Front ends
+/// check --rules prefixes against this list, so a typo or an unknown ID
+/// is a usage error instead of a spuriously clean run.
+std::span<const std::string_view> srclint_rule_ids();
 
 /// Lint the given files and/or directories (directories recurse over
 /// .hpp/.h/.hh/.cpp/.cc/.cxx). Findings are appended to `out` sorted by

@@ -1,10 +1,11 @@
-// The epp_verify semantic verifier: interval abstract interpretation over
-// the paper's fitted models — the layer above epp_lint in the artifact
-// pre-flight. Lint (lint.hpp) proves an artifact is *structurally* sound;
-// the EPP-SEM rules here prove it is *semantically* sane: the prediction
-// curves it encodes stay non-negative and monotone, the layered solver it
-// will be fed can converge, and every request a serving configuration can
-// receive has a terminating fallback chain.
+// The EPP-SEM semantic verifier behind `epp_check verify`: interval
+// abstract interpretation over the paper's fitted models — the layer
+// above lint in the artifact pre-flight. Lint (lint.hpp) proves an
+// artifact is *structurally* sound; the EPP-SEM rules here prove it is
+// *semantically* sane: the prediction curves it encodes stay
+// non-negative and monotone, the layered solver it will be fed can
+// converge, and every request a serving configuration can receive has a
+// terminating fallback chain.
 //
 // Every curve rule is decided with the outward-rounded interval domain in
 // interval.hpp: a property is either proven over the whole client range,

@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,16 +63,26 @@ class ResourceManager {
                              int& prediction_evaluations) const;
 
  private:
-  /// Capacity probe: clients of `cls` the server can still take, charged
-  /// against `allocation`'s evaluation/failure counters.
-  using CapacityProbe = std::function<double(
-      const PoolServer&, const std::map<std::string, double>&,
-      const std::vector<ServiceClassSpec>&, const ServiceClassSpec&,
-      Allocation&)>;
+  /// One capacity question — clients a server can hold at a response-
+  /// time goal and buy fraction — or nullopt when the probe failed.
+  using CapacityQuery = std::function<std::optional<core::CapacityResult>(
+      const PoolServer&, double goal_s, double buy_fraction)>;
+
+  /// Clients of `cls` the server can take on top of `existing`, asking
+  /// `query` once per mix-refinement pass; nullopt on the first failed
+  /// pass (evaluations of the passes that succeeded stay counted).
+  static std::optional<double> probe(
+      const CapacityQuery& query, const PoolServer& server,
+      const std::map<std::string, double>& existing,
+      const std::vector<ServiceClassSpec>& all_classes,
+      const ServiceClassSpec& cls, int& prediction_evaluations);
+
+  /// The planning predictor as a query; its failures throw.
+  CapacityQuery model_query() const;
 
   Allocation run_allocation(std::vector<ServiceClassSpec> classes,
                             const std::vector<PoolServer>& servers,
-                            const CapacityProbe& probe) const;
+                            const CapacityQuery& query) const;
 
   const core::Predictor& predictor_;
   ManagerOptions options_;

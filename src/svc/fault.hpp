@@ -86,7 +86,7 @@ struct FaultConfig {
 /// Rule-coded fault-spec lint (the EPP-FLT-* rules): parse `spec`,
 /// appending every finding to `diagnostics` at `where` and skipping the
 /// offending clause. This is the single source of truth for the grammar;
-/// parse_fault_spec and tools/epp_lint both run it.
+/// parse_fault_spec and `epp_check verify` both run it.
 ///   EPP-FLT-001 (error) malformed clause or knob shape
 ///   EPP-FLT-002 (error) unknown target or knob name
 ///   EPP-FLT-003 (error) knob value out of range (non-numeric,

@@ -1,5 +1,5 @@
 // Artifact canonicalization (lint/canon.hpp) — the comparison contract
-// behind tools/epp_replay and CI's determinism gate. The canonical form
+// behind `epp_check replay` and CI's determinism gate. The canonical form
 // must drop exactly the wall-time measurement content ("timing" objects
 // and legacy *_ms / *per_second keys) and nothing else, so two runs of
 // the same experiment compare byte-identical while a real payload

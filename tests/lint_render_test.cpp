@@ -1,6 +1,6 @@
 // Renderer edge cases for the diagnostic engine: JSON escaping of
 // hostile paths and messages, sort stability, and a round-trip parse of
-// the exact JSON epp_srclint emits for the defect corpus — CI consumes
+// the exact JSON `epp_check src` emits for the defect corpus — CI consumes
 // that artifact, so "looks like JSON" is not enough.
 
 #include <gtest/gtest.h>

@@ -8,7 +8,7 @@
 //      that shifts, drops or duplicates a finding fails the table.
 //   2. The clean-tree gate: the repo's own src/ and tools/ trees lint
 //      to zero findings. CI enforces the same invariant with the
-//      epp_srclint binary; this test catches it at `ctest` time.
+//      `epp_check src` binary; this test catches it at `ctest` time.
 //   3. Suppression semantics: `// epp-lint: ignore(<RULE>)` silences
 //      exactly its target line, stale suppressions surface as
 //      EPP-META-001, and --no-suppress reveals everything.
@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lint/diagnostic.hpp"
@@ -115,19 +116,18 @@ TEST(SrclintCorpus, EveryDefectPinnedToRuleSeverityAndLine) {
 }
 
 TEST(SrclintCorpus, CorpusCoversTheWholeRuleCatalog) {
-  // ≥10 distinct seeded rules; if a rule is added to the analyzer it
-  // must gain corpus coverage (and a row in this list).
+  // Every rule in lint::srclint_rule_ids() (the list `epp_check src
+  // --rules` validates against) has a seeded defect, and the corpus
+  // trips nothing outside it. EPP-META-002 (unreadable input) is pinned
+  // by MissingInputIsMeta002Error instead.
   std::vector<std::string> covered;
   for (const GoldenFinding& finding : kGolden) covered.push_back(finding.rule);
   std::sort(covered.begin(), covered.end());
   covered.erase(std::unique(covered.begin(), covered.end()), covered.end());
-  const std::vector<std::string> expected = {
-      "EPP-CONC-001", "EPP-CONC-002", "EPP-CONC-003", "EPP-CONC-004",
-      "EPP-CONC-005", "EPP-CONC-006", "EPP-CONC-007", "EPP-CONC-008",
-      "EPP-DET-001",  "EPP-DET-002",  "EPP-DET-003",  "EPP-DET-004",
-      "EPP-DET-005",  "EPP-DET-006",  "EPP-HOT-001",  "EPP-HOT-002",
-      "EPP-HOT-003",  "EPP-HOT-004",  "EPP-HOT-005",  "EPP-META-001",
-  };
+  std::vector<std::string> expected;
+  for (const std::string_view rule : lint::srclint_rule_ids())
+    if (rule != "EPP-META-002") expected.emplace_back(rule);
+  std::sort(expected.begin(), expected.end());
   EXPECT_EQ(covered, expected);
 }
 
@@ -327,7 +327,7 @@ TEST(SrclintDeterminism, StaticFindingAndRuntimeDivergenceAgree) {
   EXPECT_EQ(diagnostics.all()[0].location.line, 12);
 
   // Runtime side: execute the flagged code twice — the miniature
-  // version of epp_replay's run-a/run-b — and observe the divergence
+  // version of `epp_check replay`'s run-a/run-b — and observe the divergence
   // the rule predicts. Eight 32-bit hardware draws colliding twice in
   // a row is beyond astronomically unlikely.
   const auto run_a = lint_corpus::entropy_draws();

@@ -148,7 +148,7 @@ struct GoldenCase {
   const char* rule;       // the EPP-SEM rule the artifact trips
   Severity severity;      // at which severity
   int line;               // on which line (0 = whole artifact)
-  int expected_exit;      // epp_verify exit code for the file
+  int expected_exit;      // `epp_check verify` exit code for the file
 };
 
 class VerifyCorpus : public ::testing::TestWithParam<GoldenCase> {};

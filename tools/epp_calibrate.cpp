@@ -118,9 +118,7 @@ int main(int argc, char** argv) try {
     lint::Diagnostics findings;
     lint::verify_artifact_file(config.inspect_path, lint::VerifyOptions{},
                                findings);
-    findings.sort_by_location();
-    if (!findings.empty()) std::cerr << lint::render_text(findings);
-    if (findings.has_errors()) {
+    if (lint::report_findings(findings, std::cerr)) {
       std::cerr << "epp_calibrate: artifact fails verification with "
                 << findings.count(lint::Severity::kError) << " error(s)\n";
       return 2;
@@ -151,9 +149,7 @@ int main(int argc, char** argv) try {
   // applies before consuming it).
   lint::Diagnostics findings;
   lint::verify_artifact_file(config.out_path, lint::VerifyOptions{}, findings);
-  findings.sort_by_location();
-  if (!findings.empty()) std::cerr << lint::render_text(findings);
-  if (findings.has_errors()) {
+  if (lint::report_findings(findings, std::cerr)) {
     std::cerr << "epp_calibrate: freshly written artifact fails verification "
                  "— this is a calibration bug\n";
     return 2;

@@ -712,7 +712,7 @@ int main(int argc, char** argv) try {
       std::cerr << "epp_loadgen: cannot write " << config.json_out << "\n";
       return 1;
     }
-    // Layout contract with lint/canon.hpp (the epp_replay
+    // Layout contract with lint/canon.hpp (the `epp_check replay`
     // canonicalizer): wall-clock measurements live under "timing",
     // which is stripped before runs are byte-compared; "provenance"
     // records the exact (seed, stream) plan, lane count and arrival

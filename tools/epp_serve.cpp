@@ -204,9 +204,7 @@ int main(int argc, char** argv) try {
   if (!config.fault_spec.empty())
     fault_config =
         svc::lint_fault_spec(config.fault_spec, {"<fault-spec>", 0}, findings);
-  findings.sort_by_location();
-  if (!findings.empty()) std::cerr << lint::render_text(findings);
-  if (findings.has_errors()) {
+  if (lint::report_findings(findings, std::cerr)) {
     std::cerr << "epp_serve: refusing to start with "
               << findings.count(lint::Severity::kError) << " lint error(s)\n";
     return 2;

@@ -101,9 +101,7 @@ int main(int argc, char** argv) {
   {
     lint::Diagnostics findings;
     lint::lint_lqn_text(buffer.str(), model_path, findings);
-    if (findings.first_at_least(lint::Severity::kWarning) != nullptr)
-      std::cerr << lint::render_text(findings);
-    if (findings.has_errors()) {
+    if (lint::report_findings(findings, std::cerr)) {
       std::cerr << "epp_solve: model fails lint with "
                 << findings.count(lint::Severity::kError) << " error(s)\n";
       return 1;
@@ -138,9 +136,7 @@ int main(int argc, char** argv) {
       lint::Diagnostics findings;
       const lint::LqnSourceIndex index = lint::index_lqn_source(buffer.str());
       lint::verify_lqn_model(model, model_path, findings, &index);
-      findings.sort_by_location();
-      if (!findings.empty()) std::cerr << lint::render_text(findings);
-      if (findings.has_errors()) {
+      if (lint::report_findings(findings, std::cerr)) {
         std::cerr << "epp_solve: semantic verification predicts this model "
                      "will not solve ("
                   << findings.count(lint::Severity::kError)

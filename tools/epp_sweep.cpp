@@ -114,7 +114,7 @@ int usage(std::ostream& out) {
          "spec grammar is 'target:knob[,knob...][;...]' with target one of\n"
          "historical|lqn|hybrid|* and knobs fail=P, latency-ms=MS, e.g.\n"
          "  --fault-spec 'lqn:latency-ms=20;*:fail=0.05'\n"
-         "Inputs are linted before any work happens (see tools/epp_lint);\n"
+         "Inputs are linted before any work happens (see epp_check verify);\n"
          "lint errors abort the run with exit code 2.\n";
   return 1;
 }
@@ -186,7 +186,7 @@ int main(int argc, char** argv) try {
   const SweepConfig config = parse_args(argc, argv);
 
   // --- pre-run lint: refuse to spend calibration/solver time on inputs
-  // that cannot work (the same rules tools/epp_lint runs standalone) ----
+  // that cannot work (the same rules `epp_check verify` runs) ----------
   lint::Diagnostics findings;
   if (!config.artifact.load_path.empty())
     lint::lint_artifact_file(config.artifact.load_path, findings);
@@ -200,12 +200,11 @@ int main(int argc, char** argv) try {
   for (const double buy_pct : config.buy_pcts)
     core::lint_workload(mixed_load(config.loads.front(), buy_pct),
                         {"<grid>", 0}, findings);
-  findings.sort_by_location();
-  if (!findings.empty()) std::cerr << lint::render_text(findings);
-  if (findings.has_errors()) {
+  if (lint::report_findings(findings, std::cerr)) {
     std::cerr << "epp_sweep: refusing to run with "
               << findings.count(lint::Severity::kError)
-              << " lint error(s); see epp_lint for the rule catalog\n";
+              << " lint error(s); see `epp_check verify` for the rule "
+                 "catalog\n";
     return 2;
   }
 
@@ -244,12 +243,10 @@ int main(int argc, char** argv) try {
                                   : config.artifact.load_path;
     lint::Diagnostics semantic;
     lint::verify_bundle(bundle, label, nullptr, verify_options, semantic);
-    semantic.sort_by_location();
-    if (!semantic.empty()) std::cerr << lint::render_text(semantic);
-    if (semantic.has_errors()) {
+    if (lint::report_findings(semantic, std::cerr)) {
       std::cerr << "epp_sweep: refusing to serve from a bundle with "
                 << semantic.count(lint::Severity::kError)
-                << " semantic error(s); see epp_verify for the rule "
+                << " semantic error(s); see `epp_check verify` for the rule "
                    "catalog\n";
       return 2;
     }
