@@ -9,7 +9,8 @@
 // planner actually asks it, thousands of predictions per decision. SLA
 // capacities for each goal are read off the predicted curves, and the
 // second goal reuses the same grid, so it is answered entirely from the
-// engine's memoization cache (section 8.5's latency point).
+// engine's memoization cache (section 8.5's latency point). Cells that
+// fail (a non-converged solve) are left off the curve.
 //
 // Usage: capacity_planning [--bundle FILE] [--save-bundle FILE]
 #include <exception>
@@ -99,12 +100,16 @@ int main(int argc, char** argv) try {
     for (std::size_t s = 0; s < bundle.servers.size(); ++s) {
       std::vector<std::string> row{bundle.servers[s].name};
       for (std::size_t mi = 0; mi < std::size(methods); ++mi) {
-        std::vector<double> rt;
-        for (std::size_t i = 0; i < loads[s].size(); ++i)
-          rt.push_back(predicted[cursor + i].mean_rt_s);
+        std::vector<double> clients, rt;
+        for (std::size_t i = 0; i < loads[s].size(); ++i) {
+          const svc::PredictionResult& cell = predicted[cursor + i];
+          if (!cell.ok()) continue;  // e.g. a non-converged solve
+          clients.push_back(loads[s][i]);
+          rt.push_back(cell.mean_rt_s);
+        }
         cursor += loads[s].size();
         row.push_back(
-            util::fmt(capacity_from_curve(loads[s], rt, goal_ms / 1e3), 0));
+            util::fmt(capacity_from_curve(clients, rt, goal_ms / 1e3), 0));
       }
       table.add_row(row);
     }

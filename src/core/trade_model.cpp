@@ -38,12 +38,18 @@ void lint_workload(const WorkloadSpec& workload,
                         "give the cell a positive client population");
 }
 
-void validate_workload(const WorkloadSpec& workload) {
+std::string workload_error(const WorkloadSpec& workload) {
   lint::Diagnostics diagnostics;
   lint_workload(workload, {}, diagnostics);
   if (const lint::Diagnostic* first =
           diagnostics.first_at_least(lint::Severity::kError))
-    throw InvalidWorkloadError("invalid workload: " + first->message);
+    return "invalid workload: " + first->message;
+  return {};
+}
+
+void validate_workload(const WorkloadSpec& workload) {
+  if (std::string error = workload_error(workload); !error.empty())
+    throw InvalidWorkloadError(error);
 }
 
 ServerArch arch_s() { return {"AppServS", 86.0 / 186.0, 50, 20}; }

@@ -67,10 +67,13 @@ void lint_workload(const WorkloadSpec& workload,
 
 /// Service-boundary validation: negative or non-finite client counts,
 /// non-finite or negative think times (and hence any buy fraction outside
-/// [0, 1]) throw core::InvalidWorkloadError with the offending field in
-/// the message. Implemented on top of lint_workload (first error-severity
-/// finding wins). Every prediction entry point that accepts
-/// caller-supplied workloads calls this before touching a model.
+/// [0, 1]) yield a message naming the offending field; empty when the
+/// workload is valid. Implemented on top of lint_workload (first
+/// error-severity finding wins). Every prediction entry point that
+/// accepts caller-supplied workloads checks this before touching a model.
+std::string workload_error(const WorkloadSpec& workload);
+
+/// Throws core::InvalidWorkloadError with workload_error()'s message.
 void validate_workload(const WorkloadSpec& workload);
 
 /// Build the layered queuing model of the case study: browse/buy client

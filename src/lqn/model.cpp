@@ -1,5 +1,6 @@
 #include "lqn/model.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace epp::lqn {
@@ -116,18 +117,20 @@ void Model::validate() const {
     throw std::invalid_argument("Model: no reference (client) task");
   for (const Task& task : tasks_) {
     if (task.is_reference) {
+      // Written so that NaN fails too, as in the EPP-LQN lint rules.
       if (task.open_arrivals) {
-        if (task.arrival_rate_rps <= 0.0)
+        if (!std::isfinite(task.arrival_rate_rps) ||
+            task.arrival_rate_rps <= 0.0)
           throw std::invalid_argument("Model: open reference task '" +
                                       task.name +
-                                      "' needs a positive arrival rate");
-      } else if (task.population <= 0.0) {
+                                      "' needs a finite positive arrival rate");
+      } else if (!std::isfinite(task.population) || task.population <= 0.0) {
         throw std::invalid_argument("Model: reference task '" + task.name +
-                                    "' needs a positive population");
+                                    "' needs a finite positive population");
       }
-      if (task.think_time_s < 0.0)
+      if (!std::isfinite(task.think_time_s) || task.think_time_s < 0.0)
         throw std::invalid_argument("Model: reference task '" + task.name +
-                                    "' has a negative think time");
+                                    "' needs a finite non-negative think time");
       if (task.entries.size() != 1)
         throw std::invalid_argument("Model: reference task '" + task.name +
                                     "' must have exactly one entry");
@@ -140,11 +143,14 @@ void Model::validate() const {
                                   "' has zero multiplicity");
   }
   for (const Entry& entry : entries_) {
-    if (entry.service_demand_s < 0.0)
+    if (!std::isfinite(entry.service_demand_s) || entry.service_demand_s < 0.0)
       throw std::invalid_argument("Model: entry '" + entry.name +
-                                  "' has a negative demand");
+                                  "' needs a finite non-negative demand");
     for (const Call& call : entry.calls) {
       const Entry& target = entries_.at(call.target);
+      if (!std::isfinite(call.mean_calls) || call.mean_calls < 0.0)
+        throw std::invalid_argument("Model: a call from entry '" + entry.name +
+                                    "' needs a finite non-negative mean");
       if (tasks_[target.task].is_reference)
         throw std::invalid_argument("Model: entry '" + entry.name +
                                     "' calls into a reference task");

@@ -51,11 +51,6 @@ PromotionResult BundleRegistry::promote(calib::CalibrationBundle bundle,
 
   const util::MutexLock lock(mutex_);
   candidate->version = next_version_++;
-  if (active_ != nullptr) {
-    history_.push_back(active_);
-    while (history_.size() > options_.keep_history)
-      history_.erase(history_.begin());
-  }
   active_ = std::move(candidate);
   ++counters_.promotions;
   result.accepted = true;
@@ -63,15 +58,6 @@ PromotionResult BundleRegistry::promote(calib::CalibrationBundle bundle,
   result.message = "promoted '" + source + "' as version " +
                    std::to_string(active_->version);
   return result;
-}
-
-bool BundleRegistry::rollback() {
-  const util::MutexLock lock(mutex_);
-  if (history_.empty()) return false;
-  active_ = std::move(history_.back());
-  history_.pop_back();
-  ++counters_.rollbacks;
-  return true;
 }
 
 std::shared_ptr<const ServingVersion> BundleRegistry::active() const {
@@ -89,7 +75,6 @@ RegistryStats BundleRegistry::stats() const {
   RegistryStats stats;
   stats.promotions = counters_.promotions;
   stats.rejections = counters_.rejections;
-  stats.rollbacks = counters_.rollbacks;
   stats.active_version = active_ != nullptr ? active_->version : 0;
   return stats;
 }

@@ -20,15 +20,13 @@
 // shared_ptr<const ServingVersion> at admission, so a request admitted
 // under version N finishes on version N's predictors even if version
 // N+1 is promoted mid-evaluation. Old versions die when their last
-// pinned request drops the refcount (plus the bounded history the
-// registry retains for explicit rollback()).
+// pinned request drops the refcount; the registry itself keeps only the
+// active version.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "calib/bundle.hpp"
 #include "calib/predictor_set.hpp"
@@ -59,9 +57,6 @@ struct RegistryOptions {
   /// Gate candidates through the verifier; disable only in tests that
   /// deliberately promote broken bundles.
   bool gate = true;
-  /// Superseded versions retained for rollback() (beyond the active
-  /// one). In-flight pins keep older versions alive regardless.
-  std::size_t keep_history = 2;
 };
 
 struct PromotionResult {
@@ -78,7 +73,6 @@ struct PromotionResult {
 struct RegistryStats {
   std::uint64_t promotions = 0;   // accepted candidates
   std::uint64_t rejections = 0;   // gate or construction failures
-  std::uint64_t rollbacks = 0;
   std::uint64_t active_version = 0;  // 0 = nothing promoted yet
 };
 
@@ -93,11 +87,6 @@ class BundleRegistry {
   PromotionResult promote(calib::CalibrationBundle bundle,
                           const std::string& source,
                           const calib::BundleParseInfo* info = nullptr);
-
-  /// Reactivate the most recently superseded version (operator escape
-  /// hatch when a gated bundle turns out bad in ways the verifier cannot
-  /// see, e.g. drift). Returns false when no history remains.
-  bool rollback();
 
   /// The active version, or nullptr before the first promotion. The
   /// returned pin keeps the version (bundle + predictors) alive for as
@@ -114,15 +103,11 @@ class BundleRegistry {
 
   mutable util::RankedMutex mutex_{EPP_LOCK_RANK(30), "serve.registry"};
   std::shared_ptr<const ServingVersion> active_ EPP_GUARDED_BY(mutex_);
-  /// Superseded versions, oldest first, bounded by keep_history.
-  std::vector<std::shared_ptr<const ServingVersion>> history_
-      EPP_GUARDED_BY(mutex_);
   std::uint64_t next_version_ EPP_GUARDED_BY(mutex_) = 1;
 
   struct Counters {
     std::uint64_t promotions = 0;
     std::uint64_t rejections = 0;
-    std::uint64_t rollbacks = 0;
   };
   mutable Counters counters_ EPP_GUARDED_BY(mutex_);
 };

@@ -373,7 +373,6 @@ void PredictionServer::handle_control(Session& session,
            << " bundle_version=" << registry_stats.active_version
            << " promotions=" << registry_stats.promotions
            << " rejections=" << registry_stats.rejections
-           << " rollbacks=" << registry_stats.rollbacks
            << " health=" << health_state_name(drift_stats.state)
            << " drift_observations=" << drift_stats.observations
            << " drift_trips=" << drift_stats.trips;
@@ -412,7 +411,7 @@ void PredictionServer::handle_control(Session& session,
       }
       if (reload.ok) {
         counters_.reloads_ok.fetch_add(1, std::memory_order_relaxed);
-        // The promotion (or rollback) may have changed the active
+        // The promotion may have changed the active
         // version; the drift history belongs to the old one.
         drift_track_version(registry_.active_version());
       } else {

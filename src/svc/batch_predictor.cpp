@@ -3,6 +3,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/errors.hpp"
+#include "util/cancellation.hpp"
+
 namespace epp::svc {
 namespace {
 
@@ -11,6 +14,50 @@ std::int64_t snap(double value, double quantum) {
 }
 
 }  // namespace
+
+std::string_view error_code_name(ErrorCode code) {
+  switch (code) {
+    case ErrorCode::kNotCalibrated:
+      return "not-calibrated";
+    case ErrorCode::kSolverDiverged:
+      return "solver-diverged";
+    case ErrorCode::kDeadlineExceeded:
+      return "deadline-exceeded";
+    case ErrorCode::kCircuitOpen:
+      return "circuit-open";
+    case ErrorCode::kInvalidWorkload:
+      return "invalid-workload";
+    case ErrorCode::kTransientFailure:
+      return "transient-failure";
+    case ErrorCode::kInternal:
+      return "internal";
+    case ErrorCode::kOverloaded:
+      return "overloaded";
+  }
+  return "unknown";
+}
+
+// Most-derived first: InvalidWorkloadError is an invalid_argument,
+// NotCalibratedError an out_of_range, SolverDivergedError and Cancelled
+// are runtime_errors.
+PredictionResult map_active_exception() {
+  try {
+    throw;
+  } catch (const util::Cancelled& error) {
+    return PredictionResult::failure(ErrorCode::kDeadlineExceeded, error.what());
+  } catch (const core::InvalidWorkloadError& error) {
+    return PredictionResult::failure(ErrorCode::kInvalidWorkload, error.what());
+  } catch (const core::SolverDivergedError& error) {
+    return PredictionResult::failure(ErrorCode::kSolverDiverged, error.what());
+  } catch (const std::invalid_argument& error) {
+    // e.g. predictor_for's "no such predictor supplied"
+    return PredictionResult::failure(ErrorCode::kNotCalibrated, error.what());
+  } catch (const std::out_of_range& error) {  // incl. NotCalibratedError
+    return PredictionResult::failure(ErrorCode::kNotCalibrated, error.what());
+  } catch (const std::exception& error) {
+    return PredictionResult::failure(ErrorCode::kInternal, error.what());
+  }
+}
 
 BatchPredictor::BatchPredictor(const core::Predictor* historical,
                                const core::Predictor* lqn,
@@ -71,8 +118,11 @@ CacheKey BatchPredictor::cache_key(const PredictionRequest& request) const {
 }
 
 PredictionResult BatchPredictor::predict(
-    const PredictionRequest& request) const {
-  core::validate_workload(request.workload);
+    const PredictionRequest& request) const try {
+  if (std::string error = core::workload_error(request.workload);
+      !error.empty())
+    return PredictionResult::failure(ErrorCode::kInvalidWorkload,
+                                     std::move(error));
   const CacheKey key = cache_key(request);
   if (const auto hit = cache_.lookup(key)) {
     PredictionResult result;
@@ -83,9 +133,14 @@ PredictionResult BatchPredictor::predict(
   }
 
   const core::Predictor& predictor = predictor_for(request.method);
+  // Transient by construction: a retry draws the next sample of the
+  // failure stream, which may pass.
   if (options_.fault != nullptr &&
       options_.fault->should_fail(request.method, request.server))
-    throw InjectedFault(request.method, request.server);
+    return PredictionResult::failure(
+        ErrorCode::kTransientFailure,
+        "injected fault: " + std::string(method_name(request.method)) +
+            " on '" + request.server + "'");
   const core::WorkloadSpec workload = quantized(request.workload);
   CachedPrediction fresh;
   fresh.mean_rt_s = predictor.predict_mean_rt_s(request.server, workload);
@@ -96,27 +151,19 @@ PredictionResult BatchPredictor::predict(
   result.mean_rt_s = fresh.mean_rt_s;
   result.throughput_rps = fresh.throughput_rps;
   return result;
+} catch (...) {
+  return map_active_exception();
 }
 
 std::vector<PredictionResult> BatchPredictor::predict_batch(
     const std::vector<PredictionRequest>& requests,
     util::ThreadPool* pool) const {
   std::vector<PredictionResult> results(requests.size());
-  // One failing request must not discard the rest of the batch, so each
-  // slot captures its own error instead of letting it propagate through
-  // parallel_for (which would drop every other result).
-  const auto evaluate = [&](std::size_t i) {
-    try {
-      results[i] = predict(requests[i]);
-    } catch (const std::exception& error) {
-      results[i] = PredictionResult{};
-      results[i].error = error.what();
-    }
-  };
+  const auto one = [&](std::size_t i) { results[i] = predict(requests[i]); };
   if (pool != nullptr && requests.size() > 1) {
-    pool->parallel_for(requests.size(), evaluate);
+    pool->parallel_for(requests.size(), one);
   } else {
-    for (std::size_t i = 0; i < requests.size(); ++i) evaluate(i);
+    for (std::size_t i = 0; i < requests.size(); ++i) one(i);
   }
   return results;
 }

@@ -14,10 +14,17 @@
 // workload* (client counts snapped to quantum_clients, think time to
 // quantum_think_s), which is exactly the cache key — so a cache hit is
 // bit-identical to the fresh computation it memoizes.
+//
+// Failure channel: the engine is the one place below the wire where a
+// core exception becomes an ErrorCode. predict() never throws on a
+// failed request; the result carries the code and the exception's text.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/predictor.hpp"
@@ -36,16 +43,45 @@ struct PredictionRequest {
   core::WorkloadSpec workload;
 };
 
+/// Failure taxonomy for predictions. Codes are contractual (the sweep
+/// tool prints them, the wire carries them, tests assert on them); see
+/// DESIGN.md.
+enum class ErrorCode {
+  kNotCalibrated,     // unknown server / method not supplied
+  kSolverDiverged,    // analytic solver refused its clamped iterate
+  kDeadlineExceeded,  // per-request deadline or batch budget exhausted
+  kCircuitOpen,       // breaker rejected the call without evaluating
+  kInvalidWorkload,   // workload failed boundary validation
+  kTransientFailure,  // transient fault persisted through all retries
+  kInternal,          // anything else (bug shield, never expected)
+  kOverloaded,        // admission control shed the request (epp_serve)
+};
+
+std::string_view error_code_name(ErrorCode code);
+
 struct PredictionResult {
   double mean_rt_s = 0.0;
   double throughput_rps = 0.0;
   bool cached = false;  // answered from the memoization cache
-  /// Batch evaluation: non-empty when this request failed (the values
-  /// above are then meaningless). Single predict() throws instead.
+  /// Set when this request failed (the values above are then
+  /// meaningless); `error` then holds the failure's text.
+  std::optional<ErrorCode> code;
   std::string error;
 
-  bool ok() const noexcept { return error.empty(); }
+  bool ok() const noexcept { return !code.has_value(); }
+
+  static PredictionResult failure(ErrorCode failed_with, std::string text) {
+    PredictionResult result;
+    result.code = failed_with;
+    result.error = std::move(text);
+    return result;
+  }
 };
+
+/// Classify the exception in flight into a failed result carrying its
+/// code and what() text. Call only from inside a catch block. The single
+/// exception-to-ErrorCode mapping in src/svc.
+PredictionResult map_active_exception();
 
 struct BatchOptions {
   std::size_t cache_capacity_per_shard = 4096;
@@ -64,21 +100,21 @@ struct BatchOptions {
 class BatchPredictor {
  public:
   /// Non-owning: the predictors must outlive the engine. Pass nullptr for
-  /// methods that are not calibrated; requesting one throws
-  /// std::invalid_argument.
+  /// methods that are not calibrated; requesting one fails with
+  /// kNotCalibrated. Throws std::invalid_argument on non-positive quanta.
   BatchPredictor(const core::Predictor* historical, const core::Predictor* lqn,
                  const core::Predictor* hybrid, BatchOptions options = {});
 
-  /// Single cache-aware evaluation. Thread-safe. Throws
-  /// core::InvalidWorkloadError on a malformed workload, InjectedFault
-  /// when the configured injector fails the evaluation, and whatever the
-  /// underlying predictor throws.
+  /// Single cache-aware evaluation. Thread-safe. Never throws on a
+  /// failed request: a malformed workload (kInvalidWorkload), a missing
+  /// method (kNotCalibrated), an injector hit (kTransientFailure), a
+  /// cancelled solve (kDeadlineExceeded) and whatever the predictor
+  /// throws come back as a failed result.
   PredictionResult predict(const PredictionRequest& request) const;
 
   /// Evaluate every request — fanned out on `pool` when given, serially
-  /// otherwise. Results align with the input order. A request that throws
-  /// does NOT lose the rest of the batch: its slot carries the error text
-  /// (PredictionResult::error) and every other request still completes.
+  /// otherwise. Results align with the input order; a failed request
+  /// fills only its own slot.
   std::vector<PredictionResult> predict_batch(
       const std::vector<PredictionRequest>& requests,
       util::ThreadPool* pool = nullptr) const;

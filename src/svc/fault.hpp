@@ -10,8 +10,9 @@
 // platform, regardless of wall-clock speed.
 //
 // Two independent streams per (method, server) pair:
-//   * failure stream — should_fail() throws the decision for transient
-//     faults; the batch engine converts a hit into an InjectedFault.
+//   * failure stream — should_fail() draws the decision for transient
+//     faults; the batch engine returns a hit as a transient-failure
+//     result.
 //   * latency stream — injected_latency_s() returns *virtual* seconds the
 //     serving layer adds to a request's elapsed time before deadline
 //     checks. No thread ever sleeps, so deadline tests are deterministic.
@@ -47,20 +48,6 @@
 #include "util/lock_rank.hpp"
 
 namespace epp::svc {
-
-/// Thrown by the batch engine when the injector fails an evaluation.
-/// Transient by construction: a retry draws the next sample of the
-/// failure stream, which may pass.
-struct InjectedFault : std::runtime_error {
-  InjectedFault(Method method_, const std::string& server_)
-      : std::runtime_error("injected fault: " +
-                           std::string(method_name(method_)) + " on '" +
-                           server_ + "'"),
-        method(method_),
-        server(server_) {}
-  Method method;
-  std::string server;
-};
 
 /// Injection rates for one method (on every server).
 struct MethodFaults {

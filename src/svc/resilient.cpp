@@ -8,7 +8,6 @@
 #include <optional>
 #include <thread>
 
-#include "core/errors.hpp"
 #include "svc/fault.hpp"
 #include "util/rng.hpp"
 
@@ -52,36 +51,6 @@ Chain fallback_chain(Method requested, bool fallback_enabled) {
   return chain;
 }
 
-/// Map the in-flight exception to the taxonomy. Most-derived first:
-/// InvalidWorkloadError is an invalid_argument, NotCalibratedError an
-/// out_of_range, SolverDivergedError / InjectedFault / Cancelled are
-/// runtime_errors.
-PredictionError map_active_exception(Method method, const std::string& server) {
-  const auto make = [&](ErrorCode code, const char* what) {
-    return PredictionError{code, method, server, what};
-  };
-  try {
-    throw;
-  } catch (const InjectedFault& error) {
-    return make(ErrorCode::kTransientFailure, error.what());
-  } catch (const util::Cancelled& error) {
-    return make(ErrorCode::kDeadlineExceeded, error.what());
-  } catch (const core::InvalidWorkloadError& error) {
-    return make(ErrorCode::kInvalidWorkload, error.what());
-  } catch (const core::SolverDivergedError& error) {
-    return make(ErrorCode::kSolverDiverged, error.what());
-  } catch (const core::NotCalibratedError& error) {
-    return make(ErrorCode::kNotCalibrated, error.what());
-  } catch (const std::invalid_argument& error) {
-    // e.g. BatchPredictor "no such predictor supplied"
-    return make(ErrorCode::kNotCalibrated, error.what());
-  } catch (const std::out_of_range& error) {
-    return make(ErrorCode::kNotCalibrated, error.what());
-  } catch (const std::exception& error) {
-    return make(ErrorCode::kInternal, error.what());
-  }
-}
-
 bool is_retryable(ErrorCode code) {
   return code == ErrorCode::kTransientFailure;
 }
@@ -96,28 +65,6 @@ bool trips_breaker(ErrorCode code) {
 }
 
 }  // namespace
-
-std::string_view error_code_name(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kNotCalibrated:
-      return "not-calibrated";
-    case ErrorCode::kSolverDiverged:
-      return "solver-diverged";
-    case ErrorCode::kDeadlineExceeded:
-      return "deadline-exceeded";
-    case ErrorCode::kCircuitOpen:
-      return "circuit-open";
-    case ErrorCode::kInvalidWorkload:
-      return "invalid-workload";
-    case ErrorCode::kTransientFailure:
-      return "transient-failure";
-    case ErrorCode::kInternal:
-      return "internal";
-    case ErrorCode::kOverloaded:
-      return "overloaded";
-  }
-  return "unknown";
-}
 
 std::string PredictionError::to_string() const {
   return std::string(error_code_name(code)) + " [" +
@@ -272,12 +219,11 @@ Outcome ResilientPredictor::serve(const PredictionRequest& request,
 
   // Reject malformed workloads before they can touch breakers, retries or
   // the fallback chain — they are invalid for every method alike.
-  try {
-    core::validate_workload(request.workload);
-  } catch (const core::InvalidWorkloadError& error) {
+  if (std::string error = core::workload_error(request.workload);
+      !error.empty()) {
     counters_.errors.fetch_add(1, std::memory_order_relaxed);
     return PredictionError{ErrorCode::kInvalidWorkload, request.method,
-                           request.server, error.what()};
+                           request.server, std::move(error)};
   }
 
   const FaultInjector* injector = engine_.options().fault;
@@ -353,16 +299,15 @@ Outcome ResilientPredictor::serve(const PredictionRequest& request,
         }
       }
 
-      PredictionError error{};
-      try {
-        PredictionResult prediction;
-        if (std::isinf(remaining)) {
-          prediction = engine_.predict(*attempt_request);
-        } else {
-          const auto token = util::CancellationToken::after(remaining);
-          const util::CancellationScope scope(&token);
-          prediction = engine_.predict(*attempt_request);
-        }
+      PredictionResult prediction;
+      if (std::isinf(remaining)) {
+        prediction = engine_.predict(*attempt_request);
+      } else {
+        const auto token = util::CancellationToken::after(remaining);
+        const util::CancellationScope scope(&token);
+        prediction = engine_.predict(*attempt_request);
+      }
+      if (prediction.ok()) {
         if (breaker != nullptr) breaker_success(*breaker);
 
         ResilientResult result;
@@ -386,10 +331,10 @@ Outcome ResilientPredictor::serve(const PredictionRequest& request,
         if (result.fallback)
           counters_.fallbacks.fetch_add(1, std::memory_order_relaxed);
         return result;
-      } catch (...) {
-        error = map_active_exception(method, request.server);
       }
 
+      const PredictionError error{*prediction.code, method, request.server,
+                                  std::move(prediction.error)};
       if (error.code == ErrorCode::kDeadlineExceeded) {
         deadline_hit = true;
         if (breaker != nullptr) breaker_release(*breaker);
@@ -553,7 +498,9 @@ CapacityOutcome ResilientPredictor::max_clients_for_goal(
     counters_.served.fetch_add(1, std::memory_order_relaxed);
     return result;
   } catch (...) {
-    const PredictionError error = map_active_exception(method, server);
+    PredictionResult failed = map_active_exception();
+    const PredictionError error{*failed.code, method, server,
+                                std::move(failed.error)};
     if (error.code == ErrorCode::kDeadlineExceeded) {
       counters_.deadline_hits.fetch_add(1, std::memory_order_relaxed);
       if (breaker != nullptr) breaker_release(*breaker);

@@ -54,21 +54,6 @@
 
 namespace epp::svc {
 
-/// Failure taxonomy for served predictions. Codes are contractual (the
-/// sweep tool prints them, tests assert on them); see DESIGN.md.
-enum class ErrorCode {
-  kNotCalibrated,     // unknown server / method not supplied
-  kSolverDiverged,    // analytic solver refused its clamped iterate
-  kDeadlineExceeded,  // per-request deadline or batch budget exhausted
-  kCircuitOpen,       // breaker rejected the call without evaluating
-  kInvalidWorkload,   // workload failed boundary validation
-  kTransientFailure,  // transient fault persisted through all retries
-  kInternal,          // anything else (bug shield, never expected)
-  kOverloaded,        // admission control shed the request (epp_serve)
-};
-
-std::string_view error_code_name(ErrorCode code);
-
 struct PredictionError {
   ErrorCode code = ErrorCode::kInternal;
   Method method = Method::kHistorical;  // method the error is attributed to

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace epp::lqn {
@@ -64,6 +65,36 @@ TEST(LqnModel, ValidateRejectsZeroPopulation) {
   Model m = minimal_model();
   m.task(*m.find_task("clients")).population = 0.0;
   EXPECT_THROW(m.validate(), std::invalid_argument);
+}
+
+TEST(LqnModel, ValidateRejectsNonFiniteInputs) {
+  // NaN passes every `< 0` / `<= 0` test, so each field needs its own
+  // finiteness check (the EPP-LQN-005 / EPP-LQN-010 lint rules).
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf}) {
+    Model demand = minimal_model();
+    demand.entry(*demand.find_entry("serve")).service_demand_s = bad;
+    EXPECT_THROW(demand.validate(), std::invalid_argument);
+
+    Model call = minimal_model();
+    call.entry(*call.find_entry("cycle")).calls.front().mean_calls = bad;
+    EXPECT_THROW(call.validate(), std::invalid_argument);
+
+    Model population = minimal_model();
+    population.task(*population.find_task("clients")).population = bad;
+    EXPECT_THROW(population.validate(), std::invalid_argument);
+
+    Model think = minimal_model();
+    think.task(*think.find_task("clients")).think_time_s = bad;
+    EXPECT_THROW(think.validate(), std::invalid_argument);
+
+    Model open = minimal_model();
+    Task& clients = open.task(*open.find_task("clients"));
+    clients.open_arrivals = true;
+    clients.arrival_rate_rps = bad;
+    EXPECT_THROW(open.validate(), std::invalid_argument);
+  }
 }
 
 TEST(LqnModel, ValidateRejectsCallIntoReferenceTask) {

@@ -1,10 +1,9 @@
 // BundleRegistry: the gated hot-swap promotion path. Covers the EPP-SEM
 // gate (semantically broken candidates rejected, incumbent untouched —
-// the automatic-rollback contract), explicit rollback from bounded
-// history, refcounted version lifetime, and the end-to-end hot-swap
-// scenario: a server under sustained load swaps bundles mid-flight with
-// zero dropped in-flight requests and no response ever mixing
-// relationships across versions.
+// the automatic-rollback contract), refcounted version lifetime, and
+// the end-to-end hot-swap scenario: a server under sustained load swaps
+// bundles mid-flight with zero dropped in-flight requests and no
+// response ever mixing relationships across versions.
 #include "serve/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -113,43 +112,11 @@ TEST(BundleRegistry, RejectionBeforeFirstPromotionLeavesNothingActive) {
 }
 
 // ---------------------------------------------------------------------------
-// Rollback and history.
+// Version lifetime.
 // ---------------------------------------------------------------------------
 
-TEST(BundleRegistry, RollbackRestoresTheSupersededVersion) {
-  BundleRegistry registry;
-  ASSERT_TRUE(registry.promote(clean_bundle(), "v1").accepted);
-  ASSERT_TRUE(registry.promote(clean_bundle(), "v2").accepted);
-  EXPECT_EQ(registry.active_version(), 2u);
-
-  ASSERT_TRUE(registry.rollback());
-  EXPECT_EQ(registry.active_version(), 1u);
-  EXPECT_EQ(registry.active()->source, "v1");
-  EXPECT_EQ(registry.stats().rollbacks, 1u);
-
-  // History is consumed: nothing older remains.
-  EXPECT_FALSE(registry.rollback());
-}
-
-TEST(BundleRegistry, HistoryIsBoundedByKeepHistory) {
-  RegistryOptions options;
-  options.keep_history = 2;
-  BundleRegistry registry(options);
-  for (int i = 1; i <= 4; ++i)
-    ASSERT_TRUE(
-        registry.promote(clean_bundle(), "v" + std::to_string(i)).accepted);
-  // Versions 2 and 3 are retained; version 1 aged out.
-  ASSERT_TRUE(registry.rollback());
-  EXPECT_EQ(registry.active_version(), 3u);
-  ASSERT_TRUE(registry.rollback());
-  EXPECT_EQ(registry.active_version(), 2u);
-  EXPECT_FALSE(registry.rollback());
-}
-
 TEST(BundleRegistry, PinsKeepSupersededVersionsAlive) {
-  RegistryOptions options;
-  options.keep_history = 0;  // registry itself retains nothing
-  BundleRegistry registry(options);
+  BundleRegistry registry;
   ASSERT_TRUE(registry.promote(clean_bundle(), "v1").accepted);
   const std::shared_ptr<const ServingVersion> pin = registry.active();
   ASSERT_TRUE(registry.promote(clean_bundle(), "v2").accepted);

@@ -8,11 +8,14 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/historical_predictor.hpp"
 #include "core/hybrid_predictor.hpp"
 #include "core/lqn_predictor.hpp"
+#include "svc/fault.hpp"
+#include "util/cancellation.hpp"
 #include "util/thread_pool.hpp"
 
 namespace epp::svc {
@@ -175,13 +178,56 @@ TEST(BatchPredictor, EvictionBoundedCacheStillAnswersCorrectly) {
 TEST(BatchPredictor, MissingPredictorAndBadOptionsThrow) {
   Predictors& p = predictors();
   const BatchPredictor partial(&p.historical, nullptr, nullptr);
-  EXPECT_THROW(
-      (void)partial.predict({Method::kLqn, "AppServF", browse_load(100.0)}),
-      std::invalid_argument);
+  const PredictionResult missing =
+      partial.predict({Method::kLqn, "AppServF", browse_load(100.0)});
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.code, ErrorCode::kNotCalibrated);
+  EXPECT_NE(missing.error.find("lqn"), std::string::npos) << missing.error;
   BatchOptions bad;
   bad.quantum_clients = 0.0;
   EXPECT_THROW(BatchPredictor(&p.historical, nullptr, nullptr, bad),
                std::invalid_argument);
+}
+
+TEST(BatchPredictor, FailuresComeBackAsCodesNotExceptions) {
+  const auto engine = make_engine();
+  const PredictionResult unknown =
+      engine->predict({Method::kHybrid, "AppServX", browse_load(100.0)});
+  EXPECT_EQ(unknown.code, ErrorCode::kNotCalibrated);
+  const PredictionResult invalid =
+      engine->predict({Method::kLqn, "AppServF", browse_load(-5.0)});
+  EXPECT_EQ(invalid.code, ErrorCode::kInvalidWorkload);
+  EXPECT_NE(invalid.error.find("browse_clients"), std::string::npos)
+      << invalid.error;
+
+  // An expired ambient token cancels the solve mid-iteration.
+  const auto expired = util::CancellationToken::after(0.0);
+  const util::CancellationScope scope(&expired);
+  const PredictionResult late =
+      engine->predict({Method::kLqn, "AppServF", browse_load(777.0)});
+  EXPECT_EQ(late.code, ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(engine->cache_stats().entries, 0u);
+}
+
+TEST(BatchPredictor, InjectedFaultIsATransientFailureResult) {
+  FaultInjector injector(parse_fault_spec("lqn:fail=1"));
+  BatchOptions options;
+  options.fault = &injector;
+  const auto engine = make_engine(options);
+  const std::vector<PredictionRequest> grid{
+      {Method::kLqn, "AppServF", browse_load(300.0)},
+      {Method::kHistorical, "AppServF", browse_load(300.0)}};
+  const auto results = engine->predict_batch(grid);
+  ASSERT_FALSE(results[0].ok());
+  EXPECT_EQ(results[0].code, ErrorCode::kTransientFailure);
+  EXPECT_EQ(results[0].error, "injected fault: lqn on 'AppServF'");
+  EXPECT_TRUE(results[1].ok());
+
+  // The failure was not cached: with the injector off the cell computes.
+  injector.set_enabled(false);
+  const PredictionResult healed = engine->predict(grid[0]);
+  EXPECT_TRUE(healed.ok());
+  EXPECT_FALSE(healed.cached);
 }
 
 }  // namespace

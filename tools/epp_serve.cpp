@@ -303,8 +303,7 @@ int main(int argc, char** argv) try {
             << server_stats.connections_accepted << " connection(s)\n";
   std::cerr << "registry: version " << registry_stats.active_version << " ("
             << registry_stats.promotions << " promotions, "
-            << registry_stats.rejections << " rejections, "
-            << registry_stats.rollbacks << " rollbacks); drift "
+            << registry_stats.rejections << " rejections); drift "
             << serve::health_state_name(drift.state) << " ("
             << drift.observations << " observations, " << drift.trips
             << " trips)\n";

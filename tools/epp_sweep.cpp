@@ -11,9 +11,10 @@
 //
 // Resilient serving mode: any of --deadline-ms / --max-retries /
 // --fault-spec / --batch-budget-ms routes the grid through the
-// svc::ResilientPredictor instead — every cell comes back as a typed
-// outcome (value or error code), degraded cells are flagged
-// fallback/stale, and the run ends with the resilience counters. With
+// svc::ResilientPredictor instead — degraded cells are flagged
+// fallback/stale, and the run ends with the resilience counters. Either
+// way every cell is a value or an error code, rendered by the same CSV
+// and table writers, so a failed cell prints its code name. With
 // --fault-spec, deterministic seeded faults (calib::kFaultInjectionSeed)
 // are injected at the evaluation boundary; see src/svc/fault.hpp for the
 // spec grammar.
@@ -34,6 +35,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "calib/bundle.hpp"
@@ -180,6 +182,80 @@ core::WorkloadSpec mixed_load(double total_clients, double buy_pct) {
   return w;
 }
 
+/// The engine's results as outcomes, so both sources render one way: a
+/// result is served by the method asked, and a failure keeps its code.
+std::vector<svc::Outcome> outcomes_of(
+    const std::vector<svc::PredictionRequest>& grid,
+    const std::vector<svc::PredictionResult>& results) {
+  std::vector<svc::Outcome> outcomes;
+  outcomes.reserve(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (!results[i].ok()) {
+      outcomes.emplace_back(svc::PredictionError{
+          *results[i].code, grid[i].method, grid[i].server, results[i].error});
+      continue;
+    }
+    svc::ResilientResult served;
+    served.prediction = results[i];
+    served.requested = served.served_by = grid[i].method;
+    outcomes.emplace_back(std::move(served));
+  }
+  return outcomes;
+}
+
+void write_csv(const std::vector<svc::PredictionRequest>& grid,
+               const std::vector<svc::Outcome>& outcomes) {
+  std::cout << "server,buy_pct,clients,method,status,served_by,fallback,"
+               "stale,retries,mean_rt_ms,throughput_rps\n";
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    std::cout << grid[i].server << ','
+              << util::fmt(100.0 * grid[i].workload.buy_fraction(), 1) << ','
+              << util::fmt(grid[i].workload.total_clients(), 0) << ','
+              << svc::method_name(grid[i].method) << ',';
+    if (!outcomes[i].ok()) {
+      std::cout << svc::error_code_name(outcomes[i].error().code)
+                << ",,,,,,\n";
+      continue;
+    }
+    const svc::ResilientResult& r = outcomes[i].value();
+    std::cout << "ok," << svc::method_name(r.served_by) << ','
+              << (r.fallback ? 1 : 0) << ',' << (r.stale ? 1 : 0) << ','
+              << r.retries << ',' << util::fmt(r.prediction.mean_rt_s * 1e3, 3)
+              << ',' << util::fmt(r.prediction.throughput_rps, 3) << '\n';
+  }
+}
+
+void write_table(const SweepConfig& config,
+                 const std::vector<svc::Outcome>& outcomes) {
+  std::vector<std::string> headers{"server", "buy_pct", "clients"};
+  for (const svc::Method method : config.methods)
+    headers.push_back(std::string(svc::method_name(method)) + "_rt_ms");
+  util::Table table(headers);
+  std::size_t cursor = 0;
+  for (const std::string& server : config.servers)
+    for (const double buy_pct : config.buy_pcts)
+      for (const double clients : config.loads) {
+        std::vector<std::string> row{server, util::fmt(buy_pct, 0),
+                                     util::fmt(clients, 0)};
+        for (std::size_t mi = 0; mi < config.methods.size(); ++mi) {
+          const svc::Outcome& outcome = outcomes[cursor++];
+          if (!outcome.ok()) {
+            row.emplace_back(svc::error_code_name(outcome.error().code));
+            continue;
+          }
+          const svc::ResilientResult& r = outcome.value();
+          std::string cell = util::fmt(r.prediction.mean_rt_s * 1e3, 2);
+          if (r.stale)
+            cell += "*";  // replayed from the stale store
+          else if (r.fallback)
+            cell += "+";  // served by a fallback method
+          row.push_back(cell);
+        }
+        table.add_row(row);
+      }
+  table.print(std::cout);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -270,81 +346,37 @@ int main(int argc, char** argv) try {
           grid.push_back({method, server, mixed_load(clients, buy_pct)});
 
   svc::BatchPredictor& engine = *set.batch;
-  const std::size_t methods = config.methods.size();
-
+  std::optional<svc::ResilientPredictor> server_layer;
   if (config.resilient()) {
-    // --- fault-tolerant serving path ---------------------------------------
     svc::ResilienceOptions resilience;
     resilience.deadline_s = config.deadline_ms / 1e3;
     if (config.max_retries) resilience.max_retries = *config.max_retries;
     resilience.jitter_seed = calib::kRetryJitterSeed;
-    const svc::ResilientPredictor server_layer(engine, resilience);
+    server_layer.emplace(engine, resilience);
+  }
 
-    std::vector<svc::Outcome> outcomes;
-    for (std::size_t pass = 1; pass <= config.passes; ++pass) {
-      const util::Timer timer;
-      outcomes = server_layer.predict_batch(grid, &pool,
-                                            config.batch_budget_ms / 1e3);
-      std::cerr << "pass " << pass << "/" << config.passes << ": "
-                << grid.size() << " outcomes in "
-                << util::fmt(timer.elapsed_ms(), 2) << " ms on "
-                << config.threads << " thread(s)\n";
-    }
+  std::vector<svc::Outcome> outcomes;
+  for (std::size_t pass = 1; pass <= config.passes; ++pass) {
+    const util::Timer timer;
+    if (server_layer)
+      outcomes = server_layer->predict_batch(grid, &pool,
+                                             config.batch_budget_ms / 1e3);
+    else
+      outcomes = outcomes_of(grid, engine.predict_batch(grid, &pool));
+    std::cerr << "pass " << pass << "/" << config.passes << ": "
+              << grid.size() << " predictions in "
+              << util::fmt(timer.elapsed_ms(), 2) << " ms on "
+              << config.threads << " thread(s)\n";
+  }
+  if (config.csv) {
+    write_csv(grid, outcomes);
+  } else {
+    write_table(config, outcomes);
+    if (server_layer) std::cout << "(+ = fallback method, * = stale replay)\n";
+  }
 
-    if (config.csv) {
-      std::cout << "server,buy_pct,clients,method,status,served_by,fallback,"
-                   "stale,retries,mean_rt_ms,throughput_rps\n";
-      for (std::size_t i = 0; i < grid.size(); ++i) {
-        std::cout << grid[i].server << ','
-                  << util::fmt(100.0 * grid[i].workload.buy_fraction(), 1)
-                  << ',' << util::fmt(grid[i].workload.total_clients(), 0)
-                  << ',' << svc::method_name(grid[i].method) << ',';
-        if (outcomes[i].ok()) {
-          const svc::ResilientResult& r = outcomes[i].value();
-          std::cout << "ok," << svc::method_name(r.served_by) << ','
-                    << (r.fallback ? 1 : 0) << ',' << (r.stale ? 1 : 0) << ','
-                    << r.retries << ','
-                    << util::fmt(r.prediction.mean_rt_s * 1e3, 3) << ','
-                    << util::fmt(r.prediction.throughput_rps, 3) << '\n';
-        } else {
-          std::cout << svc::error_code_name(outcomes[i].error().code)
-                    << ",,,,,,\n";
-        }
-      }
-    } else {
-      std::vector<std::string> headers{"server", "buy_pct", "clients"};
-      for (const svc::Method method : config.methods)
-        headers.push_back(std::string(svc::method_name(method)) + "_rt_ms");
-      util::Table table(headers);
-      std::size_t cursor = 0;
-      for (const std::string& server : config.servers)
-        for (const double buy_pct : config.buy_pcts)
-          for (const double clients : config.loads) {
-            std::vector<std::string> row{server, util::fmt(buy_pct, 0),
-                                         util::fmt(clients, 0)};
-            for (std::size_t mi = 0; mi < methods; ++mi) {
-              const svc::Outcome& outcome = outcomes[cursor + mi];
-              if (outcome.ok()) {
-                const svc::ResilientResult& r = outcome.value();
-                std::string cell = util::fmt(r.prediction.mean_rt_s * 1e3, 2);
-                if (r.stale)
-                  cell += "*";  // replayed from the stale store
-                else if (r.fallback)
-                  cell += "+";  // served by a fallback method
-                row.push_back(cell);
-              } else {
-                row.push_back(
-                    std::string(svc::error_code_name(outcome.error().code)));
-              }
-            }
-            cursor += methods;
-            table.add_row(row);
-          }
-      table.print(std::cout);
-      std::cout << "(+ = fallback method, * = stale replay)\n";
-    }
-
-    const svc::ResilienceStats rstats = server_layer.stats();
+  if (server_layer) {
+    const svc::ResilienceStats rstats = server_layer->stats();
     std::cerr << "resilience: " << rstats.served << " served / "
               << rstats.errors << " errors of " << rstats.requests
               << " requests; " << rstats.retries << " retries, "
@@ -352,50 +384,11 @@ int main(int argc, char** argv) try {
               << " stale, " << rstats.deadline_hits << " deadline, "
               << rstats.breaker_rejections << " breaker-rejected ("
               << rstats.breaker_opens << " opens)\n";
-    if (injector)
-      std::cerr << "faults: " << injector->injected_failures() << " injected"
-                << " of " << injector->decisions() << " decisions (seed "
-                << injector->seed() << ")\n";
-  } else {
-    // --- plain batch path --------------------------------------------------
-    std::vector<svc::PredictionResult> results;
-    for (std::size_t pass = 1; pass <= config.passes; ++pass) {
-      const util::Timer timer;
-      results = engine.predict_batch(grid, &pool);
-      std::cerr << "pass " << pass << "/" << config.passes << ": "
-                << grid.size() << " predictions in "
-                << util::fmt(timer.elapsed_ms(), 2) << " ms on "
-                << config.threads << " thread(s)\n";
-    }
-
-    if (config.csv) {
-      std::cout << "server,buy_pct,clients,method,mean_rt_ms,throughput_rps\n";
-      for (std::size_t i = 0; i < grid.size(); ++i)
-        std::cout << grid[i].server << ','
-                  << util::fmt(100.0 * grid[i].workload.buy_fraction(), 1)
-                  << ',' << util::fmt(grid[i].workload.total_clients(), 0)
-                  << ',' << svc::method_name(grid[i].method) << ','
-                  << util::fmt(results[i].mean_rt_s * 1e3, 3) << ','
-                  << util::fmt(results[i].throughput_rps, 3) << '\n';
-    } else {
-      std::vector<std::string> headers{"server", "buy_pct", "clients"};
-      for (const svc::Method method : config.methods)
-        headers.push_back(std::string(svc::method_name(method)) + "_rt_ms");
-      util::Table table(headers);
-      std::size_t cursor = 0;
-      for (const std::string& server : config.servers)
-        for (const double buy_pct : config.buy_pcts)
-          for (const double clients : config.loads) {
-            std::vector<std::string> row{server, util::fmt(buy_pct, 0),
-                                         util::fmt(clients, 0)};
-            for (std::size_t mi = 0; mi < methods; ++mi)
-              row.push_back(util::fmt(results[cursor + mi].mean_rt_s * 1e3, 2));
-            cursor += methods;
-            table.add_row(row);
-          }
-      table.print(std::cout);
-    }
   }
+  if (injector)
+    std::cerr << "faults: " << injector->injected_failures() << " injected"
+              << " of " << injector->decisions() << " decisions (seed "
+              << injector->seed() << ")\n";
 
   const svc::CacheStats stats = engine.cache_stats();
   std::cerr << "cache: " << stats.hits << " hits, " << stats.misses
