@@ -177,6 +177,44 @@ TEST(CalibBundle, LoadedPredictionsBitIdenticalToFresh) {
   }
 }
 
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(EPP_GOLDEN_DIR) + "/" + name);
+  EXPECT_TRUE(in) << name;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// Byte-exact calibration: every simulator run keeps its config and seed,
+// and each run writes only its own slot, so the artifact text does not
+// depend on whether or how wide a pool the runs fan out on.
+void expect_golden_on_every_pool(CalibrationOptions options,
+                                 const std::string& golden_name) {
+  const std::string golden = read_golden(golden_name);
+  util::ThreadPool one(1), four(4);
+  for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr),
+                                 &one, &four}) {
+    options.pool = pool;
+    EXPECT_EQ(to_text(calibrate(options)), golden)
+        << golden_name << " on "
+        << (pool == nullptr ? std::string("no pool")
+                            : std::to_string(pool->size()) + "-thread pool");
+  }
+}
+
+TEST(CalibGolden, DefaultBundleIsByteIdenticalOnEveryPool) {
+  expect_golden_on_every_pool({}, "calibrate_default.epp");
+}
+
+// The epp_sweep --replications path: each saturation benchmark averages
+// two seed-derived replications, merged in index order.
+TEST(CalibGolden, ReplicatedBundleIsByteIdenticalOnEveryPool) {
+  CalibrationOptions options;
+  options.replications = 2;
+  options.measure_mix = false;
+  expect_golden_on_every_pool(options, "calibrate_replicated_no_mix.epp");
+}
+
 TEST(CalibBundle, SaveAndLoadFileRoundTrip) {
   const std::string path = testing::TempDir() + "calib_bundle_test.epp";
   save_bundle(path, fixture_bundle());
