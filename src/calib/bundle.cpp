@@ -41,45 +41,64 @@ CalibrationBundle calibrate(const CalibrationOptions& options) {
   bundle.mix_seed = options.mix_seed;
   bundle.sweep_seed = options.sweep_seed;
   bundle.servers = trade_catalog();
-
-  // --- support service 2: benchmark request processing speeds -----------
-  // One independent saturation run per server, fanned out on the pool.
-  sim::trade::MeasurementOptions measurement;
-  measurement.replications = options.replications;
-  measurement.fluid_threshold = options.fluid_threshold;
-  measurement.pool = options.pool;
-  auto benchmark_one = [&](std::size_t i) {
-    ServerRecord& record = bundle.servers[i];
-    record.max_throughput_rps = sim::trade::measure_max_throughput(
-        record.sim, 0.0, options.sweep_seed, measurement);
-  };
-  if (options.pool != nullptr) {
-    options.pool->parallel_for(bundle.servers.size(), benchmark_one);
-  } else {
-    for (std::size_t i = 0; i < bundle.servers.size(); ++i) benchmark_one(i);
-  }
-
-  // --- support service 3: layered queuing calibration (table 2) ---------
-  bundle.lqn = core::calibrate_lqn_from_testbed(options.lqn_seed, options.pool);
-
-  // --- historical calibration: gradient m + 2 lower / 2 upper points ----
+  const std::size_t n = bundle.servers.size();
   const ServerRecord& reference = reference_server(bundle.servers);
   core::SweepOptions sweep;
   sweep.seed = options.sweep_seed;
-  const auto grad_points = core::measure_sweep(reference.sim, {300.0, 600.0},
-                                               sweep, options.pool);
+  const auto saturation = [&](const ServerRecord& record, double buy_fraction,
+                              std::uint64_t seed) {
+    sim::TestbedRun run{
+        sim::trade::max_throughput_config(record.sim, buy_fraction, seed),
+        options.replications};
+    run.config.fluid_threshold = options.fluid_threshold;
+    return run;
+  };
+
+  // --- stage 1: every run whose config depends on nothing ----------------
+  //   [0, n)   support service 2: each catalog server's max throughput
+  //   n, n+1   support service 3: the LQN browse and buy type runs (table 2)
+  //   n+2, n+3 the gradient points at 300 and 600 clients on the reference
+  //   n+4      relationship 3: the mixed-workload benchmark, when measured
+  std::vector<sim::TestbedRun> stage1;
+  for (const ServerRecord& record : bundle.servers)
+    stage1.push_back(saturation(record, 0.0, options.sweep_seed));
+  for (const auto type : {sim::trade::UserType::kBrowse, sim::trade::UserType::kBuy})
+    stage1.push_back({core::lqn_type_config(type, options.lqn_seed)});
+  const std::vector<double> gradient_clients{300.0, 600.0};
+  for (std::size_t i = 0; i < gradient_clients.size(); ++i)
+    stage1.push_back({core::sweep_point_config(reference.sim,
+                                               gradient_clients[i], i, sweep)});
+  if (options.measure_mix)
+    stage1.push_back(saturation(reference, options.mix_buy_fraction,
+                                options.mix_seed));
+  const auto first = sim::run_testbeds(stage1, options.pool);
+  for (std::size_t i = 0; i < n; ++i)
+    bundle.servers[i].max_throughput_rps = first[i].throughput_rps;
+  bundle.lqn = {core::request_type_params(first[n]),
+                core::request_type_params(first[n + 1])};
   bundle.gradient_m = hydra::fit_gradient(
-      {grad_points[0].clients, grad_points[1].clients},
-      {grad_points[0].throughput_rps, grad_points[1].throughput_rps});
+      gradient_clients, {first[n + 2].throughput_rps, first[n + 3].throughput_rps});
+
+  // --- stage 2: each established server's 2 lower and 2 upper points at
+  // 0.25/0.60 and 1.25/1.70 x its knee (max throughput / m); each pair is
+  // seeded sweep_seed + 0, + 1 ------------------------------------------
+  std::vector<sim::TestbedRun> stage2;
+  for (const ServerRecord& record : bundle.servers)
+    if (record.established)
+      for (const double scale : {0.25, 0.60, 1.25, 1.70})
+        stage2.push_back({core::sweep_point_config(
+            record.sim, scale * (record.max_throughput_rps / bundle.gradient_m),
+            stage2.size() % 2, sweep)});
+  const auto measured =
+      core::measured_points(stage2, sim::run_testbeds(stage2, options.pool));
 
   core::HistoricalPredictor historical(bundle.gradient_m);
+  auto point = measured.begin();
   for (const ServerRecord& record : bundle.servers) {
     if (!record.established) continue;
-    const double knee = record.max_throughput_rps / bundle.gradient_m;
-    const auto lower = core::measure_sweep(
-        record.sim, {0.25 * knee, 0.60 * knee}, sweep, options.pool);
-    const auto upper = core::measure_sweep(
-        record.sim, {1.25 * knee, 1.70 * knee}, sweep, options.pool);
+    const std::vector<core::MeasuredPoint> lower(point, point + 2);
+    const std::vector<core::MeasuredPoint> upper(point + 2, point + 4);
+    point += 4;
     historical.calibrate_established(record.name, core::to_data_points(lower),
                                      core::to_data_points(upper),
                                      record.max_throughput_rps);
@@ -89,23 +108,20 @@ CalibrationBundle calibrate(const CalibrationOptions& options) {
         record.name, core::to_p90_data_points(lower),
         core::to_p90_data_points(upper), record.max_throughput_rps);
   }
+  // Relationship 2 fits new servers from every established one.
   for (const ServerRecord& record : bundle.servers) {
     if (record.established) continue;
     historical.register_new_server(record.name, record.max_throughput_rps);
     historical.register_new_server_p90(record.name, record.max_throughput_rps);
   }
-
-  // --- relationship 3: the mixed-workload benchmark ----------------------
   if (options.measure_mix) {
     const double mix_pct = 100.0 * options.mix_buy_fraction;
-    const double mix_max = sim::trade::measure_max_throughput(
-        reference.sim, options.mix_buy_fraction, options.mix_seed, measurement);
+    const double mix_max = first[n + 4].throughput_rps;
     historical.calibrate_mix({0.0, mix_pct},
                              {reference.max_throughput_rps, mix_max});
     bundle.mix_points = {{0.0, reference.max_throughput_rps},
                          {mix_pct, mix_max}};
   }
-
   bundle.mean_model = historical.model();
   bundle.p90_model = historical.p90_model();
   return bundle;
@@ -181,8 +197,7 @@ CalibrationBundle parse_bundle_text(const std::string& text,
     return bundle;
   }
 
-  bool have_gradient = false, have_browse = false, have_buy = false;
-  bool have_mean = false, have_p90 = false;
+  bool have_gradient = false;
   int browse_line = 0, buy_line = 0;
   std::map<double, int> mix_lines;
 
@@ -239,26 +254,18 @@ CalibrationBundle parse_bundle_text(const std::string& text,
             "lqn-params values must be finite and non-negative");
         continue;
       }
-      if (type == "browse") {
-        if (have_browse) {
-          duplicate("'lqn-params browse' record", browse_line);
-          continue;
-        }
-        bundle.lqn.browse = params;
-        have_browse = true;
-        browse_line = line_no;
-      } else if (type == "buy") {
-        if (have_buy) {
-          duplicate("'lqn-params buy' record", buy_line);
-          continue;
-        }
-        bundle.lqn.buy = params;
-        have_buy = true;
-        buy_line = line_no;
-      } else {
+      if (type != "browse" && type != "buy") {
         diagnostics.error("EPP-BND-002", here(),
                           "unknown request type '" + type + "'");
+        continue;
       }
+      int& first_line = type == "browse" ? browse_line : buy_line;
+      if (first_line != 0) {
+        duplicate("'lqn-params " + type + "' record", first_line);
+        continue;
+      }
+      (type == "browse" ? bundle.lqn.browse : bundle.lqn.buy) = params;
+      first_line = line_no;
     } else if (kind == "server") {
       ServerRecord record;
       std::string provenance;
@@ -360,12 +367,10 @@ CalibrationBundle parse_bundle_text(const std::string& text,
         block += '\n';
       }
       if (truncated) break;  // consumed to EOF; nothing left to scan
-      if (which == "mean" && have_mean) {
-        duplicate("'hydra-model mean' block", parsed.mean_model_line);
-        continue;
-      }
-      if (which == "p90" && have_p90) {
-        duplicate("'hydra-model p90' block", parsed.p90_model_line);
+      const bool mean = which == "mean";
+      int& model_line = mean ? parsed.mean_model_line : parsed.p90_model_line;
+      if (model_line != 0) {
+        duplicate("'hydra-model " + which + "' block", model_line);
         continue;
       }
       // Record where each fit lives inside the block (file line =
@@ -386,17 +391,11 @@ CalibrationBundle parse_bundle_text(const std::string& text,
         }
       };
       try {
-        if (which == "mean") {
-          bundle.mean_model = hydra::model_from_text(block);
-          have_mean = true;
-          parsed.mean_model_line = block_start;
-          index_block(parsed.mean_server_lines, &parsed.mean_mix_line);
-        } else {
-          bundle.p90_model = hydra::model_from_text(block);
-          have_p90 = true;
-          parsed.p90_model_line = block_start;
-          index_block(parsed.p90_server_lines, nullptr);
-        }
+        (mean ? bundle.mean_model : bundle.p90_model) =
+            hydra::model_from_text(block);
+        model_line = block_start;
+        index_block(mean ? parsed.mean_server_lines : parsed.p90_server_lines,
+                    mean ? &parsed.mean_mix_line : nullptr);
       } catch (const std::invalid_argument& error) {
         diagnostics.error("EPP-BND-005", at(block_start),
                           "embedded " + which + " model: " + error.what());
@@ -412,11 +411,11 @@ CalibrationBundle parse_bundle_text(const std::string& text,
                       "regenerate the artifact with epp_calibrate");
   };
   if (!have_gradient) missing("gradient record");
-  if (!have_browse || !have_buy) missing("lqn-params record");
+  if (browse_line == 0 || buy_line == 0) missing("lqn-params record");
   if (bundle.servers.empty()) missing("server records");
-  if (!have_mean) missing("hydra-model mean block");
-  if (!have_p90) missing("hydra-model p90 block");
-  if (have_gradient && have_mean &&
+  if (parsed.mean_model_line == 0) missing("hydra-model mean block");
+  if (parsed.p90_model_line == 0) missing("hydra-model p90 block");
+  if (have_gradient && parsed.mean_model_line != 0 &&
       bundle.mean_model.gradient_m() != bundle.gradient_m)
     diagnostics.error(
         "EPP-BND-006", at(parsed.gradient_line),

@@ -1,32 +1,44 @@
 #include "core/evaluation.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "util/stats.hpp"
 
 namespace epp::core {
 
+sim::trade::TestbedConfig sweep_point_config(const sim::trade::ServerSpec& server,
+                                             double clients, std::size_t index,
+                                             const SweepOptions& options) {
+  const auto n = static_cast<std::size_t>(std::llround(clients));
+  sim::trade::TestbedConfig config = sim::trade::mixed_workload(
+      server, n, options.buy_client_fraction, options.seed + index);
+  config.warmup_s = options.warmup_s;
+  config.measure_s = options.measure_s;
+  return config;
+}
+
+std::vector<MeasuredPoint> measured_points(
+    const std::vector<sim::TestbedRun>& runs,
+    const std::vector<sim::trade::RunResult>& results) {
+  std::vector<MeasuredPoint> points;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    std::size_t clients = 0;
+    for (const auto& spec : runs[i].config.classes) clients += spec.clients;
+    points.push_back({static_cast<double>(clients), results[i].mean_rt_s,
+                      results[i].p90_rt_s, results[i].throughput_rps});
+  }
+  return points;
+}
+
 std::vector<MeasuredPoint> measure_sweep(const sim::trade::ServerSpec& server,
                                          const std::vector<double>& clients,
                                          const SweepOptions& options,
                                          util::ThreadPool* pool) {
-  std::vector<MeasuredPoint> points(clients.size());
-  auto measure_one = [&](std::size_t i) {
-    const auto n = static_cast<std::size_t>(std::llround(clients[i]));
-    sim::trade::TestbedConfig config = sim::trade::mixed_workload(
-        server, n, options.buy_client_fraction, options.seed + i);
-    config.warmup_s = options.warmup_s;
-    config.measure_s = options.measure_s;
-    const sim::trade::RunResult result = sim::trade::run_testbed(config);
-    points[i] = {static_cast<double>(n), result.mean_rt_s, result.p90_rt_s,
-                 result.throughput_rps};
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(clients.size(), measure_one);
-  } else {
-    for (std::size_t i = 0; i < clients.size(); ++i) measure_one(i);
-  }
-  return points;
+  std::vector<sim::TestbedRun> runs;
+  for (std::size_t i = 0; i < clients.size(); ++i)
+    runs.push_back({sweep_point_config(server, clients[i], i, options)});
+  return measured_points(runs, sim::run_testbeds(runs, pool));
 }
 
 ReplicatedPoint measure_replicated(const sim::trade::ServerSpec& server,
@@ -35,19 +47,12 @@ ReplicatedPoint measure_replicated(const sim::trade::ServerSpec& server,
                                    util::ThreadPool* pool) {
   if (replications == 0)
     throw std::invalid_argument("measure_replicated: zero replications");
-  std::vector<MeasuredPoint> runs(replications);
-  auto body = [&](std::size_t i) {
-    SweepOptions opts = options;
-    opts.seed = options.seed + 0x9E37 * (i + 1);  // disjoint streams
-    runs[i] = measure_sweep(server, {clients}, opts, nullptr)[0];
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(replications, body);
-  } else {
-    for (std::size_t i = 0; i < replications; ++i) body(i);
-  }
+  std::vector<sim::TestbedRun> runs;
+  for (std::size_t i = 0; i < replications; ++i)  // disjoint seed streams
+    runs.push_back({sweep_point_config(server, clients, 0x9E37 * (i + 1), options)});
+  const std::vector<sim::trade::RunResult> results = sim::run_testbeds(runs, pool);
   util::OnlineStats rt, p90, x;
-  for (const MeasuredPoint& r : runs) {
+  for (const sim::trade::RunResult& r : results) {
     rt.add(r.mean_rt_s);
     p90.add(r.p90_rt_s);
     x.add(r.throughput_rps);
@@ -78,8 +83,8 @@ std::vector<hydra::DataPoint> to_p90_data_points(
   return out;
 }
 
-TradeCalibration calibrate_lqn_from_testbed(std::uint64_t seed,
-                                            util::ThreadPool* pool) {
+sim::trade::TestbedConfig lqn_type_config(sim::trade::UserType type,
+                                          std::uint64_t seed) {
   // "The per-request type parameters can be calibrated by taking an
   // established server offline and sending a workload consisting only of
   // that request type; the parameters are calculated from the resulting
@@ -87,38 +92,32 @@ TradeCalibration calibrate_lqn_from_testbed(std::uint64_t seed,
   // type and the buy service class (whose request stream aggregates to the
   // model's single buy entry) on AppServF at a load high enough for a
   // clean utilisation signal but below saturation.
-  struct TypeRun {
-    double buy_fraction;
-    sim::trade::RunResult result;
-  };
-  std::vector<TypeRun> runs{{0.0, {}}, {1.0, {}}};
-  auto run_one = [&](std::size_t i) {
-    sim::trade::TestbedConfig config = sim::trade::mixed_workload(
-        sim::trade::app_serv_f(), 800, runs[i].buy_fraction, seed + 1000 * i);
-    config.warmup_s = 40.0;
-    config.measure_s = 200.0;
-    runs[i].result = sim::trade::run_testbed(config);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(runs.size(), run_one);
-  } else {
-    for (std::size_t i = 0; i < runs.size(); ++i) run_one(i);
-  }
+  const bool buy = type == sim::trade::UserType::kBuy;
+  sim::trade::TestbedConfig config = sim::trade::mixed_workload(
+      sim::trade::app_serv_f(), 800, buy ? 1.0 : 0.0, seed + (buy ? 1000 : 0));
+  config.warmup_s = 40.0;
+  config.measure_s = 200.0;
+  return config;
+}
 
-  auto derive = [](const sim::trade::RunResult& r) {
-    RequestTypeParams params;
-    const double x = r.throughput_rps;
-    params.app_demand_s = r.app_cpu_utilization / x;
-    params.mean_db_calls = r.db_calls_per_request;
-    const double calls_per_s = x * r.db_calls_per_request;
-    params.db_cpu_per_call_s = r.db_cpu_utilization / calls_per_s;
-    params.disk_per_call_s = r.disk_utilization / calls_per_s;
-    return params;
-  };
-  TradeCalibration calibration;
-  calibration.browse = derive(runs[0].result);
-  calibration.buy = derive(runs[1].result);
-  return calibration;
+RequestTypeParams request_type_params(const sim::trade::RunResult& run) {
+  RequestTypeParams params;
+  const double x = run.throughput_rps;
+  params.app_demand_s = run.app_cpu_utilization / x;
+  params.mean_db_calls = run.db_calls_per_request;
+  const double calls_per_s = x * run.db_calls_per_request;
+  params.db_cpu_per_call_s = run.db_cpu_utilization / calls_per_s;
+  params.disk_per_call_s = run.disk_utilization / calls_per_s;
+  return params;
+}
+
+TradeCalibration calibrate_lqn_from_testbed(std::uint64_t seed,
+                                            util::ThreadPool* pool) {
+  const std::vector<sim::trade::RunResult> runs = sim::run_testbeds(
+      {{lqn_type_config(sim::trade::UserType::kBrowse, seed)},
+       {lqn_type_config(sim::trade::UserType::kBuy, seed)}},
+      pool);
+  return {request_type_params(runs[0]), request_type_params(runs[1])};
 }
 
 AccuracySummary accuracy_against(const Predictor& predictor,

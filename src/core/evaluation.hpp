@@ -9,6 +9,7 @@
 #include "core/predictor.hpp"
 #include "core/trade_model.hpp"
 #include "hydra/relationships.hpp"
+#include "sim/replicate.hpp"
 #include "sim/trade/testbed.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -30,6 +31,18 @@ struct SweepOptions {
   double measure_s = 160.0;
   std::uint64_t seed = util::Rng::kDefaultSeed;
 };
+
+/// The run behind one sweep point: `clients` rounded to the nearest
+/// integer, seeded options.seed + index (measure_sweep passes the point's
+/// position in the sweep).
+sim::trade::TestbedConfig sweep_point_config(const sim::trade::ServerSpec& server,
+                                             double clients, std::size_t index,
+                                             const SweepOptions& options = {});
+
+/// Each run's measurement, at its configured client count.
+std::vector<MeasuredPoint> measured_points(
+    const std::vector<sim::TestbedRun>& runs,
+    const std::vector<sim::trade::RunResult>& results);
 
 /// Measure the testbed at each client count, one independent simulation
 /// per point, fanned out on `pool` (sequential when pool is null).
@@ -66,6 +79,12 @@ std::vector<hydra::DataPoint> to_p90_data_points(
 /// The layered queuing method's calibration procedure (section 5): run
 /// single-request-type workloads on the established server and derive the
 /// per-request-type processing times from throughput and CPU usage.
+/// lqn_type_config is the run for one type (browse seeded `seed`, buy
+/// `seed + 1000`); request_type_params derives that type's parameters
+/// from its result.
+sim::trade::TestbedConfig lqn_type_config(sim::trade::UserType type,
+                                          std::uint64_t seed);
+RequestTypeParams request_type_params(const sim::trade::RunResult& run);
 TradeCalibration calibrate_lqn_from_testbed(
     std::uint64_t seed = util::Rng::kDefaultSeed,
     util::ThreadPool* pool = nullptr);

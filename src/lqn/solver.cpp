@@ -276,8 +276,35 @@ SolveResult LayeredSolver::solve(const Model& model) const {
       return f.below_finite_tasks[a].size() < f.below_finite_tasks[b].size();
     });
 
+    // Each finite task's sub-network (one thread-cycle through its
+    // subtree) keeps its stations and open classes for the whole solve;
+    // a layer iteration refills only its populations and demand rows.
+    // Open workloads flowing through the subtree shrink the capacity the
+    // threads see, so they are carried into the sub-network unchanged.
+    std::vector<std::vector<std::size_t>> sub_stations(order.size());
+    std::vector<ClosedNetwork> subs(order.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const TaskId t = order[i];
+      sub_stations[i].assign(f.below_proc_stations[t].begin(),
+                             f.below_proc_stations[t].end());
+      for (TaskId lower : f.below_finite_tasks[t])
+        sub_stations[i].push_back(f.task_station[lower]);
+      for (std::size_t s : sub_stations[i])
+        subs[i].stations.push_back(f.network.stations[s]);
+      for (const OpenClass& open : f.network.open_classes) {
+        OpenClass sub_open;
+        sub_open.name = open.name;
+        sub_open.arrival_rps = open.arrival_rps;
+        for (std::size_t s : sub_stations[i])
+          sub_open.demands.push_back(open.demands[s]);
+        subs[i].open_classes.push_back(std::move(sub_open));
+      }
+    }
+
     const util::CancellationToken* cancel = util::current_cancellation();
     std::vector<double> prev_rt(nc, 0.0);
+    std::vector<double> inside(nc);
+    std::vector<std::size_t> sub_classes;
     layers_converged = false;
     for (int iter = 0;
          iter < options_.max_layer_iterations && !layers_converged; ++iter) {
@@ -292,12 +319,13 @@ SolveResult LayeredSolver::solve(const Model& model) const {
       double keep = 0.5;
       for (int ramp = 30; iter >= ramp && keep < 0.97; ramp += 30)
         keep = 0.5 * (1.0 + keep);
-      for (TaskId t : order) {
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        const TaskId t = order[i];
         const double m = static_cast<double>(model.task(t).multiplicity);
         // Customers concurrently inside the task's subtree, per class.
-        std::vector<double> inside(nc, 0.0);
         double inside_total = 0.0;
         for (std::size_t c = 0; c < nc; ++c) {
+          inside[c] = 0.0;
           for (std::size_t s : f.below_proc_stations[t])
             inside[c] += top.station_queue[c][s];
           for (TaskId lower : f.below_finite_tasks[t])
@@ -307,48 +335,33 @@ SolveResult LayeredSolver::solve(const Model& model) const {
         if (inside_total <= 1e-12) continue;
         const double pool = std::min(m, inside_total);
 
-        // Sub-network: one thread-cycle through the subtree.
-        ClosedNetwork sub;
-        std::vector<std::size_t> sub_classes;
+        ClosedNetwork& sub = subs[i];
+        sub_classes.clear();
+        sub.population.clear();
         for (std::size_t c = 0; c < nc; ++c) {
           const double share = inside[c] / inside_total;
           const double pop = pool * share;
           if (pop < 1e-9 || f.task_visits[c][t] <= 0.0) continue;
           sub_classes.push_back(c);
           sub.population.push_back(pop);
-          sub.think_time_s.push_back(0.0);
         }
         if (sub.population.empty()) continue;
-        std::vector<std::size_t> sub_stations(f.below_proc_stations[t].begin(),
-                                              f.below_proc_stations[t].end());
-        for (TaskId lower : f.below_finite_tasks[t])
-          sub_stations.push_back(f.task_station[lower]);
-        for (std::size_t s : sub_stations)
-          sub.stations.push_back(f.network.stations[s]);
-        for (std::size_t c : sub_classes) {
-          std::vector<double> row;
-          row.reserve(sub_stations.size());
-          for (std::size_t s : sub_stations)
+        sub.think_time_s.assign(sub_classes.size(), 0.0);
+        sub.demands.resize(sub_classes.size());
+        for (std::size_t j = 0; j < sub_classes.size(); ++j) {
+          const std::size_t c = sub_classes[j];
+          std::vector<double>& row = sub.demands[j];
+          row.clear();
+          for (std::size_t s : sub_stations[i])
             row.push_back(f.network.demands[c][s] / f.task_visits[c][t]);
-          sub.demands.push_back(std::move(row));
-        }
-        // Open workloads flowing through the subtree shrink the capacity
-        // the threads see; carry them into the sub-network unchanged.
-        for (const OpenClass& open : f.network.open_classes) {
-          OpenClass sub_open;
-          sub_open.name = open.name;
-          sub_open.arrival_rps = open.arrival_rps;
-          for (std::size_t s : sub_stations)
-            sub_open.demands.push_back(open.demands[s]);
-          sub.open_classes.push_back(std::move(sub_open));
         }
         const MvaResult sub_result = solve_bard_schweitzer(sub, mva_options);
 
         // New surrogate demand: queueing for one of m threads whose
         // holding time is the sub-network response time.
-        for (std::size_t i = 0; i < sub_classes.size(); ++i) {
-          const std::size_t c = sub_classes[i];
-          const double s_t = sub_result.response_time_s[i];
+        for (std::size_t j = 0; j < sub_classes.size(); ++j) {
+          const std::size_t c = sub_classes[j];
+          const double s_t = sub_result.response_time_s[j];
           const double target = f.task_visits[c][t] * s_t / m;
           double& demand = f.network.demands[c][f.task_station[t]];
           demand = keep * demand + (1.0 - keep) * target;  // damped update

@@ -1,6 +1,8 @@
 #include "sim/replicate.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -120,6 +122,31 @@ ReplicatedResult run_replications(const trade::TestbedConfig& config,
   out.mean_rt_stddev_s = rep_means.stddev();
   out.mean_rt_ci95_s = rep_means.ci95_halfwidth();
   return out;
+}
+
+std::vector<trade::RunResult> run_testbeds(const std::vector<TestbedRun>& runs,
+                                           util::ThreadPool* pool) {
+  const auto cost = [](const TestbedRun& run) {
+    std::size_t clients = 0;
+    for (const auto& spec : run.config.classes)
+      if (spec.open_arrival_rps <= 0.0) clients += spec.clients;
+    return static_cast<double>(clients) *
+           (run.config.warmup_s + run.config.measure_s) *
+           static_cast<double>(run.replications);
+  };
+  std::vector<std::size_t> order(runs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return cost(runs[a]) > cost(runs[b]);
+  });
+  std::vector<trade::RunResult> results(runs.size());
+  for_each_index(runs.size(), pool, [&](std::size_t k) {
+    const TestbedRun& run = runs[order[k]];
+    ReplicationOptions options;
+    options.replications = run.replications;
+    results[order[k]] = run_replications(run.config, options).summary;
+  });
+  return results;
 }
 
 ClusterReplicatedResult run_cluster_replications(

@@ -60,6 +60,24 @@ struct ClusterReplicatedResult {
 ReplicatedResult run_replications(const trade::TestbedConfig& config,
                                   const ReplicationOptions& options = {});
 
+/// One entry of a run_testbeds batch: a configuration averaged over
+/// `replications` runs exactly as run_replications merges them (1 = the
+/// plain run_testbed result, bit for bit).
+struct TestbedRun {
+  trade::TestbedConfig config;
+  std::size_t replications = 1;
+};
+
+/// Run a batch of independent entries as one fan-out on `pool` (the
+/// calling thread when null); an entry's replications run inside its
+/// lane. Lanes claim entries longest first by a static cost key (closed
+/// clients x simulated seconds x replications), so the long runs start
+/// at once and the short ones fill in behind them. Each entry writes only
+/// its own slot: results come back in input order, identical for every
+/// pool size.
+std::vector<trade::RunResult> run_testbeds(const std::vector<TestbedRun>& runs,
+                                           util::ThreadPool* pool = nullptr);
+
 /// Cluster counterpart used by the resource-manager validation harness.
 ClusterReplicatedResult run_cluster_replications(
     const trade::ClusterConfig& config, const ReplicationOptions& options = {});

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "sim/fluid.hpp"
-#include "sim/replicate.hpp"
 #include "sim/trade/simulation.hpp"
 
 namespace epp::sim::trade {
@@ -123,9 +122,9 @@ TestbedConfig mixed_workload(const ServerSpec& server, std::size_t clients,
   return config;
 }
 
-double measure_max_throughput(const ServerSpec& server,
-                              double buy_client_fraction, std::uint64_t seed,
-                              const MeasurementOptions& options) {
+TestbedConfig max_throughput_config(const ServerSpec& server,
+                                    double buy_client_fraction,
+                                    std::uint64_t seed) {
   // Drive the server well past saturation: throughput then plateaus at its
   // max (the paper's "after max throughput ... roughly constant").
   const double est_max_rps =
@@ -134,12 +133,13 @@ double measure_max_throughput(const ServerSpec& server,
   TestbedConfig config = mixed_workload(server, clients, buy_client_fraction, seed);
   config.warmup_s = 40.0;
   config.measure_s = 120.0;
-  config.fluid_threshold = options.fluid_threshold;
-  if (options.replications <= 1) return run_testbed(config).throughput_rps;
-  ReplicationOptions rep;
-  rep.replications = options.replications;
-  rep.pool = options.pool;
-  return run_replications(config, rep).summary.throughput_rps;
+  return config;
+}
+
+double measure_max_throughput(const ServerSpec& server,
+                              double buy_client_fraction, std::uint64_t seed) {
+  return run_testbed(max_throughput_config(server, buy_client_fraction, seed))
+      .throughput_rps;
 }
 
 }  // namespace epp::sim::trade

@@ -24,10 +24,6 @@
 #include "sim/trade/session_cache.hpp"
 #include "util/rng.hpp"
 
-namespace epp::util {
-class ThreadPool;
-}
-
 namespace epp::sim::trade {
 
 /// An application server architecture. Speed is relative to the established
@@ -126,22 +122,18 @@ TestbedConfig mixed_workload(const ServerSpec& server, std::size_t clients,
                              double buy_client_fraction,
                              std::uint64_t seed = util::Rng::kDefaultSeed);
 
-/// How simulated measurements are taken: how many independent
-/// replications to average (seeds derived per index, merged
-/// deterministically — see sim/replicate.hpp), where to run them, and
-/// whether the fluid fast path may engage.
-struct MeasurementOptions {
-  std::size_t replications = 1;
-  std::size_t fluid_threshold = 0;  // forwarded to TestbedConfig
-  util::ThreadPool* pool = nullptr; // replications fan out here
-};
+/// The saturation run behind measure_max_throughput: the workload shape
+/// at ~1.8x the clients the server's estimated max throughput can serve,
+/// 40 s warm-up and 120 s measured.
+TestbedConfig max_throughput_config(const ServerSpec& server,
+                                    double buy_client_fraction = 0.0,
+                                    std::uint64_t seed = util::Rng::kDefaultSeed);
 
 /// Measure a server's max throughput under the given workload shape by
 /// driving it well past saturation. Used for the "application-specific
 /// benchmark run on new server architectures" the system model calls for.
 double measure_max_throughput(const ServerSpec& server,
                               double buy_client_fraction = 0.0,
-                              std::uint64_t seed = util::Rng::kDefaultSeed,
-                              const MeasurementOptions& options = {});
+                              std::uint64_t seed = util::Rng::kDefaultSeed);
 
 }  // namespace epp::sim::trade

@@ -50,6 +50,28 @@ TEST(SimReplicate, OneReplicationMatchesPlainRunBitwise) {
   EXPECT_EQ(replicated.mean_rt_stddev_s, 0.0);
 }
 
+// A batch returns each entry's own result in input order, whatever order
+// the lanes claim the entries in and however many lanes there are.
+TEST(SimReplicate, BatchReturnsEachEntryInInputOrderOnEveryPool) {
+  trade::TestbedConfig large = small_config(7);
+  large.classes[0].clients = 360;  // costliest entry, claimed first
+  const std::vector<TestbedRun> runs{
+      {small_config(1)}, {large}, {small_config(2), 2}};
+  ReplicationOptions two;
+  two.replications = 2;
+  const trade::RunResult expected[] = {
+      trade::run_testbed(runs[0].config), trade::run_testbed(runs[1].config),
+      run_replications(runs[2].config, two).summary};
+  util::ThreadPool pool(8);
+  for (util::ThreadPool* on :
+       {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    const std::vector<trade::RunResult> results = run_testbeds(runs, on);
+    ASSERT_EQ(results.size(), runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i)
+      expect_bitwise_equal(expected[i], results[i]);
+  }
+}
+
 TEST(SimReplicate, ReplicationSeedsAreDistinctAndStable) {
   EXPECT_EQ(replication_seed(42, 0), 42u);  // rep 0 is the base seed
   EXPECT_NE(replication_seed(42, 1), replication_seed(42, 2));
