@@ -101,11 +101,11 @@ void BM_VerifyLqnModel(benchmark::State& state) {
   // model shape in tree: two processors, pools, surrogate recursion).
   const std::string text =
       read_file(std::string(EPP_MODELS_DIR) + "/trade.lqn");
-  const lqn::Model model = lqn::parse_model(text);
-  const lint::LqnSourceIndex index = lint::index_lqn_source(text);
+  lqn::DeclarationLines lines;
+  const lqn::Model model = lqn::parse_model(text, &lines);
   for (auto _ : state) {
     lint::Diagnostics diagnostics;
-    lint::verify_lqn_model(model, "trade.lqn", diagnostics, &index);
+    lint::verify_lqn_model(model, "trade.lqn", diagnostics, lines);
     benchmark::DoNotOptimize(diagnostics);
   }
 }

@@ -32,8 +32,8 @@ lqn::SolveResult LqnPredictor::solve(const std::string& server_name,
       build_trade_lqn(calibration_, server(server_name), workload);
   lqn::SolveResult result = lqn::LayeredSolver(solver_options_).solve(model);
   // The solver always reports convergence; the predictor refuses to pass a
-  // clamped last iterate off as a prediction unless explicitly allowed.
-  if (!result.converged && solver_options_.require_convergence)
+  // clamped last iterate off as a prediction.
+  if (!result.converged)
     throw SolverDivergedError(
         "LQN solve for '" + server_name + "' did not converge within " +
             std::to_string(result.iterations) + " layer iteration(s)",

@@ -48,22 +48,6 @@ bool is_comment_or_blank(const std::string& line) {
 
 }  // namespace
 
-LqnSourceIndex index_lqn_source(const std::string& text) {
-  LqnSourceIndex index;
-  std::istringstream is(text);
-  std::string line;
-  int line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    std::istringstream ls(line);
-    std::string kind, name;
-    if (!(ls >> kind >> name)) continue;
-    if (kind == "task") index.task_lines.emplace(name, line_no);
-    if (kind == "entry") index.entry_lines.emplace(name, line_no);
-  }
-  return index;
-}
-
 void lint_workload_grid_text(const std::string& text, const std::string& file,
                              Diagnostics& diagnostics) {
   std::istringstream is(text);

@@ -11,11 +11,14 @@
 //   EPP-LQN-005 (error)   non-finite or negative demand / mean call count
 //   EPP-LQN-006 (note)    zero-demand leaf entry (no demand, no calls)
 //   EPP-LQN-007 (note)    reference population saturates a served pool
-//   EPP-LQN-008 (warning) reference task declares a multiplicity
+//   EPP-LQN-008 (warning) reference task declares a multiplicity above 1
 //   EPP-LQN-009 (warning) branch-style call probabilities sum past 1
 //   EPP-LQN-010 (error)   bad reference workload (population/rate/think)
-//   EPP-LQN-011 (error)   malformed task shape (no entries; ref != 1)
+//   EPP-LQN-011 (error)   malformed task shape (no entries; ref != 1;
+//                         multiplicity 0)
 //   EPP-LQN-012 (error)   illegal call target (own task / reference task)
+//   EPP-LQN-013 (error)   processor speed not finite and positive, or
+//                         processor multiplicity 0
 //
 //   EPP-BND-001 (error)   missing or bad `epp-bundle v1` header
 //   EPP-BND-002 (error)   malformed record
@@ -47,12 +50,14 @@
 //                         sanity, LQN convergence, fallback-chain
 //                         coverage) — see lint/verify.hpp
 //
-// The WKL and FLT rules live next to their parsers (core and svc); this
-// library adds the model/bundle rules and the file-level dispatcher the
-// `epp_check verify` and the pre-run gates in epp_sweep/epp_serve use.
+// The WKL and FLT rules live next to their parsers (core and svc), and
+// the error-severity LQN rules (002, 003, 005, 010..013) next to the
+// model as lqn::check_model, which Model::validate() also runs; this
+// library adds the advisory LQN rules, the bundle rules and the
+// file-level dispatcher that `epp_check verify` and the pre-run gates in
+// epp_sweep/epp_serve use.
 #pragma once
 
-#include <map>
 #include <string>
 
 #include "lint/diagnostic.hpp"
@@ -60,23 +65,13 @@
 
 namespace epp::lint {
 
-/// Index from model-text declarations to line numbers, so semantic rules
-/// (which run on the parsed model) can still point at source lines.
-struct LqnSourceIndex {
-  std::map<std::string, int> task_lines;
-  std::map<std::string, int> entry_lines;
-};
-
-/// Build the declaration-line index from model text (shared by the lint
-/// and verify passes so both locate findings identically).
-LqnSourceIndex index_lqn_source(const std::string& text);
-
-/// Semantic rules (EPP-LQN-002..012) on an already-parsed model. `file`
-/// names the findings' artifact; `index` (optional) lets them carry the
-/// declaring line.
+/// Every EPP-LQN rule on an already-parsed model: lqn::check_model's
+/// errors, then the advisory rules (004, 006..009). `file` names the
+/// findings' artifact; `lines` (optional) lets them carry the declaring
+/// line.
 void lint_lqn_model(const lqn::Model& model, const std::string& file,
                     Diagnostics& diagnostics,
-                    const LqnSourceIndex* index = nullptr);
+                    const lqn::DeclarationLines& lines = {});
 
 /// Parse + semantic rules on LQN model text (EPP-LQN-001 on parse
 /// failure, then everything lint_lqn_model reports).

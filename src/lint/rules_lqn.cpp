@@ -1,12 +1,9 @@
-// EPP-LQN-* rules. Model::validate() throws on the *first* structural
-// problem; these rules walk the same structures but collect everything,
-// add the softer findings validate() has no severity lattice for
-// (unreachable tasks, saturated pools, branch-probability sums), and
-// point each finding at the declaring source line when the text was
-// parsed here.
+// EPP-LQN-* rules. The error-severity rules live beside the model as
+// lqn::check_model, which Model::validate() throws from; this file adds
+// the parse mapping (EPP-LQN-001) and the advisory findings validate()
+// has no severity lattice for (unreachable tasks, zero-demand leaves,
+// saturated pools, reference multiplicities, branch-probability sums).
 
-#include <cmath>
-#include <cstddef>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,83 +15,20 @@
 namespace epp::lint {
 namespace {
 
-SourceLocation locate_task(const std::string& file, const LqnSourceIndex* index,
-                           const std::string& name) {
-  if (index != nullptr)
-    if (const auto it = index->task_lines.find(name);
-        it != index->task_lines.end())
-      return {file, it->second};
-  return {file, 0};
-}
-
-SourceLocation locate_entry(const std::string& file,
-                            const LqnSourceIndex* index,
-                            const std::string& name) {
-  if (index != nullptr)
-    if (const auto it = index->entry_lines.find(name);
-        it != index->entry_lines.end())
-      return {file, it->second};
-  return {file, 0};
-}
-
-/// DFS colouring for cycle detection over the entry call graph.
-enum class Visit { kWhite, kGray, kBlack };
-
-bool find_cycle(const lqn::Model& model, lqn::EntryId entry,
-                std::vector<Visit>& state, std::vector<lqn::EntryId>& path) {
-  state[entry] = Visit::kGray;
-  path.push_back(entry);
-  for (const lqn::Call& call : model.entry(entry).calls) {
-    if (state[call.target] == Visit::kGray) {
-      path.push_back(call.target);
-      return true;
-    }
-    if (state[call.target] == Visit::kWhite &&
-        find_cycle(model, call.target, state, path))
-      return true;
-  }
-  path.pop_back();
-  state[entry] = Visit::kBlack;
-  return false;
-}
-
 void check_calls(const lqn::Model& model, const std::string& file,
-                 Diagnostics& diagnostics, const LqnSourceIndex* index) {
-  for (const lqn::Entry& entry : model.entries()) {
-    const SourceLocation where = locate_entry(file, index, entry.name);
-    if (!std::isfinite(entry.service_demand_s) || entry.service_demand_s < 0.0)
-      diagnostics.error("EPP-LQN-005", where,
-                        "entry '" + entry.name + "' has demand " +
-                            fmt_value(entry.service_demand_s),
-                        "demands are mean seconds of host service and must "
-                        "be finite and non-negative");
+                 Diagnostics& diagnostics,
+                 const lqn::DeclarationLines& lines) {
+  for (lqn::EntryId e = 0; e < model.entries().size(); ++e) {
+    const lqn::Entry& entry = model.entry(e);
     double branch_sum = 0.0;
     bool branch_like = !entry.calls.empty();
     for (const lqn::Call& call : entry.calls) {
-      const lqn::Entry& target = model.entry(call.target);
-      if (!std::isfinite(call.mean_calls) || call.mean_calls < 0.0)
-        diagnostics.error("EPP-LQN-005", where,
-                          "call " + entry.name + " -> " + target.name +
-                              " has mean " + fmt_value(call.mean_calls),
-                          "mean call counts must be finite and non-negative");
-      if (target.task == entry.task)
-        diagnostics.error("EPP-LQN-012", where,
-                          "call " + entry.name + " -> " + target.name +
-                              " stays inside task '" +
-                              model.task(entry.task).name + "'",
-                          "synchronous calls must descend to a lower layer");
-      if (model.task(target.task).is_reference &&
-          !model.task(entry.task).is_reference)
-        diagnostics.error("EPP-LQN-012", where,
-                          "call " + entry.name + " -> " + target.name +
-                              " ascends into reference task '" +
-                              model.task(target.task).name + "'");
       if (call.mean_calls > 1.0 || call.mean_calls <= 0.0) branch_like = false;
       branch_sum += call.mean_calls;
     }
     if (branch_like && entry.calls.size() >= 2 && branch_sum > 1.0 + 1e-9)
       diagnostics.warning(
-          "EPP-LQN-009", where,
+          "EPP-LQN-009", {file, lines.entry(e)},
           "entry '" + entry.name + "' makes " +
               std::to_string(entry.calls.size()) +
               " sub-unit calls whose means sum to " +
@@ -103,74 +37,32 @@ void check_calls(const lqn::Model& model, const std::string& file,
           "exceed 1; drop this hint if they are independent calls");
     if (entry.calls.empty() && entry.service_demand_s == 0.0 &&
         !model.task(entry.task).is_reference)
-      diagnostics.note("EPP-LQN-006", where,
+      diagnostics.note("EPP-LQN-006", {file, lines.entry(e)},
                        "entry '" + entry.name +
                            "' has zero demand and makes no calls",
                        "a no-op entry usually means a forgotten demand=");
   }
 }
 
-void check_tasks(const lqn::Model& model, const std::string& file,
-                 Diagnostics& diagnostics, const LqnSourceIndex* index) {
-  bool any_reference = false;
-  for (const lqn::Task& task : model.tasks()) {
-    const SourceLocation where = locate_task(file, index, task.name);
-    if (task.is_reference) {
-      any_reference = true;
-      if (task.entries.size() != 1)
-        diagnostics.error("EPP-LQN-011", where,
-                          "reference task '" + task.name + "' has " +
-                              std::to_string(task.entries.size()) +
-                              " entries, wants exactly 1");
-      if (task.multiplicity != 1)
-        diagnostics.warning(
-            "EPP-LQN-008", where,
-            "reference task '" + task.name + "' declares multiplicity " +
-                std::to_string(task.multiplicity),
-            "client concurrency comes from population/rate; the "
-            "multiplicity is ignored");
-      if (task.open_arrivals) {
-        if (!std::isfinite(task.arrival_rate_rps) ||
-            task.arrival_rate_rps <= 0.0)
-          diagnostics.error("EPP-LQN-010", where,
-                            "open reference task '" + task.name +
-                                "' has arrival rate " +
-                                fmt_value(task.arrival_rate_rps),
-                            "open workloads want a finite positive rate=");
-      } else if (!std::isfinite(task.population) || task.population <= 0.0) {
-        diagnostics.error("EPP-LQN-010", where,
-                          "closed reference task '" + task.name +
-                              "' has population " +
-                              fmt_value(task.population),
-                          "closed workloads want a finite positive "
-                          "population=");
-      }
-      if (!std::isfinite(task.think_time_s) || task.think_time_s < 0.0)
-        diagnostics.error("EPP-LQN-010", where,
-                          "reference task '" + task.name +
-                              "' has think time " +
-                              fmt_value(task.think_time_s));
-    } else {
-      if (task.entries.empty())
-        diagnostics.error("EPP-LQN-011", where,
-                          "task '" + task.name + "' has no entries",
-                          "a server task without entries can never be "
-                          "called");
-      if (task.multiplicity == 0)
-        diagnostics.error("EPP-LQN-011", where,
-                          "task '" + task.name + "' has multiplicity 0");
-    }
+void check_reference_multiplicity(const lqn::Model& model,
+                                  const std::string& file,
+                                  Diagnostics& diagnostics,
+                                  const lqn::DeclarationLines& lines) {
+  for (lqn::TaskId t = 0; t < model.tasks().size(); ++t) {
+    const lqn::Task& task = model.task(t);
+    if (task.is_reference && task.multiplicity > 1)
+      diagnostics.warning(
+          "EPP-LQN-008", {file, lines.task(t)},
+          "reference task '" + task.name + "' declares multiplicity " +
+              std::to_string(task.multiplicity),
+          "client concurrency comes from population/rate; the "
+          "multiplicity is ignored");
   }
-  if (!any_reference)
-    diagnostics.error("EPP-LQN-002", {file, 0},
-                      "no reference task drives the model",
-                      "declare a client task with 'ref population=N "
-                      "think=S' (or 'ref open rate=R')");
 }
 
 void check_reachability(const lqn::Model& model, const std::string& file,
                         Diagnostics& diagnostics,
-                        const LqnSourceIndex* index) {
+                        const lqn::DeclarationLines& lines) {
   std::vector<bool> entry_seen(model.entries().size(), false);
   std::vector<lqn::EntryId> stack;
   for (const lqn::Task& task : model.tasks())
@@ -188,13 +80,14 @@ void check_reachability(const lqn::Model& model, const std::string& file,
         stack.push_back(call.target);
       }
   }
-  for (const lqn::Task& task : model.tasks()) {
+  for (lqn::TaskId t = 0; t < model.tasks().size(); ++t) {
+    const lqn::Task& task = model.task(t);
     if (task.is_reference) continue;
     bool reachable = false;
     for (const lqn::EntryId entry : task.entries)
       if (entry_seen[entry]) reachable = true;
     if (!reachable)
-      diagnostics.warning("EPP-LQN-004", locate_task(file, index, task.name),
+      diagnostics.warning("EPP-LQN-004", {file, lines.task(t)},
                           "task '" + task.name +
                               "' is unreachable from every reference task",
                           "no workload ever exercises it; dead model "
@@ -202,35 +95,9 @@ void check_reachability(const lqn::Model& model, const std::string& file,
   }
 }
 
-void check_cycles(const lqn::Model& model, const std::string& file,
-                  Diagnostics& diagnostics, const LqnSourceIndex* index) {
-  std::vector<Visit> state(model.entries().size(), Visit::kWhite);
-  for (lqn::EntryId entry = 0; entry < model.entries().size(); ++entry) {
-    if (state[entry] != Visit::kWhite) continue;
-    std::vector<lqn::EntryId> path;
-    if (!find_cycle(model, entry, state, path)) continue;
-    // path ends with [.., first-repeated, .., first-repeated]; print the
-    // loop segment only.
-    const lqn::EntryId repeated = path.back();
-    std::string loop;
-    bool in_loop = false;
-    for (const lqn::EntryId id : path) {
-      if (id == repeated && !in_loop) in_loop = true;
-      if (!in_loop) continue;
-      if (!loop.empty()) loop += " -> ";
-      loop += model.entry(id).name;
-    }
-    diagnostics.error("EPP-LQN-003",
-                      locate_entry(file, index, model.entry(repeated).name),
-                      "call cycle: " + loop,
-                      "synchronous rendezvous deadlocks on a cycle; the "
-                      "call graph must be layered");
-    return;  // one cycle report is enough; fixing it re-lints
-  }
-}
-
 void check_saturation(const lqn::Model& model, const std::string& file,
-                      Diagnostics& diagnostics, const LqnSourceIndex* index) {
+                      Diagnostics& diagnostics,
+                      const lqn::DeclarationLines& lines) {
   for (const lqn::Task& task : model.tasks()) {
     if (!task.is_reference || task.open_arrivals) continue;
     if (!(task.population > 0.0)) continue;
@@ -249,7 +116,8 @@ void check_saturation(const lqn::Model& model, const std::string& file,
           stack.push_back(call.target);
         }
     }
-    for (const lqn::Task& served : model.tasks()) {
+    for (lqn::TaskId s = 0; s < model.tasks().size(); ++s) {
+      const lqn::Task& served = model.task(s);
       if (served.is_reference || served.multiplicity == 0) continue;
       bool touched = false;
       for (const lqn::EntryId entry : served.entries)
@@ -257,7 +125,7 @@ void check_saturation(const lqn::Model& model, const std::string& file,
       if (touched &&
           task.population > static_cast<double>(served.multiplicity))
         diagnostics.note(
-            "EPP-LQN-007", locate_task(file, index, served.name),
+            "EPP-LQN-007", {file, lines.task(s)},
             "population " + fmt_value(task.population) + " of '" +
                 task.name + "' exceeds the " +
                 std::to_string(served.multiplicity) + "-wide pool of '" +
@@ -271,19 +139,21 @@ void check_saturation(const lqn::Model& model, const std::string& file,
 }  // namespace
 
 void lint_lqn_model(const lqn::Model& model, const std::string& file,
-                    Diagnostics& diagnostics, const LqnSourceIndex* index) {
-  check_tasks(model, file, diagnostics, index);
-  check_calls(model, file, diagnostics, index);
-  check_cycles(model, file, diagnostics, index);
-  check_reachability(model, file, diagnostics, index);
-  check_saturation(model, file, diagnostics, index);
+                    Diagnostics& diagnostics,
+                    const lqn::DeclarationLines& lines) {
+  lqn::check_model(model, file, diagnostics, lines);
+  check_reference_multiplicity(model, file, diagnostics, lines);
+  check_calls(model, file, diagnostics, lines);
+  check_reachability(model, file, diagnostics, lines);
+  check_saturation(model, file, diagnostics, lines);
 }
 
 void lint_lqn_text(const std::string& text, const std::string& file,
                    Diagnostics& diagnostics) {
   lqn::Model model;
+  lqn::DeclarationLines lines;
   try {
-    model = lqn::parse_model(text);
+    model = lqn::parse_model(text, &lines);
   } catch (const std::invalid_argument& error) {
     // Parser messages read "lqn parse error, line N: ..."; lift the line
     // number into the location and keep the tail as the finding.
@@ -300,10 +170,7 @@ void lint_lqn_text(const std::string& text, const std::string& file,
     diagnostics.error("EPP-LQN-001", {file, line}, message);
     return;
   }
-
-  // Index declaration lines so semantic findings are clickable.
-  const LqnSourceIndex index = index_lqn_source(text);
-  lint_lqn_model(model, file, diagnostics, &index);
+  lint_lqn_model(model, file, diagnostics, lines);
 }
 
 }  // namespace epp::lint

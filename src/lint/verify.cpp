@@ -30,9 +30,9 @@ void verify_lqn_text(const std::string& text, const std::string& file,
   lint_lqn_text(text, file, structural);
   for (const Diagnostic& d : structural.all()) diagnostics.add(d);
   if (structural.has_errors()) return;
-  const lqn::Model model = lqn::parse_model(text);  // lint proved it parses
-  const LqnSourceIndex index = index_lqn_source(text);
-  verify_lqn_model(model, file, diagnostics, &index);
+  lqn::DeclarationLines lines;  // lint proved the text parses
+  const lqn::Model model = lqn::parse_model(text, &lines);
+  verify_lqn_model(model, file, diagnostics, lines);
 }
 
 }  // namespace

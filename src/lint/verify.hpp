@@ -110,12 +110,13 @@ void verify_bundle(const calib::CalibrationBundle& bundle,
                    const calib::BundleParseInfo* info,
                    const VerifyOptions& options, Diagnostics& diagnostics);
 
-/// LQN convergence pre-check (EPP-SEM-010..012) on a parsed model. The
-/// model must already be lint-clean (structurally valid); `index` lets
-/// findings point at declaring lines.
+/// LQN convergence pre-check (EPP-SEM-010..012) on a parsed model, read
+/// off the solver's own flattening (lqn::flatten). A model that fails
+/// Model::validate() gets no findings here (lint reports it); `lines`
+/// lets findings point at declaring lines.
 void verify_lqn_model(const lqn::Model& model, const std::string& file,
                       Diagnostics& diagnostics,
-                      const LqnSourceIndex* index = nullptr);
+                      const lqn::DeclarationLines& lines = {});
 
 /// Full pre-flight on one artifact file: lint first (all of
 /// lint_artifact_file's findings), then — only when lint found no errors

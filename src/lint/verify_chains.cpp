@@ -1,41 +1,19 @@
-// EPP-SEM-020/021: fallback-chain coverage. Mirrors the degradation
-// chain ResilientPredictor builds per request (resilient.cpp's
-// kFallbackOrder: lqn -> hybrid -> historical, starting at the requested
-// method) and the availability each method actually has against a
-// bundle: the lqn/hybrid predictors cover every catalog server
-// (make_predictors registers them all), the historical predictor only
-// servers with a fit in the embedded mean model. A (method, server)
+// EPP-SEM-020/021: fallback-chain coverage. Walks the degradation chain
+// ResilientPredictor builds per request (svc::fallback_chain: lqn ->
+// hybrid -> historical, starting at the requested method) against the
+// availability each method actually has against a bundle: the
+// lqn/hybrid predictors cover every catalog server (make_predictors
+// registers them all), the historical predictor only servers with a fit
+// in the embedded mean model. A (method, server)
 // request whose whole chain is unavailable can never terminate in a
 // prediction; a single-method chain with circuit breaking armed and the
 // stale store disabled dies with the first open breaker.
 #include "lint/verify.hpp"
 
-#include <array>
 #include <string>
 #include <vector>
 
 namespace epp::lint {
-namespace {
-
-constexpr std::array<svc::Method, 3> kFallbackOrder = {
-    svc::Method::kLqn, svc::Method::kHybrid, svc::Method::kHistorical};
-
-std::vector<svc::Method> chain_for(svc::Method requested,
-                                   bool fallback_enabled) {
-  std::vector<svc::Method> chain{requested};
-  if (!fallback_enabled) return chain;
-  bool seen = false;
-  for (const svc::Method method : kFallbackOrder) {
-    if (method == requested) {
-      seen = true;
-      continue;
-    }
-    if (seen) chain.push_back(method);
-  }
-  return chain;
-}
-
-}  // namespace
 
 void verify_fallback_chains(const calib::CalibrationBundle& bundle,
                             const std::string& file,
@@ -80,11 +58,10 @@ void verify_fallback_chains(const calib::CalibrationBundle& bundle,
         where.line = fit->second;
     }
     for (const svc::Method requested : methods) {
-      const std::vector<svc::Method> chain =
-          chain_for(requested, res.fallback_enabled);
       std::string listing;
       std::size_t viable = 0;
-      for (const svc::Method method : chain) {
+      for (const svc::Method method :
+           svc::fallback_chain(requested, res.fallback_enabled)) {
         const bool available = method == svc::Method::kHistorical
                                    ? bundle.mean_model.has_server(server)
                                    : in_catalog[i];

@@ -1,7 +1,8 @@
-// EPP-SEM-010..012: the LQN convergence pre-checker. Mirrors the layered
-// solver's flattening (processor stations, surrogate thread-pool stations,
-// light-load demands) to decide *statically* whether the solve can
-// succeed, instead of letting a sweep discover it minutes in:
+// EPP-SEM-010..012: the LQN convergence pre-checker. Reads the layered
+// solver's own flattening (lqn::flatten: processor stations, surrogate
+// thread-pool stations, light-load demands) to decide *statically*
+// whether the solve can succeed, instead of letting a sweep discover it
+// minutes in:
 //
 //   * SEM-010 — open-class arrivals offer utilization >= 1 at a station;
 //     the MVA core refuses such models with a std::domain_error.
@@ -21,192 +22,48 @@
 #include "lint/verify.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "lqn/model.hpp"
+#include "lqn/solver.hpp"
 
 namespace epp::lint {
 namespace {
 
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
-double light_exec_time(const lqn::Model& model, lqn::EntryId e) {
-  const lqn::Entry& entry = model.entry(e);
-  double time = entry.service_demand_s /
-                model.processor(model.task(entry.task).processor).speed;
-  for (const lqn::Call& call : entry.calls)
-    time += call.mean_calls * light_exec_time(model, call.target);
-  return time;
-}
-
-void collect_below(const lqn::Model& model, lqn::TaskId task,
-                   std::set<lqn::ProcessorId>& procs,
-                   std::set<lqn::TaskId>& seen) {
-  if (!seen.insert(task).second) return;
-  procs.insert(model.task(task).processor);
-  for (lqn::EntryId e : model.task(task).entries)
-    for (const lqn::Call& call : model.entry(e).calls)
-      collect_below(model, model.entry(call.target).task, procs, seen);
-}
-
-SourceLocation task_location(const std::string& file,
-                             const LqnSourceIndex* index,
-                             const std::string& task_name) {
-  if (index != nullptr)
-    if (const auto it = index->task_lines.find(task_name);
-        it != index->task_lines.end())
-      return {file, it->second};
-  return {file, 0};
-}
-
 void run_convergence_checks(const lqn::Model& model, const std::string& file,
                             Diagnostics& diagnostics,
-                            const LqnSourceIndex* index) {
-  const std::size_t ne = model.entries().size();
-  const std::size_t nt = model.tasks().size();
-
-  std::vector<lqn::TaskId> refs, open_refs;
-  for (lqn::TaskId ref : model.reference_tasks())
-    (model.task(ref).open_arrivals ? open_refs : refs).push_back(ref);
+                            const lqn::DeclarationLines& lines) {
+  model.validate();
+  const lqn::Flattened f = lqn::flatten(model);
+  const std::vector<lqn::TaskId>& refs = f.refs;
+  const std::vector<lqn::TaskId>& open_refs = f.open_refs;
+  const std::vector<lqn::Station>& stations = f.network.stations;
+  const std::vector<std::vector<double>>& demands = f.network.demands;
   const std::size_t nc = refs.size();
   const std::size_t no = open_refs.size();
-  if (nc == 0 && no == 0) return;
-
-  std::vector<std::vector<double>> visits(nc), open_visits(no);
-  for (std::size_t c = 0; c < nc; ++c)
-    visits[c] = model.visit_ratios(refs[c]);
-  for (std::size_t c = 0; c < no; ++c)
-    open_visits[c] = model.visit_ratios(open_refs[c]);
-
-  // Stations exactly as the solver flattens them: processors hosting
-  // non-reference entries first, then thread-pool surrogates.
-  struct StationInfo {
-    std::string name;
-    bool delay = false;
-    double servers = 1.0;
+  const auto servers = [&](std::size_t s) {
+    return static_cast<double>(stations[s].servers);
   };
-  std::vector<std::size_t> proc_station(model.processors().size(), kNpos);
-  std::vector<StationInfo> stations;
-  for (lqn::EntryId e = 0; e < ne; ++e) {
-    const lqn::Entry& entry = model.entry(e);
-    if (model.task(entry.task).is_reference) continue;
-    const lqn::ProcessorId p = model.task(entry.task).processor;
-    if (proc_station[p] != kNpos) continue;
-    proc_station[p] = stations.size();
-    const lqn::Processor& proc = model.processor(p);
-    stations.push_back(
-        {proc.name, proc.scheduling == lqn::Scheduling::kDelay,
-         static_cast<double>(std::max<std::size_t>(proc.multiplicity, 1))});
-  }
-  const std::size_t n_proc_stations = stations.size();
-
-  std::vector<std::vector<double>> demands(
-      nc, std::vector<double>(stations.size(), 0.0));
-  std::vector<double> think(nc, 0.0);
-  for (std::size_t c = 0; c < nc; ++c) {
-    const lqn::Task& ref = model.task(refs[c]);
-    think[c] = ref.think_time_s;
-    for (lqn::EntryId e = 0; e < ne; ++e) {
-      if (visits[c][e] == 0.0) continue;
-      const lqn::Entry& entry = model.entry(e);
-      const lqn::Task& task = model.task(entry.task);
-      const lqn::Processor& proc = model.processor(task.processor);
-      const double time = visits[c][e] * entry.service_demand_s / proc.speed;
-      if (task.is_reference)
-        think[c] += time;
-      else
-        demands[c][proc_station[task.processor]] += time;
-    }
-  }
-  std::vector<std::vector<double>> open_demands(
-      no, std::vector<double>(stations.size(), 0.0));
-  for (std::size_t c = 0; c < no; ++c) {
-    for (lqn::EntryId e = 0; e < ne; ++e) {
-      if (open_visits[c][e] == 0.0) continue;
-      const lqn::Entry& entry = model.entry(e);
-      const lqn::Task& task = model.task(entry.task);
-      if (task.is_reference) continue;
-      const lqn::Processor& proc = model.processor(task.processor);
-      open_demands[c][proc_station[task.processor]] +=
-          open_visits[c][e] * entry.service_demand_s / proc.speed;
-    }
-  }
-
-  // Task visit counts and the surrogate-station selection rule.
-  std::vector<std::vector<double>> task_visits(nc,
-                                               std::vector<double>(nt, 0.0));
-  for (std::size_t c = 0; c < nc; ++c)
-    for (lqn::EntryId e = 0; e < ne; ++e)
-      task_visits[c][model.entry(e).task] += visits[c][e];
-  std::vector<std::vector<double>> open_task_visits(
-      no, std::vector<double>(nt, 0.0));
-  for (std::size_t c = 0; c < no; ++c)
-    for (lqn::EntryId e = 0; e < ne; ++e)
-      open_task_visits[c][model.entry(e).task] += open_visits[c][e];
-
-  std::vector<std::size_t> tasks_on_processor(model.processors().size(), 0);
-  for (lqn::TaskId t = 0; t < nt; ++t)
-    if (!model.task(t).is_reference)
-      ++tasks_on_processor[model.task(t).processor];
-
-  std::vector<lqn::TaskId> finite_tasks;
-  std::vector<std::set<std::size_t>> below_stations;  // per finite task
-  for (lqn::TaskId t = 0; t < nt; ++t) {
-    const lqn::Task& task = model.task(t);
-    if (task.is_reference) continue;
-    const bool leaf = [&] {
-      for (lqn::EntryId e : task.entries)
-        if (!model.entry(e).calls.empty()) return false;
-      return true;
-    }();
-    if (task.multiplicity == 1 && leaf &&
-        tasks_on_processor[task.processor] == 1)
-      continue;
-    double light_total = 0.0;
-    for (lqn::EntryId e : task.entries)
-      light_total += light_exec_time(model, e);
-    const double light_s =
-        task.entries.empty()
-            ? 0.0
-            : light_total / static_cast<double>(task.entries.size());
-    const double m = static_cast<double>(std::max<std::size_t>(
-        task.multiplicity, 1));
-    const std::size_t station = stations.size();
-    stations.push_back({task.name + ".threads", false, 1.0});
-    for (std::size_t c = 0; c < nc; ++c)
-      demands[c].push_back(task_visits[c][t] * light_s / m);
-    for (std::size_t c = 0; c < no; ++c)
-      open_demands[c].push_back(open_task_visits[c][t] * light_s / m);
-    std::set<lqn::ProcessorId> procs;
-    std::set<lqn::TaskId> seen;
-    collect_below(model, t, procs, seen);
-    std::set<std::size_t> below;
-    for (lqn::ProcessorId p : procs)
-      if (proc_station[p] != kNpos) below.insert(proc_station[p]);
-    finite_tasks.push_back(t);
-    below_stations.push_back(below);
-    (void)station;
-  }
+  const auto is_delay = [&](std::size_t s) {
+    return stations[s].kind == lqn::StationKind::kDelay;
+  };
 
   // --- SEM-010: open arrivals must leave every queueing station spare
-  // capacity, or solve_mva throws before producing anything.
+  // capacity, or the MVA core throws before producing anything.
   if (no > 0) {
-    const std::string first_open = model.task(open_refs[0]).name;
-    const SourceLocation where = task_location(file, index, first_open);
     for (std::size_t s = 0; s < stations.size(); ++s) {
-      if (stations[s].delay) continue;
+      if (is_delay(s)) continue;
       double util = 0.0;
       for (std::size_t c = 0; c < no; ++c)
         util += model.task(open_refs[c]).arrival_rate_rps *
-                open_demands[c][s];
-      util /= stations[s].servers;
+                f.network.open_classes[c].demands[s];
+      util /= servers(s);
       if (util >= 1.0) {
         diagnostics.error(
-            "EPP-SEM-010", where,
+            "EPP-SEM-010", {file, lines.task(open_refs[0])},
             "open arrivals saturate station '" + stations[s].name +
                 "': offered utilization " + fmt_value(util) +
                 " >= 1, the MVA solver will refuse this model",
@@ -230,33 +87,32 @@ void run_convergence_checks(const lqn::Model& model, const std::string& file,
   for (std::size_t c = 0; c < nc; ++c) {
     double total_demand = 0.0;
     for (double d : demands[c]) total_demand += d;
-    const double cycle = think[c] + total_demand;
+    const double cycle = f.network.think_time_s[c] + total_demand;
     if (cycle > 0.0) x_unc[c] = model.task(refs[c]).population / cycle;
   }
 
   double kappa = 0.0;
   std::size_t kappa_class = kNpos, kappa_station = kNpos;
-  for (std::size_t s = 0; s < n_proc_stations; ++s) {
-    if (stations[s].delay) continue;
+  for (std::size_t s = 0; s < f.station_proc.size(); ++s) {
+    if (is_delay(s)) continue;
     for (std::size_t l = 0; l < nc; ++l) {
       const int prio_l = model.task(refs[l]).priority;
       double u_high = 0.0;
       for (std::size_t c = 0; c < nc; ++c)
         if (model.task(refs[c]).priority > prio_l)
-          u_high += x_unc[c] * demands[c][s] / stations[s].servers;
+          u_high += x_unc[c] * demands[c][s] / servers(s);
       if (u_high <= 0.0) continue;
-      const double u_low = x_unc[l] * demands[l][s] / stations[s].servers;
+      const double u_low = x_unc[l] * demands[l][s] / servers(s);
       if (u_low <= 0.0) continue;
       // Feedback strength: the starved population per thread of a finite
       // pool whose subtree contains this station. No qualifying pool
       // means queue growth cannot feed back into surrogate demands.
       double q_low = 0.0;
-      for (std::size_t i = 0; i < finite_tasks.size(); ++i) {
-        const lqn::TaskId t = finite_tasks[i];
-        if (task_visits[l][t] <= 0.0 || below_stations[i].count(s) == 0)
+      for (const lqn::TaskId t : f.finite_tasks) {
+        if (f.task_visits[l][t] <= 0.0 ||
+            f.below_proc_stations[t].count(s) == 0)
           continue;
-        const double m = static_cast<double>(std::max<std::size_t>(
-            model.task(t).multiplicity, 1));
+        const double m = static_cast<double>(model.task(t).multiplicity);
         q_low = std::max(q_low, model.task(refs[l]).population / m);
       }
       if (q_low <= 0.0) continue;
@@ -272,7 +128,7 @@ void run_convergence_checks(const lqn::Model& model, const std::string& file,
   if (kappa < 0.5 || kappa_class == kNpos) return;
   const std::string& cls = model.task(refs[kappa_class]).name;
   const std::string& station = stations[kappa_station].name;
-  const SourceLocation where = task_location(file, index, cls);
+  const SourceLocation where{file, lines.task(refs[kappa_class])};
   if (kappa >= 1.0) {
     diagnostics.error(
         "EPP-SEM-011", where,
@@ -301,12 +157,14 @@ void run_convergence_checks(const lqn::Model& model, const std::string& file,
 }  // namespace
 
 void verify_lqn_model(const lqn::Model& model, const std::string& file,
-                      Diagnostics& diagnostics, const LqnSourceIndex* index) {
-  // The pre-checker assumes a structurally valid (lint-clean) model; on
-  // anything else it stays silent rather than crash the pre-flight — a
-  // malformed model is the structural rules' finding, not ours.
+                      Diagnostics& diagnostics,
+                      const lqn::DeclarationLines& lines) {
+  // The pre-checker needs a structurally valid (lint-clean) model; on
+  // anything else validate() throws and it stays silent rather than
+  // crash the pre-flight — a malformed model is the structural rules'
+  // finding, not ours.
   try {
-    run_convergence_checks(model, file, diagnostics, index);
+    run_convergence_checks(model, file, diagnostics, lines);
   } catch (const std::exception&) {
   }
 }

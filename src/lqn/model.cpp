@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace epp::lqn {
 
@@ -95,73 +97,184 @@ std::vector<TaskId> Model::reference_tasks() const {
 
 namespace {
 
-enum class VisitState : unsigned char { kUnvisited, kInProgress, kDone };
+/// DFS colouring for cycle detection over the entry call graph.
+enum class Visit : unsigned char { kWhite, kGray, kBlack };
 
-void check_acyclic(const Model& model, EntryId entry,
-                   std::vector<VisitState>& state) {
-  VisitState& s = state[entry];
-  if (s == VisitState::kDone) return;
-  if (s == VisitState::kInProgress)
-    throw std::invalid_argument("Model: call graph contains a cycle through entry '" +
-                                model.entry(entry).name + "'");
-  s = VisitState::kInProgress;
-  for (const Call& call : model.entry(entry).calls)
-    check_acyclic(model, call.target, state);
-  s = VisitState::kDone;
+bool find_cycle(const Model& model, EntryId entry, std::vector<Visit>& state,
+                std::vector<EntryId>& path) {
+  state[entry] = Visit::kGray;
+  path.push_back(entry);
+  for (const Call& call : model.entry(entry).calls) {
+    if (state[call.target] == Visit::kGray) {
+      path.push_back(call.target);
+      return true;
+    }
+    if (state[call.target] == Visit::kWhite &&
+        find_cycle(model, call.target, state, path))
+      return true;
+  }
+  path.pop_back();
+  state[entry] = Visit::kBlack;
+  return false;
+}
+
+/// Locations are built only when a finding is emitted, so a clean model
+/// costs no string work.
+lint::SourceLocation location(std::string_view file, int line) {
+  return {std::string(file), line};
+}
+
+void check_processors(const Model& model, std::string_view file,
+                      lint::Diagnostics& diagnostics,
+                      const DeclarationLines& lines) {
+  for (ProcessorId p = 0; p < model.processors().size(); ++p) {
+    const Processor& processor = model.processor(p);
+    if (!std::isfinite(processor.speed) || processor.speed <= 0.0)
+      diagnostics.error("EPP-LQN-013", location(file, lines.processor(p)),
+                        "processor '" + processor.name + "' has speed " +
+                            lint::fmt_value(processor.speed),
+                        "speed divides every demand on the processor; it "
+                        "must be finite and positive");
+    if (processor.multiplicity == 0)
+      diagnostics.error("EPP-LQN-013", location(file, lines.processor(p)),
+                        "processor '" + processor.name +
+                            "' has multiplicity 0",
+                        "a processor needs at least one server");
+  }
+}
+
+void check_tasks(const Model& model, std::string_view file,
+                 lint::Diagnostics& diagnostics,
+                 const DeclarationLines& lines) {
+  bool any_reference = false;
+  for (TaskId t = 0; t < model.tasks().size(); ++t) {
+    const Task& task = model.task(t);
+    if (task.is_reference) {
+      any_reference = true;
+      if (task.entries.size() != 1)
+        diagnostics.error("EPP-LQN-011", location(file, lines.task(t)),
+                          "reference task '" + task.name + "' has " +
+                              std::to_string(task.entries.size()) +
+                              " entries, wants exactly 1");
+      // Written so that NaN fails too.
+      if (task.open_arrivals) {
+        if (!std::isfinite(task.arrival_rate_rps) ||
+            task.arrival_rate_rps <= 0.0)
+          diagnostics.error("EPP-LQN-010", location(file, lines.task(t)),
+                            "open reference task '" + task.name +
+                                "' has arrival rate " +
+                                lint::fmt_value(task.arrival_rate_rps),
+                            "open workloads want a finite positive rate=");
+      } else if (!std::isfinite(task.population) || task.population <= 0.0) {
+        diagnostics.error("EPP-LQN-010", location(file, lines.task(t)),
+                          "closed reference task '" + task.name +
+                              "' has population " +
+                              lint::fmt_value(task.population),
+                          "closed workloads want a finite positive "
+                          "population=");
+      }
+      if (!std::isfinite(task.think_time_s) || task.think_time_s < 0.0)
+        diagnostics.error("EPP-LQN-010", location(file, lines.task(t)),
+                          "reference task '" + task.name +
+                              "' has think time " +
+                              lint::fmt_value(task.think_time_s));
+    } else if (task.entries.empty()) {
+      diagnostics.error("EPP-LQN-011", location(file, lines.task(t)),
+                        "task '" + task.name + "' has no entries",
+                        "a server task without entries can never be "
+                        "called");
+    }
+    if (task.multiplicity == 0)
+      diagnostics.error("EPP-LQN-011", location(file, lines.task(t)),
+                        "task '" + task.name + "' has multiplicity 0");
+  }
+  if (!any_reference)
+    diagnostics.error("EPP-LQN-002", location(file, 0),
+                      "no reference task drives the model",
+                      "declare a client task with 'ref population=N "
+                      "think=S' (or 'ref open rate=R')");
+}
+
+void check_calls(const Model& model, std::string_view file,
+                 lint::Diagnostics& diagnostics,
+                 const DeclarationLines& lines) {
+  for (EntryId e = 0; e < model.entries().size(); ++e) {
+    const Entry& entry = model.entry(e);
+    if (!std::isfinite(entry.service_demand_s) || entry.service_demand_s < 0.0)
+      diagnostics.error("EPP-LQN-005", location(file, lines.entry(e)),
+                        "entry '" + entry.name + "' has demand " +
+                            lint::fmt_value(entry.service_demand_s),
+                        "demands are mean seconds of host service and must "
+                        "be finite and non-negative");
+    for (const Call& call : entry.calls) {
+      const Entry& target = model.entry(call.target);
+      if (!std::isfinite(call.mean_calls) || call.mean_calls < 0.0)
+        diagnostics.error("EPP-LQN-005", location(file, lines.entry(e)),
+                          "call " + entry.name + " -> " + target.name +
+                              " has mean " + lint::fmt_value(call.mean_calls),
+                          "mean call counts must be finite and non-negative");
+      if (target.task == entry.task)
+        diagnostics.error("EPP-LQN-012", location(file, lines.entry(e)),
+                          "call " + entry.name + " -> " + target.name +
+                              " stays inside task '" +
+                              model.task(entry.task).name + "'",
+                          "synchronous calls must descend to a lower layer");
+      if (model.task(target.task).is_reference)
+        diagnostics.error("EPP-LQN-012", location(file, lines.entry(e)),
+                          "call " + entry.name + " -> " + target.name +
+                              " enters reference task '" +
+                              model.task(target.task).name + "'",
+                          "reference tasks only drive the workload; no "
+                          "entry may call them");
+    }
+  }
+}
+
+void check_cycles(const Model& model, std::string_view file,
+                  lint::Diagnostics& diagnostics,
+                  const DeclarationLines& lines) {
+  std::vector<Visit> state(model.entries().size(), Visit::kWhite);
+  std::vector<EntryId> path;
+  for (EntryId entry = 0; entry < model.entries().size(); ++entry) {
+    if (state[entry] != Visit::kWhite) continue;
+    path.clear();
+    if (!find_cycle(model, entry, state, path)) continue;
+    // path ends with [.., first-repeated, .., first-repeated]; print the
+    // loop segment only.
+    const EntryId repeated = path.back();
+    std::string loop;
+    bool in_loop = false;
+    for (const EntryId id : path) {
+      if (id == repeated && !in_loop) in_loop = true;
+      if (!in_loop) continue;
+      if (!loop.empty()) loop += " -> ";
+      loop += model.entry(id).name;
+    }
+    diagnostics.error("EPP-LQN-003", location(file, lines.entry(repeated)),
+                      "call cycle: " + loop,
+                      "synchronous rendezvous deadlocks on a cycle; the "
+                      "call graph must be layered");
+    return;  // one cycle report is enough; fixing it re-lints
+  }
 }
 
 }  // namespace
 
+void check_model(const Model& model, std::string_view file,
+                 lint::Diagnostics& diagnostics,
+                 const DeclarationLines& lines) {
+  check_processors(model, file, diagnostics, lines);
+  check_tasks(model, file, diagnostics, lines);
+  check_calls(model, file, diagnostics, lines);
+  check_cycles(model, file, diagnostics, lines);
+}
+
 void Model::validate() const {
-  if (reference_tasks().empty())
-    throw std::invalid_argument("Model: no reference (client) task");
-  for (const Task& task : tasks_) {
-    if (task.is_reference) {
-      // Written so that NaN fails too, as in the EPP-LQN lint rules.
-      if (task.open_arrivals) {
-        if (!std::isfinite(task.arrival_rate_rps) ||
-            task.arrival_rate_rps <= 0.0)
-          throw std::invalid_argument("Model: open reference task '" +
-                                      task.name +
-                                      "' needs a finite positive arrival rate");
-      } else if (!std::isfinite(task.population) || task.population <= 0.0) {
-        throw std::invalid_argument("Model: reference task '" + task.name +
-                                    "' needs a finite positive population");
-      }
-      if (!std::isfinite(task.think_time_s) || task.think_time_s < 0.0)
-        throw std::invalid_argument("Model: reference task '" + task.name +
-                                    "' needs a finite non-negative think time");
-      if (task.entries.size() != 1)
-        throw std::invalid_argument("Model: reference task '" + task.name +
-                                    "' must have exactly one entry");
-    }
-    if (task.entries.empty())
-      throw std::invalid_argument("Model: task '" + task.name +
-                                  "' has no entries");
-    if (task.multiplicity == 0)
-      throw std::invalid_argument("Model: task '" + task.name +
-                                  "' has zero multiplicity");
-  }
-  for (const Entry& entry : entries_) {
-    if (!std::isfinite(entry.service_demand_s) || entry.service_demand_s < 0.0)
-      throw std::invalid_argument("Model: entry '" + entry.name +
-                                  "' needs a finite non-negative demand");
-    for (const Call& call : entry.calls) {
-      const Entry& target = entries_.at(call.target);
-      if (!std::isfinite(call.mean_calls) || call.mean_calls < 0.0)
-        throw std::invalid_argument("Model: a call from entry '" + entry.name +
-                                    "' needs a finite non-negative mean");
-      if (tasks_[target.task].is_reference)
-        throw std::invalid_argument("Model: entry '" + entry.name +
-                                    "' calls into a reference task");
-      if (target.task == entry.task)
-        throw std::invalid_argument("Model: entry '" + entry.name +
-                                    "' calls its own task");
-    }
-  }
-  std::vector<VisitState> state(entries_.size(), VisitState::kUnvisited);
-  for (EntryId id = 0; id < entries_.size(); ++id)
-    check_acyclic(*this, id, state);
+  lint::Diagnostics diagnostics;
+  check_model(*this, {}, diagnostics);
+  if (const lint::Diagnostic* first =
+          diagnostics.first_at_least(lint::Severity::kError))
+    throw std::invalid_argument("Model: " + first->message);
 }
 
 namespace {

@@ -22,7 +22,10 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "lint/diagnostic.hpp"
 
 namespace epp::lqn {
 
@@ -108,9 +111,7 @@ class Model {
 
   std::vector<TaskId> reference_tasks() const;
 
-  /// Throws std::invalid_argument describing the first structural problem:
-  /// dangling ids, cyclic calls, reference tasks without population,
-  /// calls originating at non-reference entries into reference tasks, etc.
+  /// Throws std::invalid_argument with the first error check_model finds.
   void validate() const;
 
   /// Visit ratio of every entry per top-level request of reference task
@@ -124,5 +125,38 @@ class Model {
   std::vector<Task> tasks_;
   std::vector<Entry> entries_;
 };
+
+/// Declaring source line of each processor, task and entry, indexed by
+/// id (parse_model fills it). Ids it does not cover read as line 0, "the
+/// whole model", so hand-built models need none.
+struct DeclarationLines {
+  std::vector<int> processors, tasks, entries;
+
+  int processor(ProcessorId id) const { return at(processors, id); }
+  int task(TaskId id) const { return at(tasks, id); }
+  int entry(EntryId id) const { return at(entries, id); }
+
+ private:
+  static int at(const std::vector<int>& lines, std::size_t id) {
+    return id < lines.size() ? lines[id] : 0;
+  }
+};
+
+/// The error-severity EPP-LQN rules — everything that makes a model
+/// unsolvable — as findings located in `file`:
+///   EPP-LQN-002  no reference (client) task
+///   EPP-LQN-003  cycle in the synchronous call graph
+///   EPP-LQN-005  non-finite or negative demand / mean call count
+///   EPP-LQN-010  bad reference workload (population / rate / think)
+///   EPP-LQN-011  malformed task (no entries; reference != 1 entry;
+///                multiplicity 0)
+///   EPP-LQN-012  call into the caller's own task or a reference task
+///   EPP-LQN-013  processor speed not finite and positive, or
+///                multiplicity 0
+/// validate() throws the first of them; the lint library adds the
+/// advisory rules. A clean model formats no text.
+void check_model(const Model& model, std::string_view file,
+                 lint::Diagnostics& diagnostics,
+                 const DeclarationLines& lines = {});
 
 }  // namespace epp::lqn

@@ -278,17 +278,4 @@ MvaResult solve_bard_schweitzer(const ClosedNetwork& network,
   return result;
 }
 
-MvaResult solve_mva(const ClosedNetwork& network, const MvaOptions& options,
-                    std::size_t exact_population_limit) {
-  if (network.num_classes() == 1 && exact_population_limit > 0 &&
-      network.priority.empty()) {
-    const double pop = network.population[0];
-    const double rounded = std::round(pop);
-    if (std::abs(pop - rounded) < 1e-9 &&
-        rounded <= static_cast<double>(exact_population_limit))
-      return solve_exact_single_class(network);
-  }
-  return solve_bard_schweitzer(network, options);
-}
-
 }  // namespace epp::lqn

@@ -3,6 +3,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace epp::lqn {
@@ -63,8 +64,9 @@ std::size_t to_size(const std::string& value, int line) {
 
 }  // namespace
 
-Model parse_model(std::istream& input) {
+Model parse_model(std::istream& input, DeclarationLines* lines) {
   Model model;
+  DeclarationLines declared;
   struct PendingCall {
     std::string from, to;
     double mean;
@@ -101,6 +103,7 @@ Model parse_model(std::istream& input) {
       if (model.find_processor(processor.name))
         fail(line_no, "duplicate processor '" + processor.name + "'");
       model.add_processor(processor);
+      declared.processors.push_back(line_no);
     } else if (kind == "task") {
       if (tokens.size() < 2) fail(line_no, "task needs a name");
       Task task;
@@ -125,6 +128,7 @@ Model parse_model(std::istream& input) {
       if (model.find_task(task.name))
         fail(line_no, "duplicate task '" + task.name + "'");
       model.add_task(task);
+      declared.tasks.push_back(line_no);
     } else if (kind == "entry") {
       if (tokens.size() < 2) fail(line_no, "entry needs a name");
       Entry entry;
@@ -143,6 +147,7 @@ Model parse_model(std::istream& input) {
       if (model.find_entry(entry.name))
         fail(line_no, "duplicate entry '" + entry.name + "'");
       model.add_entry(entry);
+      declared.entries.push_back(line_no);
     } else if (kind == "call") {
       if (tokens.size() != 4) fail(line_no, "call needs: call <from> <to> <mean>");
       pending_calls.push_back(
@@ -164,12 +169,13 @@ Model parse_model(std::istream& input) {
                           std::to_string(call.mean));
     model.add_call(*from, *to, call.mean);
   }
+  if (lines != nullptr) *lines = std::move(declared);
   return model;
 }
 
-Model parse_model(const std::string& text) {
+Model parse_model(const std::string& text, DeclarationLines* lines) {
   std::istringstream is(text);
-  return parse_model(is);
+  return parse_model(is, lines);
 }
 
 std::string to_text(const Model& model) {

@@ -21,9 +21,10 @@
 namespace epp::lqn {
 
 /// Parse a model from text. Throws std::invalid_argument with a
-/// line-numbered message on syntax or reference errors.
-Model parse_model(const std::string& text);
-Model parse_model(std::istream& input);
+/// line-numbered message on syntax or reference errors. `lines`, when
+/// given, receives each declaration's line for locating findings.
+Model parse_model(const std::string& text, DeclarationLines* lines = nullptr);
+Model parse_model(std::istream& input, DeclarationLines* lines = nullptr);
 
 /// Serialise a model to the same format parse_model reads.
 std::string to_text(const Model& model);

@@ -34,24 +34,6 @@ double SolveResult::total_throughput_rps() const {
 
 namespace {
 
-/// Everything the solver precomputes about the flattened model.
-struct Flattened {
-  std::vector<TaskId> refs;                    // closed class id -> ref task
-  std::vector<TaskId> open_refs;               // open class id -> ref task
-  std::vector<std::vector<double>> visits;     // [closed class][entry]
-  std::vector<std::vector<double>> open_visits;  // [open class][entry]
-  std::vector<std::size_t> proc_station;       // processor -> station index
-  std::vector<ProcessorId> station_proc;       // station -> processor
-  std::vector<TaskId> finite_tasks;            // tasks given surrogates
-  std::vector<std::size_t> task_station;       // task -> surrogate station (or npos)
-  ClosedNetwork network;                       // stations: processors then surrogates
-  std::vector<std::vector<double>> task_visits;       // [closed class][task]
-  std::vector<std::vector<double>> open_task_visits;  // [open class][task]
-  // Processor stations reachable from (below) each task, self included.
-  std::vector<std::set<std::size_t>> below_proc_stations;   // [task]
-  std::vector<std::set<TaskId>> below_finite_tasks;         // [task], self excl.
-};
-
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
 void collect_below(const Model& model, TaskId task,
@@ -65,7 +47,19 @@ void collect_below(const Model& model, TaskId task,
       collect_below(model, model.entry(call.target).task, procs, tasks, seen);
 }
 
-Flattened flatten(const Model& model, const SolverOptions& options) {
+/// Light-load execution time of an entry (own demand plus nested calls).
+double light_exec_time(const Model& model, EntryId e) {
+  const Entry& entry = model.entry(e);
+  double time = entry.service_demand_s /
+                model.processor(model.task(entry.task).processor).speed;
+  for (const Call& call : entry.calls)
+    time += call.mean_calls * light_exec_time(model, call.target);
+  return time;
+}
+
+}  // namespace
+
+Flattened flatten(const Model& model) {
   Flattened f;
   for (TaskId ref : model.reference_tasks())
     (model.task(ref).open_arrivals ? f.open_refs : f.refs).push_back(ref);
@@ -74,11 +68,11 @@ Flattened flatten(const Model& model, const SolverOptions& options) {
   const std::size_t ne = model.entries().size();
   const std::size_t nt = model.tasks().size();
 
-  f.visits.resize(nc);
-  for (std::size_t c = 0; c < nc; ++c) f.visits[c] = model.visit_ratios(f.refs[c]);
-  f.open_visits.resize(no);
+  std::vector<std::vector<double>> visits(nc);       // [closed class][entry]
+  for (std::size_t c = 0; c < nc; ++c) visits[c] = model.visit_ratios(f.refs[c]);
+  std::vector<std::vector<double>> open_visits(no);  // [open class][entry]
   for (std::size_t c = 0; c < no; ++c)
-    f.open_visits[c] = model.visit_ratios(f.open_refs[c]);
+    open_visits[c] = model.visit_ratios(f.open_refs[c]);
 
   // Processor stations: only processors hosting non-reference entries.
   f.proc_station.assign(model.processors().size(), kNpos);
@@ -116,11 +110,11 @@ Flattened flatten(const Model& model, const SolverOptions& options) {
     f.network.population[c] = ref.population;
     f.network.think_time_s[c] = ref.think_time_s;
     for (EntryId e = 0; e < ne; ++e) {
-      if (f.visits[c][e] == 0.0) continue;
+      if (visits[c][e] == 0.0) continue;
       const Entry& entry = model.entry(e);
       const Task& task = model.task(entry.task);
       const Processor& proc = model.processor(task.processor);
-      const double time = f.visits[c][e] * entry.service_demand_s / proc.speed;
+      const double time = visits[c][e] * entry.service_demand_s / proc.speed;
       if (task.is_reference) {
         f.network.think_time_s[c] += time;
       } else {
@@ -147,13 +141,13 @@ Flattened flatten(const Model& model, const SolverOptions& options) {
     open.arrival_rps = ref.arrival_rate_rps;
     open.demands.assign(f.network.stations.size(), 0.0);
     for (EntryId e = 0; e < ne; ++e) {
-      if (f.open_visits[c][e] == 0.0) continue;
+      if (open_visits[c][e] == 0.0) continue;
       const Entry& entry = model.entry(e);
       const Task& task = model.task(entry.task);
       if (task.is_reference) continue;
       const Processor& proc = model.processor(task.processor);
       open.demands[f.proc_station[task.processor]] +=
-          f.open_visits[c][e] * entry.service_demand_s / proc.speed;
+          open_visits[c][e] * entry.service_demand_s / proc.speed;
     }
     f.network.open_classes.push_back(std::move(open));
   }
@@ -162,86 +156,60 @@ Flattened flatten(const Model& model, const SolverOptions& options) {
   f.task_visits.assign(nc, std::vector<double>(nt, 0.0));
   for (std::size_t c = 0; c < nc; ++c)
     for (EntryId e = 0; e < ne; ++e)
-      f.task_visits[c][model.entry(e).task] += f.visits[c][e];
+      f.task_visits[c][model.entry(e).task] += visits[c][e];
   f.open_task_visits.assign(no, std::vector<double>(nt, 0.0));
   for (std::size_t c = 0; c < no; ++c)
     for (EntryId e = 0; e < ne; ++e)
-      f.open_task_visits[c][model.entry(e).task] += f.open_visits[c][e];
+      f.open_task_visits[c][model.entry(e).task] += open_visits[c][e];
 
   // Finite-multiplicity (non-reference) tasks get surrogate stations that
   // model queueing for a thread: demand visits * S_t / multiplicity.
   f.task_station.assign(nt, kNpos);
   f.below_proc_stations.resize(nt);
   f.below_finite_tasks.resize(nt);
-  if (options.model_task_contention) {
-    std::vector<std::size_t> tasks_on_processor(model.processors().size(), 0);
-    for (TaskId t = 0; t < nt; ++t)
-      if (!model.task(t).is_reference)
-        ++tasks_on_processor[model.task(t).processor];
-    for (TaskId t = 0; t < nt; ++t) {
-      const Task& task = model.task(t);
-      if (task.is_reference) continue;
-      // A single-threaded *leaf* task alone on its processor is already
-      // fully serialised by the hardware station; a surrogate would only
-      // double-count it. (A task that makes downstream calls holds its
-      // thread longer than its own processor demand, so it still needs
-      // one — that is the layered effect.)
-      const bool leaf = [&] {
-        for (EntryId e : task.entries)
-          if (!model.entry(e).calls.empty()) return false;
-        return true;
-      }();
-      if (task.multiplicity == 1 && leaf &&
-          tasks_on_processor[task.processor] == 1)
-        continue;
-      f.finite_tasks.push_back(t);
-      f.task_station[t] = f.network.stations.size();
-      Station station;
-      station.name = task.name + ".threads";
-      station.kind = StationKind::kQueueing;
-      f.network.stations.push_back(station);
-      for (auto& row : f.network.demands) row.push_back(0.0);
-      for (auto& open : f.network.open_classes) open.demands.push_back(0.0);
-    }
-    for (TaskId t : f.finite_tasks) {
-      std::set<ProcessorId> procs;
-      std::set<TaskId> tasks, seen;
-      collect_below(model, t, procs, tasks, seen);
-      for (ProcessorId p : procs)
-        if (f.proc_station[p] != kNpos)
-          f.below_proc_stations[t].insert(f.proc_station[p]);
-      for (TaskId lower : tasks)
-        if (lower != t && f.task_station[lower] != kNpos)
-          f.below_finite_tasks[t].insert(lower);
-    }
+  std::vector<std::size_t> tasks_on_processor(model.processors().size(), 0);
+  for (TaskId t = 0; t < nt; ++t)
+    if (!model.task(t).is_reference)
+      ++tasks_on_processor[model.task(t).processor];
+  for (TaskId t = 0; t < nt; ++t) {
+    const Task& task = model.task(t);
+    if (task.is_reference) continue;
+    // A single-threaded *leaf* task alone on its processor is already
+    // fully serialised by the hardware station; a surrogate would only
+    // double-count it. (A task that makes downstream calls holds its
+    // thread longer than its own processor demand, so it still needs
+    // one — that is the layered effect.)
+    const bool leaf = [&] {
+      for (EntryId e : task.entries)
+        if (!model.entry(e).calls.empty()) return false;
+      return true;
+    }();
+    if (task.multiplicity == 1 && leaf &&
+        tasks_on_processor[task.processor] == 1)
+      continue;
+    f.finite_tasks.push_back(t);
+    f.task_station[t] = f.network.stations.size();
+    Station station;
+    station.name = task.name + ".threads";
+    station.kind = StationKind::kQueueing;
+    f.network.stations.push_back(station);
+    for (auto& row : f.network.demands) row.push_back(0.0);
+    for (auto& open : f.network.open_classes) open.demands.push_back(0.0);
   }
-  return f;
-}
-
-/// Light-load execution time of an entry (own demand plus nested calls).
-double light_exec_time(const Model& model, EntryId e) {
-  const Entry& entry = model.entry(e);
-  double time = entry.service_demand_s /
-                model.processor(model.task(entry.task).processor).speed;
-  for (const Call& call : entry.calls)
-    time += call.mean_calls * light_exec_time(model, call.target);
-  return time;
-}
-
-}  // namespace
-
-SolveResult LayeredSolver::solve(const Model& model) const {
-  util::Timer timer;
-  model.validate();
-  Flattened f = flatten(model, options_);
-  const std::size_t nc = f.refs.size();
-
-  MvaOptions mva_options;
-  mva_options.rt_tolerance_s = options_.convergence_tol_s;
-  mva_options.max_iterations = options_.max_iterations;
+  for (TaskId t : f.finite_tasks) {
+    std::set<ProcessorId> procs;
+    std::set<TaskId> tasks, seen;
+    collect_below(model, t, procs, tasks, seen);
+    for (ProcessorId p : procs)
+      if (f.proc_station[p] != kNpos)
+        f.below_proc_stations[t].insert(f.proc_station[p]);
+    for (TaskId lower : tasks)
+      if (lower != t && f.task_station[lower] != kNpos)
+        f.below_finite_tasks[t].insert(lower);
+  }
 
   // Initialise surrogate demands from light-load task service times.
-  std::vector<double> light_s(model.tasks().size(), 0.0);  // per visit
+  f.light_s.assign(nt, 0.0);
   for (TaskId t : f.finite_tasks) {
     const Task& task = model.task(t);
     double total = 0.0, weight = 0.0;
@@ -251,20 +219,31 @@ SolveResult LayeredSolver::solve(const Model& model) const {
       total += light_exec_time(model, e);
       weight += 1.0;
     }
-    light_s[t] = weight > 0.0 ? total / weight : 0.0;
+    f.light_s[t] = weight > 0.0 ? total / weight : 0.0;
   }
   for (std::size_t c = 0; c < nc; ++c)
     for (TaskId t : f.finite_tasks)
       f.network.demands[c][f.task_station[t]] =
-          f.task_visits[c][t] * light_s[t] /
+          f.task_visits[c][t] * f.light_s[t] /
           static_cast<double>(model.task(t).multiplicity);
-  for (std::size_t c = 0; c < f.open_refs.size(); ++c)
+  for (std::size_t c = 0; c < no; ++c)
     for (TaskId t : f.finite_tasks)
       f.network.open_classes[c].demands[f.task_station[t]] =
-          f.open_task_visits[c][t] * light_s[t] /
+          f.open_task_visits[c][t] * f.light_s[t] /
           static_cast<double>(model.task(t).multiplicity);
+  return f;
+}
 
-  MvaResult top = solve_mva(f.network, mva_options, options_.exact_population_limit);
+SolveResult LayeredSolver::solve(const Model& model) const {
+  util::Timer timer;
+  model.validate();
+  Flattened f = flatten(model);
+  const std::size_t nc = f.refs.size();
+
+  MvaOptions mva_options;
+  mva_options.rt_tolerance_s = options_.convergence_tol_s;
+
+  MvaResult top = solve_bard_schweitzer(f.network, mva_options);
   int layer_iterations = 1;
   bool layers_converged = true;
 
@@ -368,7 +347,7 @@ SolveResult LayeredSolver::solve(const Model& model) const {
         }
       }
 
-      top = solve_mva(f.network, mva_options, options_.exact_population_limit);
+      top = solve_bard_schweitzer(f.network, mva_options);
       double delta = 0.0;
       for (std::size_t c = 0; c < nc; ++c)
         delta = std::max(delta, std::abs(top.response_time_s[c] - prev_rt[c]));
@@ -419,7 +398,7 @@ SolveResult LayeredSolver::solve(const Model& model) const {
 
 double LayeredSolver::max_throughput_bound_rps(const Model& model) const {
   model.validate();
-  Flattened f = flatten(model, options_);
+  const Flattened f = flatten(model);
   const std::size_t nc = f.refs.size();
   double total_pop = 0.0;
   for (std::size_t c = 0; c < nc; ++c) total_pop += f.network.population[c];
@@ -446,15 +425,10 @@ double LayeredSolver::max_throughput_bound_rps(const Model& model) const {
   // Thread pools can also bound throughput: m / light-load holding time.
   for (TaskId t : f.finite_tasks) {
     double mix_demand = 0.0;
-    for (std::size_t c = 0; c < nc; ++c) {
-      double s_light = 0.0;
-      const Task& task = model.task(t);
-      for (EntryId e : task.entries) s_light += light_exec_time(model, e);
-      s_light /= static_cast<double>(task.entries.size());
+    for (std::size_t c = 0; c < nc; ++c)
       mix_demand += f.network.population[c] / total_pop *
-                    f.task_visits[c][t] * s_light /
-                    static_cast<double>(task.multiplicity);
-    }
+                    f.task_visits[c][t] * f.light_s[t] /
+                    static_cast<double>(model.task(t).multiplicity);
     max_demand = std::max(max_demand, mix_demand);
   }
   if (max_demand <= 0.0) return 0.0;

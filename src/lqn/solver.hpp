@@ -14,6 +14,7 @@
 #pragma once
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -27,23 +28,38 @@ struct SolverOptions {
   /// LQNS runs used 20 ms (0.020); EPP defaults tighter since its solver
   /// is cheap, but experiments reproducing figure 3 set 0.020.
   double convergence_tol_s = 1e-6;
-  int max_iterations = 100000;
   /// Bound on the outer (software/hardware alternation) fixed point. Near
   /// the saturation knee the loop needs the adaptive-damping ramp (about
   /// 70 iterations); converged solves exit early regardless of the bound.
+  /// LayeredSolver::solve never throws on divergence — it reports through
+  /// SolveResult::converged, and predictors surface a non-converged solve
+  /// as core::SolverDivergedError.
   int max_layer_iterations = 160;
-  /// Use exact single-class MVA when applicable (integer population below
-  /// this bound). 0 disables; the default mirrors LQNS's approximate path.
-  std::size_t exact_population_limit = 0;
-  /// Model task thread-pool contention with surrogate multiserver stations
-  /// when the pool could constrain throughput.
-  bool model_task_contention = true;
-  /// Predictor-level contract: when set, predictors surface a
-  /// non-converged solve as core::SolverDivergedError instead of silently
-  /// returning the clamped last iterate. LayeredSolver::solve itself never
-  /// throws on divergence — it always reports through SolveResult::converged.
-  bool require_convergence = true;
 };
+
+/// Steps 1 and 2 above: the closed (and open) network a model flattens
+/// to, with every surrogate thread-pool station's demand initialised
+/// from the task's light-load holding time. The solver iterates on it;
+/// the EPP-SEM convergence pre-checker reads it as is.
+struct Flattened {
+  std::vector<TaskId> refs;                    // closed class id -> ref task
+  std::vector<TaskId> open_refs;               // open class id -> ref task
+  std::vector<std::size_t> proc_station;       // processor -> station index
+  std::vector<ProcessorId> station_proc;       // station -> processor
+  std::vector<TaskId> finite_tasks;            // tasks given surrogates
+  std::vector<std::size_t> task_station;       // task -> surrogate station (or npos)
+  std::vector<double> light_s;                 // [task] light-load time per visit
+  ClosedNetwork network;                       // stations: processors then surrogates
+  std::vector<std::vector<double>> task_visits;       // [closed class][task]
+  std::vector<std::vector<double>> open_task_visits;  // [open class][task]
+  // Processor stations reachable from (below) each task, self included.
+  std::vector<std::set<std::size_t>> below_proc_stations;   // [task]
+  std::vector<std::set<TaskId>> below_finite_tasks;         // [task], self excl.
+};
+
+/// Flatten a valid model (see Model::validate; a call cycle would recurse
+/// without end).
+Flattened flatten(const Model& model);
 
 struct ClassPrediction {
   std::string name;           // reference task name

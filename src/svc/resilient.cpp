@@ -34,23 +34,6 @@ std::int64_t now_ns() {
 constexpr std::array<Method, 3> kFallbackOrder = {
     Method::kLqn, Method::kHybrid, Method::kHistorical};
 
-/// Allocation-free fallback chain (the fast path builds one per request).
-struct Chain {
-  std::array<Method, 3> methods;
-  std::size_t count;
-};
-
-Chain fallback_chain(Method requested, bool fallback_enabled) {
-  Chain chain{{requested, requested, requested}, 1};
-  if (!fallback_enabled) return chain;
-  const auto it =
-      std::find(kFallbackOrder.begin(), kFallbackOrder.end(), requested);
-  if (it != kFallbackOrder.end())
-    for (auto next = it + 1; next != kFallbackOrder.end(); ++next)
-      chain.methods[chain.count++] = *next;
-  return chain;
-}
-
 bool is_retryable(ErrorCode code) {
   return code == ErrorCode::kTransientFailure;
 }
@@ -65,6 +48,17 @@ bool trips_breaker(ErrorCode code) {
 }
 
 }  // namespace
+
+FallbackChain fallback_chain(Method requested, bool fallback_enabled) {
+  FallbackChain chain{{requested, requested, requested}, 1};
+  if (!fallback_enabled) return chain;
+  const auto it =
+      std::find(kFallbackOrder.begin(), kFallbackOrder.end(), requested);
+  if (it != kFallbackOrder.end())
+    for (auto next = it + 1; next != kFallbackOrder.end(); ++next)
+      chain.methods[chain.count++] = *next;
+  return chain;
+}
 
 std::string PredictionError::to_string() const {
   return std::string(error_code_name(code)) + " [" +
@@ -251,7 +245,7 @@ Outcome ResilientPredictor::serve(const PredictionRequest& request,
     return remaining;
   };
 
-  const Chain chain =
+  const FallbackChain chain =
       fallback_chain(request.method, options_.fallback_enabled);
 
   std::optional<PredictionError> primary_error;

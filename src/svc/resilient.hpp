@@ -30,6 +30,7 @@
 // beyond the wrapped engine — see bench/resilience_overhead.cpp.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -109,6 +110,20 @@ using CapacityOutcome = Expected<core::CapacityResult>;
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
 std::string_view breaker_state_name(BreakerState state);
+
+/// A request's degradation chain: the requested method, then (when
+/// fallback is enabled) every method after it in the order lqn -> hybrid
+/// -> historical. Allocation-free; the serving path builds one per
+/// request and the EPP-SEM-020/021 chain verifier walks the same one.
+struct FallbackChain {
+  std::array<Method, 3> methods;
+  std::size_t count;
+
+  const Method* begin() const noexcept { return methods.data(); }
+  const Method* end() const noexcept { return methods.data() + count; }
+};
+
+FallbackChain fallback_chain(Method requested, bool fallback_enabled);
 
 struct ResilienceOptions {
   /// Per-request deadline in seconds; 0 disables (and removes all clock

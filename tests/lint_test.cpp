@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "calib/bundle.hpp"
@@ -20,6 +22,7 @@
 #include "core/trade_model.hpp"
 #include "lint/diagnostic.hpp"
 #include "lint/lint.hpp"
+#include "lqn/parser.hpp"
 #include "svc/fault.hpp"
 
 namespace epp {
@@ -257,7 +260,13 @@ INSTANTIATE_TEST_SUITE_P(
                    3, 2},
         GoldenCase{"lqn/no_entries.lqn", "EPP-LQN-011", Severity::kError, 5,
                    2},
+        GoldenCase{"lqn/ref_zero_multiplicity.lqn", "EPP-LQN-011",
+                   Severity::kError, 6, 2},
         GoldenCase{"lqn/self_call.lqn", "EPP-LQN-012", Severity::kError, 6,
+                   2},
+        GoldenCase{"lqn/ref_calls_ref.lqn", "EPP-LQN-012", Severity::kError,
+                   8, 2},
+        GoldenCase{"lqn/bad_speed.lqn", "EPP-LQN-013", Severity::kError, 4,
                    2}),
     [](const auto& test_info) {
       std::string name = test_info.param.rule;
@@ -334,6 +343,43 @@ TEST(LintCleanCorpus, TradeLqnModelExitsZero) {
   EXPECT_EQ(diagnostics.first_at_least(Severity::kWarning), nullptr)
       << lint::render_text(diagnostics);
   EXPECT_EQ(lint::exit_code(diagnostics), 0);
+}
+
+// --- one validity pass: validate() and lint agree ---------------------------
+
+TEST(LqnValidityParity, ValidateThrowsIffCheckModelReportsAnError) {
+  // Model::validate() and the EPP-LQN error rules are one pass
+  // (lqn::check_model), so on every parseable model in the tree the
+  // solver refuses exactly what lint calls an error.
+  std::size_t models = 0;
+  for (const char* root : {EPP_LINT_CORPUS_DIR, EPP_MODELS_DIR})
+    for (const auto& item :
+         std::filesystem::recursive_directory_iterator(root)) {
+      if (item.path().extension() != ".lqn") continue;
+      const std::string path = item.path().string();
+      lqn::Model model;
+      try {
+        model = lqn::parse_model(read_file(path));
+      } catch (const std::invalid_argument&) {
+        continue;  // EPP-LQN-001 territory: nothing to validate
+      }
+      ++models;
+      bool throws = false;
+      try {
+        model.validate();
+      } catch (const std::invalid_argument&) {
+        throws = true;
+      }
+      Diagnostics checked;
+      lqn::check_model(model, path, checked);
+      Diagnostics linted;
+      lint::lint_artifact_file(path, linted);
+      EXPECT_EQ(throws, checked.has_errors())
+          << path << ":\n" << lint::render_text(checked);
+      EXPECT_EQ(throws, linted.has_errors())
+          << path << ":\n" << lint::render_text(linted);
+    }
+  EXPECT_GE(models, 16u);
 }
 
 TEST(LintCleanCorpus, WorkloadGridAndFaultSpecFilesAreClean) {

@@ -246,11 +246,11 @@ TEST(VerifyAcceptance, DivergingModelIsFlaggedBeforeTheSolverFails) {
   // SolverDivergedError through LqnPredictor). The static pre-checker
   // must flag it without solving anything.
   const std::string text = read_file(corpus_path("lqn/diverging.lqn"));
-  const lqn::Model model = lqn::parse_model(text);
+  lqn::DeclarationLines lines;
+  const lqn::Model model = lqn::parse_model(text, &lines);
 
   Diagnostics diagnostics;
-  const lint::LqnSourceIndex index = lint::index_lqn_source(text);
-  lint::verify_lqn_model(model, "diverging.lqn", diagnostics, &index);
+  lint::verify_lqn_model(model, "diverging.lqn", diagnostics, lines);
   ASSERT_TRUE(diagnostics.has_errors()) << lint::render_text(diagnostics);
   EXPECT_EQ(diagnostics.first_at_least(Severity::kError)->rule,
             "EPP-SEM-011");

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace epp::lqn {
 namespace {
@@ -94,6 +95,54 @@ TEST(LqnModel, ValidateRejectsNonFiniteInputs) {
     clients.open_arrivals = true;
     clients.arrival_rate_rps = bad;
     EXPECT_THROW(open.validate(), std::invalid_argument);
+  }
+  // Processor speed divides every demand (EPP-LQN-013): it must be
+  // finite and positive, on the client box as on a server.
+  for (const double bad : {kNan, kInf, 0.0, -2.0})
+    for (const char* name : {"box", "cpu"}) {
+      Model speed = minimal_model();
+      speed.processor(*speed.find_processor(name)).speed = bad;
+      EXPECT_THROW(speed.validate(), std::invalid_argument)
+          << name << " speed " << bad;
+    }
+}
+
+TEST(LqnModel, ValidateRejectsZeroMultiplicity) {
+  Model processor = minimal_model();
+  processor.processor(*processor.find_processor("cpu")).multiplicity = 0;
+  EXPECT_THROW(processor.validate(), std::invalid_argument);
+
+  // Every task, reference tasks included.
+  for (const char* name : {"clients", "server"}) {
+    Model task = minimal_model();
+    task.task(*task.find_task(name)).multiplicity = 0;
+    EXPECT_THROW(task.validate(), std::invalid_argument) << name;
+  }
+}
+
+TEST(LqnModel, CheckModelCollectsEveryErrorWithItsLine) {
+  Model m = minimal_model();
+  m.processor(*m.find_processor("cpu")).speed = 0.0;
+  m.entry(*m.find_entry("serve")).service_demand_s = -1.0;
+  DeclarationLines lines;
+  lines.processors = {1, 2};
+  lines.entries = {5, 6};
+  lint::Diagnostics diagnostics;
+  check_model(m, "m.lqn", diagnostics, lines);
+  ASSERT_EQ(diagnostics.size(), 2u) << lint::render_text(diagnostics);
+  EXPECT_EQ(diagnostics.all()[0].rule, "EPP-LQN-013");
+  EXPECT_EQ(diagnostics.all()[0].location.line, 2);
+  EXPECT_EQ(diagnostics.all()[1].rule, "EPP-LQN-005");
+  EXPECT_EQ(diagnostics.all()[1].location.line, 6);
+  EXPECT_EQ(diagnostics.all()[1].location.file, "m.lqn");
+
+  // validate() throws the first of them.
+  try {
+    m.validate();
+    FAIL() << "validate() accepted a zero-speed processor";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "Model: " + diagnostics.all()[0].message);
   }
 }
 

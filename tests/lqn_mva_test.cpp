@@ -156,14 +156,5 @@ TEST(ClosedNetwork, CheckRejectsMalformedShapes) {
   EXPECT_THROW(badpop.check(), std::invalid_argument);
 }
 
-TEST(SolveMva, DispatchesExactWhenEligible) {
-  const ClosedNetwork net = repairman(10, 1.0, 0.05);
-  const MvaResult exact = solve_exact_single_class(net);
-  const MvaResult dispatched = solve_mva(net, {}, 100);
-  EXPECT_DOUBLE_EQ(dispatched.response_time_s[0], exact.response_time_s[0]);
-  const MvaResult approx = solve_mva(net, {}, 0);  // exact disabled
-  EXPECT_NE(approx.iterations, exact.iterations);
-}
-
 }  // namespace
 }  // namespace epp::lqn

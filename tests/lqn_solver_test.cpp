@@ -95,18 +95,6 @@ TEST(LayeredSolver, ResponseTimeMonotoneInPopulation) {
   }
 }
 
-TEST(LayeredSolver, TaskContentionToggleKeepsMeansClose) {
-  // In the case-study regime thread pools never bind, so disabling the
-  // layered surrogates must not change predictions much.
-  SolverOptions with;
-  SolverOptions without;
-  without.model_task_contention = false;
-  const double r_with = solve_typical(1200, with).response_time_s("browse_clients");
-  const double r_without =
-      solve_typical(1200, without).response_time_s("browse_clients");
-  EXPECT_NEAR(r_with, r_without, 0.25 * r_without + 1e-4);
-}
-
 TEST(LayeredSolver, TinyThreadPoolCapsThroughput) {
   // Shrink the app server to 1 thread: the pool (holding time ~ service
   // incl. db round trip) becomes the bottleneck, not the CPU.

@@ -210,14 +210,17 @@ int main(int argc, char** argv) try {
     return 2;
   }
 
-  util::ThreadPool pool(config.threads);
-  calib::CalibrationOptions calibration_options;
-  calibration_options.pool = &pool;
   if (config.artifact.load_path.empty())
     std::cerr << "calibrating from the simulated testbed...\n";
   const util::Timer calibration_timer;
-  calib::CalibrationBundle bundle =
-      calib::acquire_bundle(config.artifact, calibration_options);
+  calib::CalibrationBundle bundle = [&] {
+    // The calibration pool lives only while the bundle is acquired; the
+    // serving stack runs on its own workers.
+    util::ThreadPool pool(config.threads);
+    calib::CalibrationOptions calibration_options;
+    calibration_options.pool = &pool;
+    return calib::acquire_bundle(config.artifact, calibration_options);
+  }();
   std::cerr << (config.artifact.load_path.empty()
                     ? "calibrated in "
                     : "warm start: loaded bundle in ")

@@ -109,7 +109,8 @@ int main(int argc, char** argv) {
   }
 
   try {
-    lqn::Model model = lqn::parse_model(buffer.str());
+    lqn::DeclarationLines lines;
+    lqn::Model model = lqn::parse_model(buffer.str(), &lines);
     for (const Override& o : populations) {
       const auto id = model.find_task(o.task);
       if (!id || !model.task(*id).is_reference) {
@@ -134,8 +135,7 @@ int main(int argc, char** argv) {
     // bypasses the gate for deliberate divergence experiments.
     if (verify) {
       lint::Diagnostics findings;
-      const lint::LqnSourceIndex index = lint::index_lqn_source(buffer.str());
-      lint::verify_lqn_model(model, model_path, findings, &index);
+      lint::verify_lqn_model(model, model_path, findings, lines);
       if (lint::report_findings(findings, std::cerr)) {
         std::cerr << "epp_solve: semantic verification predicts this model "
                      "will not solve ("
