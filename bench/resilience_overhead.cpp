@@ -169,22 +169,6 @@ void BM_ColdGrid_Resilient(benchmark::State& state) {
 }
 BENCHMARK(BM_ColdGrid_Resilient);
 
-void BM_ColdGrid_ResilientNoStale(benchmark::State& state) {
-  // Stale-store insurance disabled: isolates what the last-resort replay
-  // buffer costs per fresh evaluation (one locked hash-map insert).
-  const std::vector<svc::PredictionRequest> grid = cold_grid();
-  svc::ResilienceOptions options;
-  options.serve_stale = false;
-  for (auto _ : state) {
-    const auto engine = make_engine();
-    const svc::ResilientPredictor resilient(*engine, options);
-    benchmark::DoNotOptimize(resilient.predict_batch(grid, nullptr));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(grid.size()));
-}
-BENCHMARK(BM_ColdGrid_ResilientNoStale);
-
 void BM_ColdLqn_Plain(benchmark::State& state) {
   const std::vector<svc::PredictionRequest> grid = lqn_grid();
   for (auto _ : state) {

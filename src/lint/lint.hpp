@@ -58,6 +58,7 @@
 // epp_sweep/epp_serve use.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "lint/diagnostic.hpp"
@@ -73,10 +74,19 @@ void lint_lqn_model(const lqn::Model& model, const std::string& file,
                     Diagnostics& diagnostics,
                     const lqn::DeclarationLines& lines = {});
 
+/// An LQN model parsed from text, with the line of every declaration.
+struct ParsedLqn {
+  lqn::Model model;
+  lqn::DeclarationLines lines;
+};
+
 /// Parse + semantic rules on LQN model text (EPP-LQN-001 on parse
-/// failure, then everything lint_lqn_model reports).
-void lint_lqn_text(const std::string& text, const std::string& file,
-                   Diagnostics& diagnostics);
+/// failure, then everything lint_lqn_model reports). Returns the parsed
+/// model, so callers need not parse again, or nullopt when the text does
+/// not parse.
+std::optional<ParsedLqn> lint_lqn_text(const std::string& text,
+                                       const std::string& file,
+                                       Diagnostics& diagnostics);
 
 /// Structural (EPP-BND-001..006, via calib::parse_bundle_text) plus
 /// semantic (EPP-BND-010..015) rules on `.epp` bundle text. Semantic

@@ -148,12 +148,12 @@ void lint_lqn_model(const lqn::Model& model, const std::string& file,
   check_saturation(model, file, diagnostics, lines);
 }
 
-void lint_lqn_text(const std::string& text, const std::string& file,
-                   Diagnostics& diagnostics) {
-  lqn::Model model;
-  lqn::DeclarationLines lines;
+std::optional<ParsedLqn> lint_lqn_text(const std::string& text,
+                                       const std::string& file,
+                                       Diagnostics& diagnostics) {
+  ParsedLqn parsed;
   try {
-    model = lqn::parse_model(text, &lines);
+    parsed.model = lqn::parse_model(text, &parsed.lines);
   } catch (const std::invalid_argument& error) {
     // Parser messages read "lqn parse error, line N: ..."; lift the line
     // number into the location and keep the tail as the finding.
@@ -168,9 +168,10 @@ void lint_lqn_text(const std::string& text, const std::string& file,
       std::getline(tail, message);
     }
     diagnostics.error("EPP-LQN-001", {file, line}, message);
-    return;
+    return std::nullopt;
   }
-  lint_lqn_model(model, file, diagnostics, lines);
+  lint_lqn_model(parsed.model, file, diagnostics, parsed.lines);
+  return parsed;
 }
 
 }  // namespace epp::lint

@@ -6,10 +6,9 @@
 #include "lint/verify.hpp"
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
-
-#include "lqn/parser.hpp"
 
 namespace epp::lint {
 
@@ -27,12 +26,11 @@ void verify_lqn_text(const std::string& text, const std::string& file,
                      const VerifyOptions& options, Diagnostics& diagnostics) {
   (void)options;
   Diagnostics structural;
-  lint_lqn_text(text, file, structural);
+  const std::optional<ParsedLqn> parsed =
+      lint_lqn_text(text, file, structural);
   for (const Diagnostic& d : structural.all()) diagnostics.add(d);
-  if (structural.has_errors()) return;
-  lqn::DeclarationLines lines;  // lint proved the text parses
-  const lqn::Model model = lqn::parse_model(text, &lines);
-  verify_lqn_model(model, file, diagnostics, lines);
+  if (!parsed || structural.has_errors()) return;
+  verify_lqn_model(parsed->model, file, diagnostics, parsed->lines);
 }
 
 }  // namespace

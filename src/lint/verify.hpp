@@ -49,7 +49,7 @@
 //   EPP-SEM-020 (error)   a (method, server) request has no viable method
 //                         anywhere in its fallback chain
 //   EPP-SEM-021 (warning) chain with a single viable method while circuit
-//                         breaking is armed and the stale store disabled:
+//                         breaking is armed and stale replay disabled:
 //                         one open breaker dead-ends the chain
 //
 // The clean contract mirrors lint's: every artifact the calibration

@@ -6,8 +6,8 @@
 // registers them all), the historical predictor only servers with a fit
 // in the embedded mean model. A (method, server)
 // request whose whole chain is unavailable can never terminate in a
-// prediction; a single-method chain with circuit breaking armed and the
-// stale store disabled dies with the first open breaker.
+// prediction; a single-method chain with circuit breaking armed and
+// stale replay disabled dies with the first open breaker.
 #include "lint/verify.hpp"
 
 #include <string>

@@ -378,11 +378,13 @@ void PredictionServer::handle_control(Session& session,
            << " drift_trips=" << drift_stats.trips;
       if (const auto active = registry_.active(); active != nullptr) {
         const svc::ResilienceStats resilience = active->resilient->stats();
+        const svc::CacheStats cache = active->resilient->engine().cache_stats();
         text << " served=" << resilience.served
              << " errors=" << resilience.errors
              << " fallbacks=" << resilience.fallbacks
              << " stale_serves=" << resilience.stale_serves
-             << " stale_evictions=" << resilience.stale_evictions
+             << " cache_entries=" << cache.entries
+             << " cache_evictions=" << cache.evictions
              << " deadline_hits=" << resilience.deadline_hits
              << " breaker_opens=" << resilience.breaker_opens;
       }

@@ -119,19 +119,15 @@ class BatchPredictor {
       const std::vector<PredictionRequest>& requests,
       util::ThreadPool* pool = nullptr) const;
 
-  /// Whether predict(request) would be answered from the cache now. A
-  /// probe for routing: counts no hit or miss, touches no LRU order.
-  bool cached(const PredictionRequest& request) const {
-    return cache_.contains(cache_key(request));
+  /// The cached answer predict(request) would replay now, if any. A
+  /// probe for routing and stale replay: counts no hit or miss, touches
+  /// no LRU order.
+  std::optional<CachedPrediction> peek(const PredictionRequest& request) const {
+    return cache_.peek(cache_key(request));
   }
 
   /// The workload a request is actually evaluated at (the cache-key grid).
   core::WorkloadSpec quantized(const core::WorkloadSpec& workload) const;
-
-  /// The cache key a request quantizes to. Public so resilience layers
-  /// can key auxiliary stores (e.g. stale-result serving) on the exact
-  /// same grid the cache uses.
-  CacheKey cache_key(const PredictionRequest& request) const;
 
   /// The underlying predictor for a method; throws std::invalid_argument
   /// when that method was not supplied.
@@ -143,6 +139,10 @@ class BatchPredictor {
   void clear_cache() { cache_.clear(); }
 
  private:
+  /// The cache key a request quantizes to: its method, its server and
+  /// its workload on the quantized() grid.
+  CacheKey cache_key(const PredictionRequest& request) const;
+
   const core::Predictor* historical_;
   const core::Predictor* lqn_;
   const core::Predictor* hybrid_;

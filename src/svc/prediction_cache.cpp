@@ -76,10 +76,13 @@ std::optional<CachedPrediction> PredictionCache::lookup(const CacheKey& key) {
   return it->second->second;
 }
 
-bool PredictionCache::contains(const CacheKey& key) const {
+std::optional<CachedPrediction> PredictionCache::peek(
+    const CacheKey& key) const {
   Shard& shard = shard_for(key);
   const util::MutexLock lock(shard.mutex);
-  return shard.index_.count(key) > 0;
+  const auto it = shard.index_.find(key);
+  if (it == shard.index_.end()) return std::nullopt;
+  return it->second->second;
 }
 
 void PredictionCache::insert(const CacheKey& key,

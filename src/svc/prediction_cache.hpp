@@ -83,9 +83,9 @@ class PredictionCache {
 
   /// Find and touch (move to LRU front). Counts a hit or a miss.
   std::optional<CachedPrediction> lookup(const CacheKey& key);
-  /// Whether the key has an entry. A probe: counts no hit or miss and
-  /// leaves the LRU order alone.
-  bool contains(const CacheKey& key) const;
+  /// The key's entry, if any. A probe: counts no hit or miss and leaves
+  /// the LRU order alone.
+  std::optional<CachedPrediction> peek(const CacheKey& key) const;
   /// Insert or refresh; evicts the shard's least-recently-used entry when
   /// the shard is at capacity.
   void insert(const CacheKey& key, const CachedPrediction& value);

@@ -312,15 +312,6 @@ Outcome ResilientPredictor::serve(const PredictionRequest& request,
         result.retries = total_retries;
         if (track_time) result.latency_s = seconds_since(start) + virtual_s;
 
-        if (options_.serve_stale && !prediction.cached) {
-          // Remember the answer for last-resort stale serving, under the
-          // *requested* key: a later identical request finds it even when
-          // this one was already a fallback. Cache replays skip the store
-          // (their fresh evaluation already made the entry), which keeps
-          // the all-hit fast path lock-free.
-          stale_store(engine_.cache_key(request), prediction, method);
-        }
-
         counters_.served.fetch_add(1, std::memory_order_relaxed);
         if (result.fallback)
           counters_.fallbacks.fetch_add(1, std::memory_order_relaxed);
@@ -362,22 +353,22 @@ Outcome ResilientPredictor::serve(const PredictionRequest& request,
 
   if (deadline_hit) counters_.deadline_hits.fetch_add(1, std::memory_order_relaxed);
 
-  // Last resort: replay the most recent good answer for this exact
-  // quantized request, clearly flagged.
+  // Last resort: replay the engine cache's answer for this quantized
+  // workload, from the first method of the chain that has one, clearly
+  // flagged. A peek: the replay counts no cache hit.
   if (options_.serve_stale) {
-    const CacheKey key = engine_.cache_key(request);
-    std::optional<StaleEntry> entry;
-    {
-      const std::shared_lock lock(stale_mutex_);
-      const auto it = stale_.find(key);
-      if (it != stale_.end()) entry = it->second;
-    }
-    if (entry) {
+    fallback_request = request;
+    for (const Method method : chain) {
+      fallback_request.method = method;
+      const std::optional<CachedPrediction> hit =
+          engine_.peek(fallback_request);
+      if (!hit) continue;
       ResilientResult result;
-      result.prediction = entry->prediction;
+      result.prediction.mean_rt_s = hit->mean_rt_s;
+      result.prediction.throughput_rps = hit->throughput_rps;
       result.requested = request.method;
-      result.served_by = entry->served_by;
-      result.fallback = entry->served_by != request.method;
+      result.served_by = method;
+      result.fallback = method != request.method;
       result.stale = true;
       result.retries = total_retries;
       if (track_time) result.latency_s = seconds_since(start) + virtual_s;
@@ -397,30 +388,6 @@ Outcome ResilientPredictor::serve(const PredictionRequest& request,
   if (primary_error) return *primary_error;
   return PredictionError{ErrorCode::kInternal, request.method, request.server,
                          "no method attempted"};
-}
-
-void ResilientPredictor::stale_store(const CacheKey& key,
-                                     const PredictionResult& prediction,
-                                     Method served_by) const {
-  const std::unique_lock lock(stale_mutex_);
-  const auto it = stale_.find(key);
-  if (it != stale_.end()) {
-    // Overwrite refreshes the entry's age: a key that keeps producing
-    // fresh results is exactly the one worth keeping under pressure.
-    it->second.prediction = prediction;
-    it->second.served_by = served_by;
-    stale_order_.splice(stale_order_.end(), stale_order_, it->second.order);
-    return;
-  }
-  if (options_.stale_capacity > 0 &&
-      stale_.size() >= options_.stale_capacity) {
-    const CacheKey& victim = stale_order_.front();
-    stale_.erase(victim);
-    stale_order_.pop_front();
-    counters_.stale_evictions.fetch_add(1, std::memory_order_relaxed);
-  }
-  const auto order = stale_order_.insert(stale_order_.end(), key);
-  stale_.emplace(key, StaleEntry{prediction, served_by, order});
 }
 
 std::vector<Outcome> ResilientPredictor::predict_batch(
@@ -517,7 +484,7 @@ bool ResilientPredictor::answers_from_cache(
       breaker->state.load(std::memory_order_acquire) !=
           static_cast<int>(BreakerState::kClosed))
     return false;
-  return engine_.cached(request);
+  return engine_.peek(request).has_value();
 }
 
 BreakerState ResilientPredictor::breaker_state(
@@ -530,11 +497,6 @@ BreakerState ResilientPredictor::breaker_state(
       it->second->state.load(std::memory_order_acquire));
 }
 
-std::size_t ResilientPredictor::stale_size() const {
-  const std::shared_lock lock(stale_mutex_);
-  return stale_.size();
-}
-
 ResilienceStats ResilientPredictor::stats() const {
   ResilienceStats stats;
   stats.requests = counters_.requests.load(std::memory_order_relaxed);
@@ -543,36 +505,11 @@ ResilienceStats ResilientPredictor::stats() const {
   stats.retries = counters_.retries.load(std::memory_order_relaxed);
   stats.fallbacks = counters_.fallbacks.load(std::memory_order_relaxed);
   stats.stale_serves = counters_.stale_serves.load(std::memory_order_relaxed);
-  stats.stale_evictions =
-      counters_.stale_evictions.load(std::memory_order_relaxed);
   stats.deadline_hits = counters_.deadline_hits.load(std::memory_order_relaxed);
   stats.breaker_rejections =
       counters_.breaker_rejections.load(std::memory_order_relaxed);
   stats.breaker_opens = counters_.breaker_opens.load(std::memory_order_relaxed);
   return stats;
-}
-
-void ResilientPredictor::reset() {
-  {
-    const std::unique_lock lock(breaker_mutex_);
-    breakers_.clear();
-    breakers_created_.store(0, std::memory_order_release);
-  }
-  {
-    const std::unique_lock lock(stale_mutex_);
-    stale_.clear();
-    stale_order_.clear();
-  }
-  counters_.requests.store(0, std::memory_order_relaxed);
-  counters_.served.store(0, std::memory_order_relaxed);
-  counters_.errors.store(0, std::memory_order_relaxed);
-  counters_.retries.store(0, std::memory_order_relaxed);
-  counters_.fallbacks.store(0, std::memory_order_relaxed);
-  counters_.stale_serves.store(0, std::memory_order_relaxed);
-  counters_.stale_evictions.store(0, std::memory_order_relaxed);
-  counters_.deadline_hits.store(0, std::memory_order_relaxed);
-  counters_.breaker_rejections.store(0, std::memory_order_relaxed);
-  counters_.breaker_opens.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace epp::svc

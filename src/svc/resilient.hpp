@@ -19,8 +19,8 @@
 //     exponential backoff and seeded jitter.
 //   * fallback chain — lqn degrades to hybrid then historical (hybrid to
 //     historical); results served by a fallback are flagged. As a last
-//     resort a previously served result for the same quantized request
-//     is replayed from the stale store, flagged `stale`.
+//     resort the engine cache's answer for the request's quantized
+//     workload is replayed, flagged `stale`.
 //   * circuit breakers — per (method, server); N consecutive breaker-
 //     worthy failures open the circuit, a cooldown later one half-open
 //     probe is admitted and either closes or re-opens it.
@@ -34,14 +34,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <shared_mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -96,7 +94,7 @@ struct ResilientResult {
   Method requested = Method::kHistorical;
   Method served_by = Method::kHistorical;
   bool fallback = false;  // served_by differs from requested
-  bool stale = false;     // replayed from the stale store
+  bool stale = false;     // replayed from the engine cache
   int retries = 0;        // transient-failure retries spent
   /// Wall time plus injected virtual latency. Only tracked when a
   /// deadline, batch budget or latency injection is armed; 0 otherwise
@@ -142,22 +140,16 @@ struct ResilienceOptions {
   /// Open-state dwell before one half-open probe is admitted. 0 admits
   /// the probe immediately (useful for deterministic tests).
   double breaker_cooldown_s = 1.0;
-  /// Serve the last good result for the same quantized request when the
-  /// whole chain fails (flagged stale). Entries are recorded when a
-  /// request is freshly evaluated (cache replays already have one), so
-  /// the all-cache-hit fast path pays no store.
+  /// When the whole chain fails, replay the engine cache's answer for the
+  /// request's quantized workload from the first method of the chain
+  /// that has one (flagged stale). The engine cache is the only store, so
+  /// its capacity bounds what can be replayed.
   bool serve_stale = true;
-  /// Entries the stale store may hold before evicting in insertion order
-  /// (refreshed on overwrite, so it approximates LRU-by-write). One-shot
-  /// sweeps never notice the bound; a long-running daemon needs it — the
-  /// store is keyed by quantized request and would otherwise grow with
-  /// every distinct workload ever served. 0 means unbounded.
-  std::size_t stale_capacity = 4096;
   /// Degrade lqn -> hybrid -> historical when the requested method fails.
   bool fallback_enabled = true;
 };
 
-/// Aggregate counters since construction (or reset()).
+/// Aggregate counters since construction.
 struct ResilienceStats {
   std::uint64_t requests = 0;
   std::uint64_t served = 0;
@@ -165,7 +157,6 @@ struct ResilienceStats {
   std::uint64_t retries = 0;
   std::uint64_t fallbacks = 0;        // served by a non-requested method
   std::uint64_t stale_serves = 0;
-  std::uint64_t stale_evictions = 0;  // entries dropped by the capacity bound
   std::uint64_t deadline_hits = 0;
   std::uint64_t breaker_rejections = 0;  // calls refused while open
   std::uint64_t breaker_opens = 0;       // closed/half-open -> open edges
@@ -178,7 +169,7 @@ class ResilientPredictor {
                               ResilienceOptions options = {});
 
   /// Serve one request through validation, the breaker, the retry loop,
-  /// the fallback chain and the stale store. Never throws on request
+  /// the fallback chain and stale replay. Never throws on request
   /// failure. Thread-safe.
   Outcome predict(const PredictionRequest& request) const;
 
@@ -218,12 +209,6 @@ class ResilientPredictor {
   BreakerState breaker_state(Method method, const std::string& server) const;
 
   ResilienceStats stats() const;
-  /// Entries currently held by the stale store (<= stale_capacity when
-  /// the bound is armed). Takes the store lock; intended for tests and
-  /// the serving daemon's stats endpoint, not hot paths.
-  std::size_t stale_size() const;
-  /// Drop breakers, stale entries and counters (not the engine's cache).
-  void reset();
 
   const ResilienceOptions& options() const noexcept { return options_; }
   const BatchPredictor& engine() const noexcept { return engine_; }
@@ -234,18 +219,6 @@ class ResilientPredictor {
     std::atomic<int> state{0};  // BreakerState underlying value
     std::atomic<std::int64_t> opened_at_ns{0};
   };
-  struct StaleEntry {
-    PredictionResult prediction;
-    Method served_by = Method::kHistorical;
-    /// Position in stale_order_ (for O(1) refresh and eviction).
-    std::list<CacheKey>::iterator order;
-  };
-
-  /// Record a fresh result under the store's capacity bound; evicts the
-  /// oldest entry (insertion order, refreshed on overwrite) when full.
-  void stale_store(const CacheKey& key, const PredictionResult& prediction,
-                   Method served_by) const;
-
   Outcome serve(const PredictionRequest& request,
                 const util::CancellationToken* budget) const;
 
@@ -276,12 +249,6 @@ class ResilientPredictor {
       breakers_;
   mutable std::atomic<int> breakers_created_{0};
 
-  mutable util::RankedSharedMutex stale_mutex_{EPP_LOCK_RANK(61),
-                                             "svc.resilient.stale"};
-  mutable std::unordered_map<CacheKey, StaleEntry, CacheKeyHash> stale_;
-  /// Insertion order of stale_ keys, oldest first (eviction victims).
-  mutable std::list<CacheKey> stale_order_;
-
   mutable std::atomic<std::uint64_t> jitter_counter_{0};
 
   struct Counters {
@@ -291,7 +258,6 @@ class ResilientPredictor {
     std::atomic<std::uint64_t> retries{0};
     std::atomic<std::uint64_t> fallbacks{0};
     std::atomic<std::uint64_t> stale_serves{0};
-    std::atomic<std::uint64_t> stale_evictions{0};
     std::atomic<std::uint64_t> deadline_hits{0};
     std::atomic<std::uint64_t> breaker_rejections{0};
     std::atomic<std::uint64_t> breaker_opens{0};

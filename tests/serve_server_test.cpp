@@ -442,7 +442,7 @@ TEST(PredictionServer, PingAndStatsAnswerInline) {
   EXPECT_TRUE(reply->ok());
   EXPECT_NE(reply->detail.find("requests_served="), std::string::npos)
       << reply->detail;
-  EXPECT_NE(reply->detail.find("stale_evictions="), std::string::npos)
+  EXPECT_NE(reply->detail.find("cache_evictions="), std::string::npos)
       << reply->detail;
   // The serving-tier keys added with the registry/drift layer.
   EXPECT_NE(reply->detail.find("bundle_version=1"), std::string::npos)

@@ -52,7 +52,15 @@ TEST(PredictionCache, LruEvictionOrder) {
   cache.insert(key_of(3), value_of(3.0));
   // Touch key 1 so key 2 becomes the least recently used...
   EXPECT_TRUE(cache.lookup(key_of(1)).has_value());
-  // ...and the insert that exceeds capacity evicts it.
+  // ...a peek at key 2 reads its value but neither counts nor touches it...
+  const CacheStats before_peek = cache.stats();
+  const auto peeked = cache.peek(key_of(2));
+  ASSERT_TRUE(peeked.has_value());
+  EXPECT_DOUBLE_EQ(peeked->mean_rt_s, 2.0);
+  EXPECT_FALSE(cache.peek(key_of(9)).has_value());
+  EXPECT_EQ(cache.stats().hits, before_peek.hits);
+  EXPECT_EQ(cache.stats().misses, before_peek.misses);
+  // ...so the insert that exceeds capacity still evicts it.
   cache.insert(key_of(4), value_of(4.0));
   EXPECT_FALSE(cache.lookup(key_of(2)).has_value());
   EXPECT_TRUE(cache.lookup(key_of(1)).has_value());

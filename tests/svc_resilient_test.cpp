@@ -783,89 +783,117 @@ TEST(ResilientPredictor, VirtualLatencyDeadlineThenStaleReplay) {
   EXPECT_EQ(cold.error().code, ErrorCode::kDeadlineExceeded);
 }
 
-TEST(ResilientPredictor, StaleStoreIsBoundedAndCountsEvictions) {
-  // Regression: the stale store was unbounded — a long-running daemon
-  // serving distinct workloads grew it without limit. With the bound
-  // armed it must hold at most stale_capacity entries and count what it
-  // dropped.
-  const auto engine = make_engine();
-  ResilienceOptions options;
-  options.stale_capacity = 3;
-  ResilientPredictor resilient(*engine, options);
-  for (int i = 0; i < 10; ++i)
-    ASSERT_TRUE(resilient
-                    .predict({Method::kLqn, "AppServF",
-                              browse_load(100.0 + 50.0 * i)})
-                    .ok())
-        << i;
-  EXPECT_EQ(resilient.stale_size(), 3u);
-  EXPECT_EQ(resilient.stats().stale_evictions, 7u);
-
-  // reset() empties the store and the eviction order alongside it.
-  resilient.reset();
-  EXPECT_EQ(resilient.stale_size(), 0u);
-  EXPECT_EQ(resilient.stats().stale_evictions, 0u);
-}
-
-TEST(ResilientPredictor, ZeroStaleCapacityMeansUnbounded) {
-  const auto engine = make_engine();
-  ResilienceOptions options;
-  options.stale_capacity = 0;
-  const ResilientPredictor resilient(*engine, options);
-  for (int i = 0; i < 10; ++i)
-    ASSERT_TRUE(resilient
-                    .predict({Method::kLqn, "AppServF",
-                              browse_load(100.0 + 50.0 * i)})
-                    .ok())
-        << i;
-  EXPECT_EQ(resilient.stale_size(), 10u);
-  EXPECT_EQ(resilient.stats().stale_evictions, 0u);
-}
-
-TEST(ResilientPredictor, EvictionDropsOldestAndOverwriteRefreshes) {
-  // Re-evaluating a workload refreshes its slot (approximate
-  // LRU-by-write), so the victim is the *least recently written* entry,
-  // and the survivor still replays stale under chaos while the victim
-  // surfaces the typed deadline error.
+TEST(ResilientPredictor, StaleReplayIsBoundedByTheEngineCache) {
+  // Stale replay reads the engine cache, so the cache's capacity bounds
+  // it: with one entry, the most recently used workload replays stale
+  // and the evicted one dies with the typed deadline error.
   FaultConfig config;
   config.lqn.latency_s = 1000.0;  // virtual seconds; nothing sleeps
   FaultInjector injector(config);
   injector.set_enabled(false);
   BatchOptions batch_options;
   batch_options.fault = &injector;
-  batch_options.cache_capacity_per_shard = 1;  // 1-entry engine cache so
-  batch_options.cache_shards = 1;              // repeats re-evaluate
+  batch_options.cache_capacity_per_shard = 1;
+  batch_options.cache_shards = 1;
   const auto engine = make_engine(batch_options);
   ResilienceOptions options;
   options.deadline_s = 0.050;
-  options.stale_capacity = 2;
-  options.fallback_enabled = false;
   const ResilientPredictor resilient(*engine, options);
 
-  const PredictionRequest a{Method::kLqn, "AppServF", browse_load(400.0)};
-  const PredictionRequest b{Method::kLqn, "AppServF", browse_load(500.0)};
-  const PredictionRequest c{Method::kLqn, "AppServF", browse_load(600.0)};
-  ASSERT_TRUE(resilient.predict(a).ok());  // order: [a]
-  ASSERT_TRUE(resilient.predict(b).ok());  // order: [a, b]
-  ASSERT_TRUE(resilient.predict(c).ok());  // full: evict a -> [b, c]
-  EXPECT_EQ(resilient.stale_size(), 2u);
-  EXPECT_EQ(resilient.stats().stale_evictions, 1u);
-  ASSERT_TRUE(resilient.predict(b).ok());  // refresh: [c, b]
-  EXPECT_EQ(resilient.stale_size(), 2u);
-  EXPECT_EQ(resilient.stats().stale_evictions, 1u)
-      << "an overwrite must refresh in place, not evict";
-  ASSERT_TRUE(resilient.predict(a).ok());  // evict c (b was refreshed)
-  EXPECT_EQ(resilient.stats().stale_evictions, 2u);
+  const PredictionRequest evicted{Method::kLqn, "AppServF",
+                                  browse_load(400.0)};
+  const PredictionRequest recent{Method::kLqn, "AppServF", browse_load(500.0)};
+  ASSERT_TRUE(resilient.predict(evicted).ok());
+  const Outcome healthy = resilient.predict(recent);  // evicts `evicted`
+  ASSERT_TRUE(healthy.ok());
+  EXPECT_EQ(engine->cache_stats().evictions, 1u);
 
-  // Chaos on: b survived the refresh and replays stale; c was evicted
-  // and dies with the typed deadline error.
   injector.set_enabled(true);
-  const Outcome stale_b = resilient.predict(b);
-  ASSERT_TRUE(stale_b.ok());
-  EXPECT_TRUE(stale_b.value().stale);
-  const Outcome cold_c = resilient.predict(c);
-  ASSERT_FALSE(cold_c.ok());
-  EXPECT_EQ(cold_c.error().code, ErrorCode::kDeadlineExceeded);
+  const Outcome stale = resilient.predict(recent);
+  ASSERT_TRUE(stale.ok());
+  EXPECT_TRUE(stale.value().stale);
+  EXPECT_EQ(stale.value().served_by, Method::kLqn);
+  EXPECT_EQ(stale.value().prediction.mean_rt_s,
+            healthy.value().prediction.mean_rt_s);
+  const Outcome cold = resilient.predict(evicted);
+  ASSERT_FALSE(cold.ok());
+  EXPECT_EQ(cold.error().code, ErrorCode::kDeadlineExceeded);
+}
+
+TEST(ResilientPredictor, StaleReplayWalksTheChain) {
+  // A fallback method's cached answer rescues a request whose whole
+  // chain failed, even when a request for that method cached it.
+  FaultConfig config;
+  config.lqn.latency_s = 1000.0;
+  const FaultInjector injector(config);
+  BatchOptions batch_options;
+  batch_options.fault = &injector;
+  const auto engine = make_engine(batch_options);
+  ResilienceOptions options;
+  options.deadline_s = 0.050;
+  const ResilientPredictor resilient(*engine, options);
+
+  const Outcome historical = resilient.predict(
+      {Method::kHistorical, "AppServF", browse_load(800.0)});
+  ASSERT_TRUE(historical.ok());
+  const Outcome stale =
+      resilient.predict({Method::kLqn, "AppServF", browse_load(800.0)});
+  ASSERT_TRUE(stale.ok());
+  EXPECT_TRUE(stale.value().stale);
+  EXPECT_TRUE(stale.value().fallback);
+  EXPECT_EQ(stale.value().requested, Method::kLqn);
+  EXPECT_EQ(stale.value().served_by, Method::kHistorical);
+  EXPECT_FALSE(stale.value().prediction.cached);
+  EXPECT_EQ(stale.value().prediction.mean_rt_s,
+            historical.value().prediction.mean_rt_s);
+  EXPECT_EQ(resilient.stats().deadline_hits, 1u);
+}
+
+TEST(ResilientPredictor, StaleReplayPrefersTheRequestedMethod) {
+  // The chain is walked in order, so the requested method's cached
+  // answer wins over a fallback's newer one.
+  FaultConfig config;
+  config.lqn.fail_probability = 1.0;
+  config.hybrid.latency_s = 1000.0;
+  FaultInjector injector(config);
+  injector.set_enabled(false);
+  BatchOptions batch_options;
+  batch_options.fault = &injector;
+  const auto engine = make_engine(batch_options);
+  ResilienceOptions options;
+  options.deadline_s = 0.050;
+  options.max_retries = 0;
+  options.breaker_failure_threshold = 1;
+  options.breaker_cooldown_s = 3600.0;
+  const ResilientPredictor resilient(*engine, options);
+  const PredictionRequest request{Method::kLqn, "AppServF",
+                                  browse_load(800.0)};
+
+  const Outcome lqn = resilient.predict(request);  // caches the lqn answer
+  ASSERT_TRUE(lqn.ok());
+  // Open the lqn breaker on another workload...
+  injector.set_enabled(true);
+  ASSERT_FALSE(
+      resilient.predict({Method::kLqn, "AppServF", browse_load(900.0)}).ok());
+  ASSERT_EQ(resilient.breaker_state(Method::kLqn, "AppServF"),
+            BreakerState::kOpen);
+  // ...so the next request is served fresh by hybrid...
+  injector.set_enabled(false);
+  const Outcome hybrid = resilient.predict(request);
+  ASSERT_TRUE(hybrid.ok());
+  EXPECT_EQ(hybrid.value().served_by, Method::kHybrid);
+  EXPECT_FALSE(hybrid.value().stale);
+
+  // ...and when hybrid then misses its deadline, lqn's older answer is
+  // replayed, not hybrid's newer one.
+  injector.set_enabled(true);
+  const Outcome stale = resilient.predict(request);
+  ASSERT_TRUE(stale.ok());
+  EXPECT_TRUE(stale.value().stale);
+  EXPECT_EQ(stale.value().served_by, Method::kLqn);
+  EXPECT_FALSE(stale.value().fallback);
+  EXPECT_EQ(stale.value().prediction.mean_rt_s,
+            lqn.value().prediction.mean_rt_s);
 }
 
 TEST(ResilientPredictor, PredictWithDeadlineOverridesConfiguredDeadline) {

@@ -420,7 +420,7 @@ constexpr Subcommand kSubcommands[] = {
      "  --json                  machine-readable findings on stdout\n"
      "  --fault-spec SPEC       check a fault-injection spec string\n"
      "  --no-fallback           analyze chains with fallback disabled\n"
-     "  --no-stale              analyze chains with the stale store off\n"
+     "  --no-stale              analyze chains with stale replay off\n"
      "  --breaker-threshold N   breaker failure threshold (0 disarms)\n"
      "  --max-clients-factor F  verified client range, x clients-at-max\n"
      "  exit code: 0 clean/notes, 1 warnings, 2 errors\n",

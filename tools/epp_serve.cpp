@@ -27,9 +27,8 @@
 // Usage:
 //   epp_serve [--port P] [--host H] [--workers N] [--queue-depth N]
 //             [--max-connections N] [--deadline-ms MS] [--max-retries N]
-//             [--stale-capacity N] [--fault-spec SPEC]
-//             [--idle-timeout-ms MS] [--drift-delta D] [--drift-lambda L]
-//             [--drift-min-samples N]
+//             [--fault-spec SPEC] [--idle-timeout-ms MS] [--drift-delta D]
+//             [--drift-lambda L] [--drift-min-samples N]
 //             [--bundle FILE] [--save-bundle FILE] [--threads N]
 //
 // A `net:` clause in --fault-spec arms the wire chaos policy (resets,
@@ -78,7 +77,6 @@ struct ServeConfig {
   serve::ServerOptions server;
   double deadline_ms = 0.0;
   std::optional<int> max_retries;
-  std::size_t stale_capacity = 4096;
   std::string fault_spec;
   std::size_t threads = std::max(1u, std::thread::hardware_concurrency());
   calib::ArtifactCli artifact;
@@ -88,7 +86,7 @@ int usage(std::ostream& out) {
   out << "usage: epp_serve [--port P] [--host H] [--workers N]\n"
          "                 [--queue-depth N] [--max-connections N]\n"
          "                 [--deadline-ms MS] [--max-retries N]\n"
-         "                 [--stale-capacity N] [--fault-spec SPEC]\n"
+         "                 [--fault-spec SPEC]\n"
          "                 [--idle-timeout-ms MS] [--drift-delta D]\n"
          "                 [--drift-lambda L] [--drift-min-samples N]\n"
          "                 [--bundle FILE] [--save-bundle FILE] [--threads N]\n\n"
@@ -140,8 +138,6 @@ ServeConfig parse_args(int argc, char** argv) {
     } else if (arg == "--max-retries") {
       config.max_retries =
           static_cast<int>(cli::parse_int(arg, value(), 0, 1000));
-    } else if (arg == "--stale-capacity") {
-      config.stale_capacity = cli::parse_size(arg, value());
     } else if (arg == "--fault-spec") {
       config.fault_spec = value();
     } else if (arg == "--threads") {
@@ -236,7 +232,6 @@ int main(int argc, char** argv) try {
   registry_options.resilience.deadline_s = config.deadline_ms / 1e3;
   if (config.max_retries)
     registry_options.resilience.max_retries = *config.max_retries;
-  registry_options.resilience.stale_capacity = config.stale_capacity;
   registry_options.resilience.jitter_seed = calib::kRetryJitterSeed;
 
   serve::BundleRegistry registry(registry_options);
@@ -312,14 +307,17 @@ int main(int argc, char** argv) try {
             << " trips)\n";
   if (const auto active = registry.active(); active != nullptr) {
     const svc::ResilienceStats resilience_stats = active->resilient->stats();
+    const svc::CacheStats cache_stats =
+        active->resilient->engine().cache_stats();
     std::cerr << "resilience: " << resilience_stats.served << " served / "
               << resilience_stats.errors << " errors; "
               << resilience_stats.retries << " retries, "
               << resilience_stats.fallbacks << " fallbacks, "
-              << resilience_stats.stale_serves << " stale ("
-              << resilience_stats.stale_evictions << " evicted), "
+              << resilience_stats.stale_serves << " stale, "
               << resilience_stats.deadline_hits << " deadline, "
-              << resilience_stats.breaker_opens << " breaker opens\n";
+              << resilience_stats.breaker_opens << " breaker opens; cache "
+              << cache_stats.entries << " entries, " << cache_stats.evictions
+              << " evictions\n";
   }
   if (chaos) {
     const net::ChaosStats chaos_stats = chaos->stats();

@@ -10,13 +10,13 @@
 // the workflow LQNS provides for the paper's experiments, as a tool.
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "lint/lint.hpp"
 #include "lint/verify.hpp"
-#include "lqn/parser.hpp"
 #include "lqn/solver.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -98,19 +98,18 @@ int main(int argc, char** argv) {
   // Pre-solve lint: parse errors and structural defects come back as a
   // complete findings list, not one exception per fix-rebuild cycle.
   // Notes (e.g. deliberate pool saturation) don't block solving.
-  {
-    lint::Diagnostics findings;
-    lint::lint_lqn_text(buffer.str(), model_path, findings);
-    if (lint::report_findings(findings, std::cerr)) {
-      std::cerr << "epp_solve: model fails lint with "
-                << findings.count(lint::Severity::kError) << " error(s)\n";
-      return 1;
-    }
+  lint::Diagnostics lint_findings;
+  std::optional<lint::ParsedLqn> parsed =
+      lint::lint_lqn_text(buffer.str(), model_path, lint_findings);
+  if (lint::report_findings(lint_findings, std::cerr) || !parsed) {
+    std::cerr << "epp_solve: model fails lint with "
+              << lint_findings.count(lint::Severity::kError) << " error(s)\n";
+    return 1;
   }
 
   try {
-    lqn::DeclarationLines lines;
-    lqn::Model model = lqn::parse_model(buffer.str(), &lines);
+    lqn::Model& model = parsed->model;
+    const lqn::DeclarationLines& lines = parsed->lines;
     for (const Override& o : populations) {
       const auto id = model.find_task(o.task);
       if (!id || !model.task(*id).is_reference) {

@@ -246,7 +246,7 @@ void write_table(const SweepConfig& config,
           const svc::ResilientResult& r = outcome.value();
           std::string cell = util::fmt(r.prediction.mean_rt_s * 1e3, 2);
           if (r.stale)
-            cell += "*";  // replayed from the stale store
+            cell += "*";  // replayed stale from the cache
           else if (r.fallback)
             cell += "+";  // served by a fallback method
           row.push_back(cell);
