@@ -7,32 +7,33 @@
 // "start-up delay". All subsequent predictions go through the closed-form
 // historical equations and are near-instant.
 //
+// Each whole buy percentage is fitted once, at its canonical mix, so an
+// answer depends only on its request, not on which request came first.
+//
 // Relationship 2 is not used (the LQN generates data for each specific
 // architecture, so every architecture is effectively "established"), and
 // relationship 3 is itself calibrated from LQN max-throughput predictions.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstddef>
+#include <exception>
 #include <map>
 #include <string>
 
 #include "core/lqn_predictor.hpp"
 #include "core/predictor.hpp"
 #include "hydra/model.hpp"
-#include "util/annotations.hpp"
-#include "util/lock_rank.hpp"
 
 namespace epp::core {
 
 class HybridPredictor final : public Predictor {
  public:
-  HybridPredictor(TradeCalibration calibration, double think_time_s = 7.0,
-                  lqn::SolverOptions solver_options = {});
+  explicit HybridPredictor(TradeCalibration calibration) : lqn_(calibration) {}
 
+  /// Call before the first prediction: builds the server's bucket table.
   void register_server(const ServerArch& server);
-  bool has_server(const std::string& name) const {
-    return lqn_.has_server(name);
-  }
 
   std::string name() const override { return "hybrid"; }
   double predict_mean_rt_s(const std::string& server,
@@ -54,28 +55,36 @@ class HybridPredictor final : public Predictor {
   /// Number of calibrated (server, mix) relationship fits so far.
   std::size_t calibrations() const;
 
-  const LqnPredictor& lqn() const noexcept { return lqn_; }
-
  private:
   /// Pseudo-data-point client positions relative to the max-throughput
   /// load (2 lower + 2 upper, the minimal calibration section 4.2 showed
   /// to be sufficient).
   static constexpr double kLowerFractions[2] = {0.25, 0.60};
   static constexpr double kUpperFractions[2] = {1.25, 1.70};
+  /// The think time the pseudo data is generated at (the paper's 7 s).
+  static constexpr double kThinkTimeS = 7.0;
 
-  const hydra::Relationship1& ensure_calibrated(const std::string& server,
-                                                double buy_fraction) const;
-  static std::string key(const std::string& server, double buy_fraction);
+  /// One (server, whole-percent buy) fit. One caller moves an empty
+  /// bucket to filling and fills it; the others wait on `state`. Storing
+  /// kFilled publishes fit, error and build_s.
+  enum State : int { kEmpty, kFilling, kFilled };
+  struct Bucket {
+    std::atomic<int> state{kEmpty};
+    hydra::Relationship1 fit;
+    std::exception_ptr error;  // a failed fit, rethrown on every call
+    double build_s = 0.0;
+  };
+  using BucketTable = std::array<Bucket, 101>;
+
+  const hydra::Relationship1& fit_for(const std::string& server,
+                                      double buy_fraction) const;
+  /// Fit `bucket` from LQN pseudo data at its canonical mix index / 100.
+  void fill(Bucket& bucket, const std::string& server, long index) const;
 
   LqnPredictor lqn_;
-  double think_time_s_;
-  // Lazily generated per (server, mix-bucket) fits and their build cost.
-  // Guarded by mutex_: predictions are issued concurrently from sweep
-  // thread pools (e.g. the resource-manager tuning figures). std::map
-  // node stability keeps returned references valid after unlocking.
-  mutable util::RankedMutex mutex_{EPP_LOCK_RANK(75), "core.hybrid.memo"};
-  mutable std::map<std::string, hydra::Relationship1> fits_;
-  mutable std::map<std::string, double> startup_delay_;
+  // Built by register_server; after that only bucket contents change, each
+  // by the one caller that filled it, so predictions take no lock.
+  mutable std::map<std::string, BucketTable> buckets_;
 };
 
 }  // namespace epp::core

@@ -15,10 +15,6 @@ void LqnPredictor::register_server(const ServerArch& server) {
   servers_[server.name] = server;
 }
 
-bool LqnPredictor::has_server(const std::string& name) const {
-  return servers_.count(name) != 0;
-}
-
 const ServerArch& LqnPredictor::server(const std::string& name) const {
   const auto it = servers_.find(name);
   if (it == servers_.end())

@@ -31,7 +31,6 @@ class LqnPredictor final : public Predictor {
   /// max-throughput benchmark of the system model's second support
   /// service).
   void register_server(const ServerArch& server);
-  bool has_server(const std::string& name) const;
   const ServerArch& server(const std::string& name) const;
   const TradeCalibration& calibration() const noexcept { return calibration_; }
 

@@ -86,7 +86,7 @@ void verify_fallback_chains(const calib::CalibrationBundle& bundle,
             "request (method '" + std::string(method_name(requested)) +
                 "', server '" + server +
                 "') rests on a single viable method (chain " + listing +
-                ") while circuit breaking is armed and the stale store is "
+                ") while circuit breaking is armed and stale replay is "
                 "disabled: one open breaker dead-ends it",
             "enable serve_stale or keep at least two viable methods in "
             "the chain so an open breaker degrades instead of failing");

@@ -9,8 +9,17 @@
 namespace epp::svc {
 namespace {
 
+// The cache-key grid: client counts snap to whole clients, think times
+// to 10 ms.
+constexpr double kQuantumClients = 1.0;
+constexpr double kQuantumThinkS = 0.01;
+
 std::int64_t snap(double value, double quantum) {
   return static_cast<std::int64_t>(std::llround(value / quantum));
+}
+
+double snapped(double value, double quantum) {
+  return static_cast<double>(snap(value, quantum)) * quantum;
 }
 
 }  // namespace
@@ -67,10 +76,7 @@ BatchPredictor::BatchPredictor(const core::Predictor* historical,
       lqn_(lqn),
       hybrid_(hybrid),
       options_(options),
-      cache_(options.cache_capacity_per_shard, options.cache_shards) {
-  if (options_.quantum_clients <= 0.0 || options_.quantum_think_s <= 0.0)
-    throw std::invalid_argument("BatchPredictor: quanta must be positive");
-}
+      cache_(options.cache_capacity_per_shard, options.cache_shards) {}
 
 const core::Predictor& BatchPredictor::predictor_for(Method method) const {
   const core::Predictor* predictor = nullptr;
@@ -95,15 +101,9 @@ const core::Predictor& BatchPredictor::predictor_for(Method method) const {
 core::WorkloadSpec BatchPredictor::quantized(
     const core::WorkloadSpec& workload) const {
   core::WorkloadSpec q;
-  q.browse_clients = static_cast<double>(snap(workload.browse_clients,
-                                              options_.quantum_clients)) *
-                     options_.quantum_clients;
-  q.buy_clients =
-      static_cast<double>(snap(workload.buy_clients, options_.quantum_clients)) *
-      options_.quantum_clients;
-  q.think_time_s =
-      static_cast<double>(snap(workload.think_time_s, options_.quantum_think_s)) *
-      options_.quantum_think_s;
+  q.browse_clients = snapped(workload.browse_clients, kQuantumClients);
+  q.buy_clients = snapped(workload.buy_clients, kQuantumClients);
+  q.think_time_s = snapped(workload.think_time_s, kQuantumThinkS);
   return q;
 }
 
@@ -111,9 +111,9 @@ CacheKey BatchPredictor::cache_key(const PredictionRequest& request) const {
   CacheKey key;
   key.method = request.method;
   key.server = request.server;
-  key.browse_q = snap(request.workload.browse_clients, options_.quantum_clients);
-  key.buy_q = snap(request.workload.buy_clients, options_.quantum_clients);
-  key.think_q = snap(request.workload.think_time_s, options_.quantum_think_s);
+  key.browse_q = snap(request.workload.browse_clients, kQuantumClients);
+  key.buy_q = snap(request.workload.buy_clients, kQuantumClients);
+  key.think_q = snap(request.workload.think_time_s, kQuantumThinkS);
   return key;
 }
 

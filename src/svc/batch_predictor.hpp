@@ -11,8 +11,8 @@
 // computed once and served from the cache afterwards.
 //
 // Quantization contract: a request is evaluated *at its quantized
-// workload* (client counts snapped to quantum_clients, think time to
-// quantum_think_s), which is exactly the cache key — so a cache hit is
+// workload* (client counts snapped to whole clients, think time to
+// 10 ms), which is exactly the cache key — so a cache hit is
 // bit-identical to the fresh computation it memoizes.
 //
 // Failure channel: the engine is the one place below the wire where a
@@ -84,12 +84,8 @@ struct PredictionResult {
 PredictionResult map_active_exception();
 
 struct BatchOptions {
-  std::size_t cache_capacity_per_shard = 4096;
+  std::size_t cache_capacity_per_shard = 4096;  // must be positive
   std::size_t cache_shards = 16;
-  /// Cache-key grid: client counts snap to the nearest multiple of
-  /// quantum_clients, think times to quantum_think_s. Must be positive.
-  double quantum_clients = 1.0;
-  double quantum_think_s = 0.01;
   /// Deterministic fault injection at the evaluation boundary (non-owning;
   /// see svc/fault.hpp). Consulted on cache misses only: a hit replays a
   /// result that was already computed, which cannot fail. The resilient
@@ -101,7 +97,7 @@ class BatchPredictor {
  public:
   /// Non-owning: the predictors must outlive the engine. Pass nullptr for
   /// methods that are not calibrated; requesting one fails with
-  /// kNotCalibrated. Throws std::invalid_argument on non-positive quanta.
+  /// kNotCalibrated. Throws std::invalid_argument on a zero cache capacity.
   BatchPredictor(const core::Predictor* historical, const core::Predictor* lqn,
                  const core::Predictor* hybrid, BatchOptions options = {});
 
@@ -136,7 +132,6 @@ class BatchPredictor {
   const BatchOptions& options() const noexcept { return options_; }
 
   CacheStats cache_stats() const { return cache_.stats(); }
-  void clear_cache() { cache_.clear(); }
 
  private:
   /// The cache key a request quantizes to: its method, its server and

@@ -50,6 +50,8 @@ std::size_t CacheKeyHash::operator()(const CacheKey& key) const noexcept {
 PredictionCache::PredictionCache(std::size_t capacity_per_shard,
                                  std::size_t shards)
     : capacity_per_shard_(capacity_per_shard) {
+  if (capacity_per_shard_ == 0)
+    throw std::invalid_argument("PredictionCache: capacity must be positive");
   const std::size_t count = round_up_pow2(shards == 0 ? 1 : shards);
   shards_.reserve(count);
   for (std::size_t i = 0; i < count; ++i)
@@ -87,7 +89,6 @@ std::optional<CachedPrediction> PredictionCache::peek(
 
 void PredictionCache::insert(const CacheKey& key,
                              const CachedPrediction& value) {
-  if (capacity_per_shard_ == 0) return;
   Shard& shard = shard_for(key);
   const util::MutexLock lock(shard.mutex);
   const auto it = shard.index_.find(key);

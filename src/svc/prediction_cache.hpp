@@ -76,8 +76,9 @@ struct CacheStats {
 
 class PredictionCache {
  public:
-  /// capacity_per_shard bounds each shard's LRU list (0 disables caching
-  /// entirely); shards is rounded up to a power of two, minimum 1.
+  /// capacity_per_shard bounds each shard's LRU list (0 throws
+  /// std::invalid_argument); shards is rounded up to a power of two,
+  /// minimum 1.
   explicit PredictionCache(std::size_t capacity_per_shard = 4096,
                            std::size_t shards = 16);
 
@@ -94,11 +95,6 @@ class PredictionCache {
   CacheStats stats() const;
   /// Drop all entries and reset the counters.
   void clear();
-
-  std::size_t shard_count() const noexcept { return shards_.size(); }
-  std::size_t capacity() const noexcept {
-    return capacity_per_shard_ * shards_.size();
-  }
 
  private:
   using LruList = std::list<std::pair<CacheKey, CachedPrediction>>;

@@ -65,18 +65,6 @@ std::string PredictionError::to_string() const {
          std::string(method_name(method)) + "/" + server + "]: " + detail;
 }
 
-std::string_view breaker_state_name(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half-open";
-  }
-  return "unknown";
-}
-
 ResilientPredictor::ResilientPredictor(const BatchPredictor& engine,
                                        ResilienceOptions options)
     : engine_(engine), options_(options) {

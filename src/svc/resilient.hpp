@@ -39,7 +39,6 @@
 #include <shared_mutex>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -106,8 +105,6 @@ using Outcome = Expected<ResilientResult>;
 using CapacityOutcome = Expected<core::CapacityResult>;
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
-
-std::string_view breaker_state_name(BreakerState state);
 
 /// A request's degradation chain: the requested method, then (when
 /// fallback is enabled) every method after it in the order lqn -> hybrid

@@ -664,6 +664,63 @@ TEST(PredictionServer, ImmediateStartStopNeverHangs) {
   loop.join();
 }
 
+// ---------------------------------------------------------------------------
+// Determinism: an answer is a function of its request alone.
+// ---------------------------------------------------------------------------
+
+/// Serve `requests` pipelined on one connection and return each
+/// response's wire bytes by request id. The measured predictor latency
+/// is zeroed, and the cache-hit flag is masked: which copy of a repeated
+/// request misses depends on arrival order. Breakers and stale replay
+/// are off, because they depend on history by design.
+std::map<std::uint64_t, std::vector<std::uint8_t>> serve_all(
+    std::size_t workers, const std::vector<net::RequestMessage>& requests) {
+  ServerOptions options;
+  options.workers = workers;
+  options.queue_capacity = requests.size();
+  svc::ResilienceOptions resilience;
+  resilience.breaker_failure_threshold = 0;
+  resilience.serve_stale = false;
+  ServerFixture fixture(options, resilience);
+  net::Socket client = fixture.connect();
+  for (const net::RequestMessage& request : requests) send(client, request);
+  std::map<std::uint64_t, std::vector<std::uint8_t>> responses;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    std::optional<net::ResponseMessage> response = receive(client);
+    if (!response.has_value()) break;
+    response->predictor_latency_s = 0.0;
+    response->flags &= static_cast<std::uint8_t>(~net::kFlagCached);
+    responses[response->id] = net::encode_response(*response);
+  }
+  return responses;
+}
+
+TEST(PredictionServer, AnswersDoNotDependOnWorkersOrArrivalOrder) {
+  // Every method at 0% and 25% buy over loads that are not multiples of
+  // 4, so each 25% bucket holds several exact mixes after quantization.
+  // Each request is sent twice.
+  std::vector<net::RequestMessage> requests;
+  for (int copy = 0; copy < 2; ++copy)
+    for (const Method method :
+         {Method::kHistorical, Method::kLqn, Method::kHybrid})
+      for (const char* server : {"AppServS", "AppServF", "AppServVF"})
+        for (const double buy : {0.0, 0.25})
+          for (const double clients :
+               {150.0, 301.0, 433.0, 517.0, 650.0, 777.0, 902.0, 1031.0}) {
+            net::RequestMessage request = predict_request(
+                requests.size() + 1, method, server, clients * (1.0 - buy));
+            request.buy_clients = clients * buy;
+            requests.push_back(request);
+          }
+  const auto forward = serve_all(1, requests);
+  const auto reverse = serve_all(
+      4, std::vector<net::RequestMessage>(requests.rbegin(), requests.rend()));
+  ASSERT_EQ(forward.size(), requests.size());
+  ASSERT_EQ(reverse.size(), requests.size());
+  for (const auto& [id, bytes] : forward)
+    EXPECT_EQ(bytes, reverse.at(id)) << "request " << id;
+}
+
 TEST(PredictionServer, DoubleStartThrows) {
   ServerFixture fixture;
   EXPECT_THROW(fixture.server->start(), std::logic_error);

@@ -184,7 +184,7 @@ TEST(BatchPredictor, MissingPredictorAndBadOptionsThrow) {
   EXPECT_EQ(missing.code, ErrorCode::kNotCalibrated);
   EXPECT_NE(missing.error.find("lqn"), std::string::npos) << missing.error;
   BatchOptions bad;
-  bad.quantum_clients = 0.0;
+  bad.cache_capacity_per_shard = 0;
   EXPECT_THROW(BatchPredictor(&p.historical, nullptr, nullptr, bad),
                std::invalid_argument);
 }

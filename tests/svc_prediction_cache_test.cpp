@@ -81,11 +81,10 @@ TEST(PredictionCache, InsertRefreshesExistingEntryWithoutEviction) {
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
-TEST(PredictionCache, ZeroCapacityDisablesCaching) {
-  PredictionCache cache(0, 2);
-  cache.insert(key_of(1), value_of(1.0));
-  EXPECT_FALSE(cache.lookup(key_of(1)).has_value());
-  EXPECT_EQ(cache.stats().entries, 0u);
+TEST(PredictionCache, ZeroCapacityIsRejected) {
+  // Stale replay reads this cache, so an engine without one would have
+  // nothing to replay while the EPP-SEM-021 check counts it as a rescue.
+  EXPECT_THROW(PredictionCache(0, 2), std::invalid_argument);
 }
 
 TEST(PredictionCache, ClearDropsEntriesAndResetsCounters) {
