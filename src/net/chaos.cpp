@@ -62,17 +62,12 @@ double ChaosPolicy::dribble_pause_s() const noexcept {
 }
 
 ChaosStats ChaosPolicy::stats() const noexcept {
-  ChaosStats stats;
-  stats.accept_resets =
-      counters_.accept_resets.load(std::memory_order_relaxed);
-  stats.accept_delays =
-      counters_.accept_delays.load(std::memory_order_relaxed);
-  stats.write_resets = counters_.write_resets.load(std::memory_order_relaxed);
-  stats.write_truncates =
-      counters_.write_truncates.load(std::memory_order_relaxed);
-  stats.dribbled_writes =
-      counters_.dribbled_writes.load(std::memory_order_relaxed);
-  return stats;
+  const auto get = [](const std::atomic<std::uint64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
+  return ChaosStats{get(counters_.accept_resets), get(counters_.accept_delays),
+                    get(counters_.write_resets), get(counters_.write_truncates),
+                    get(counters_.dribbled_writes)};
 }
 
 }  // namespace epp::net

@@ -1,7 +1,6 @@
 #include "net/frame.hpp"
 
 #include <bit>
-#include <cstring>
 
 #include "util/annotations.hpp"
 
@@ -10,33 +9,20 @@ namespace {
 
 // --- little-endian byte writer/reader (endianness-independent) -----------
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t value) {
-  out.push_back(value);
-}
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t value) {
-  out.push_back(static_cast<std::uint8_t>(value & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(value >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8)
-    out.push_back(static_cast<std::uint8_t>((value >> shift) & 0xFF));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8)
-    out.push_back(static_cast<std::uint8_t>((value >> shift) & 0xFF));
+template <typename T>
+void put_uint(std::vector<std::uint8_t>& out, T value) {
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
 }
 
 void put_f64(std::vector<std::uint8_t>& out, double value) {
-  put_u64(out, std::bit_cast<std::uint64_t>(value));
+  put_uint(out, std::bit_cast<std::uint64_t>(value));
 }
 
 void put_string(std::vector<std::uint8_t>& out, const std::string& text) {
   if (text.size() > 0xFFFF)
     throw FrameError("frame string field longer than 65535 bytes");
-  put_u16(out, static_cast<std::uint16_t>(text.size()));
+  put_uint(out, static_cast<std::uint16_t>(text.size()));
   out.insert(out.end(), text.begin(), text.end());
 }
 
@@ -50,38 +36,21 @@ struct Reader {
                        std::to_string(bytes.size()) + " bytes, need " +
                        std::to_string(cursor + n) + ")");
   }
-  std::uint8_t u8() {
-    need(1);
-    return bytes[cursor++];
-  }
-  std::uint16_t u16() {
-    need(2);
-    const std::uint16_t value = static_cast<std::uint16_t>(
-        bytes[cursor] | (static_cast<std::uint16_t>(bytes[cursor + 1]) << 8));
-    cursor += 2;
+  template <typename T>
+  T uint() {
+    need(sizeof(T));
+    T value = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      value = static_cast<T>(value | static_cast<T>(bytes[cursor + i]) << (8 * i));
+    cursor += sizeof(T);
     return value;
   }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i)
-      value |= static_cast<std::uint32_t>(bytes[cursor + static_cast<std::size_t>(i)])
-               << (8 * i);
-    cursor += 4;
-    return value;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i)
-      value |= static_cast<std::uint64_t>(bytes[cursor + static_cast<std::size_t>(i)])
-               << (8 * i);
-    cursor += 8;
-    return value;
-  }
+  std::uint8_t u8() { return uint<std::uint8_t>(); }
+  std::uint32_t u32() { return uint<std::uint32_t>(); }
+  std::uint64_t u64() { return uint<std::uint64_t>(); }
   double f64() { return std::bit_cast<double>(u64()); }
   std::string string() {
-    const std::uint16_t length = u16();
+    const std::uint16_t length = uint<std::uint16_t>();
     need(length);
     std::string text(bytes.begin() + static_cast<std::ptrdiff_t>(cursor),
                      bytes.begin() + static_cast<std::ptrdiff_t>(cursor + length));
@@ -106,10 +75,10 @@ void check_version(std::uint8_t version) {
 std::vector<std::uint8_t> encode_request(const RequestMessage& message) {
   std::vector<std::uint8_t> out;
   out.reserve(64 + message.server.size());
-  put_u8(out, kProtocolVersion);
-  put_u8(out, static_cast<std::uint8_t>(message.kind));
-  put_u64(out, message.id);
-  put_u8(out, message.method);
+  put_uint<std::uint8_t>(out, kProtocolVersion);
+  put_uint<std::uint8_t>(out, static_cast<std::uint8_t>(message.kind));
+  put_uint<std::uint64_t>(out, message.id);
+  put_uint<std::uint8_t>(out, message.method);
   put_f64(out, message.browse_clients);
   put_f64(out, message.buy_clients);
   put_f64(out, message.think_time_s);
@@ -122,16 +91,16 @@ std::vector<std::uint8_t> encode_request(const RequestMessage& message) {
 std::vector<std::uint8_t> encode_response(const ResponseMessage& message) {
   std::vector<std::uint8_t> out;
   out.reserve(64 + message.detail.size());
-  put_u8(out, kProtocolVersion);
-  put_u8(out, 0);  // kind slot: responses are distinguished by direction
-  put_u64(out, message.id);
-  put_u8(out, message.status);
-  put_u8(out, message.error_code);
-  put_u8(out, message.served_by);
-  put_u8(out, message.flags);
-  put_u8(out, message.health);
-  put_u32(out, message.retries);
-  put_u64(out, message.bundle_version);
+  put_uint<std::uint8_t>(out, kProtocolVersion);
+  put_uint<std::uint8_t>(out, 0);  // kind slot: unused in responses
+  put_uint<std::uint64_t>(out, message.id);
+  put_uint<std::uint8_t>(out, message.status);
+  put_uint<std::uint8_t>(out, message.error_code);
+  put_uint<std::uint8_t>(out, message.served_by);
+  put_uint<std::uint8_t>(out, message.flags);
+  put_uint<std::uint8_t>(out, message.health);
+  put_uint<std::uint32_t>(out, message.retries);
+  put_uint<std::uint64_t>(out, message.bundle_version);
   put_f64(out, message.mean_rt_s);
   put_f64(out, message.throughput_rps);
   put_f64(out, message.predictor_latency_s);
@@ -193,21 +162,26 @@ std::vector<std::uint8_t> frame_wire(const std::vector<std::uint8_t>& payload) {
     throw FrameError("frame payload exceeds kMaxFrameBytes");
   std::vector<std::uint8_t> wire;
   wire.reserve(4 + payload.size());
-  put_u32(wire, static_cast<std::uint32_t>(payload.size()));
+  put_uint(wire, static_cast<std::uint32_t>(payload.size()));
   wire.insert(wire.end(), payload.begin(), payload.end());
   return wire;
 }
 
-bool read_frame(Socket& socket, std::vector<std::uint8_t>& payload) {
-  std::uint8_t header[4];
-  if (!socket.recv_all(header, sizeof(header))) return false;
+std::uint32_t decode_length_prefix(const std::uint8_t* prefix) {
   std::uint32_t length = 0;
-  for (int i = 0; i < 4; ++i)
-    length |= static_cast<std::uint32_t>(header[i]) << (8 * i);
+  for (std::size_t i = 0; i < kLengthPrefixBytes; ++i)
+    length |= static_cast<std::uint32_t>(prefix[i]) << (8 * i);
   if (length > kMaxFrameBytes)
     throw FrameError("incoming frame of " + std::to_string(length) +
                      " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
                      "-byte limit");
+  return length;
+}
+
+bool read_frame(Socket& socket, std::vector<std::uint8_t>& payload) {
+  std::uint8_t header[kLengthPrefixBytes];
+  if (!socket.recv_all(header, sizeof(header))) return false;
+  const std::uint32_t length = decode_length_prefix(header);
   payload.resize(length);
   if (length > 0 && !socket.recv_all(payload.data(), length))
     throw SocketError("recv: peer closed mid-frame");

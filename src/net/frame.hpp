@@ -117,6 +117,14 @@ bool write_frame(Socket& socket, const std::vector<std::uint8_t>& payload);
 /// resetting, or to dribble a frame in paced chunks.
 std::vector<std::uint8_t> frame_wire(const std::vector<std::uint8_t>& payload);
 
+/// Bytes in a frame's length prefix.
+inline constexpr std::size_t kLengthPrefixBytes = 4;
+
+/// Decode the u32 length prefix at `prefix` (kLengthPrefixBytes bytes).
+/// Throws FrameError when it announces more than kMaxFrameBytes, so no
+/// reader ever sizes a buffer from an unchecked prefix.
+std::uint32_t decode_length_prefix(const std::uint8_t* prefix);
+
 /// Read one frame's payload. Returns false on clean EOF before a frame;
 /// throws FrameError on an oversized length prefix and SocketError on
 /// truncation mid-frame.

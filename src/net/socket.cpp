@@ -99,6 +99,17 @@ bool Socket::recv_all(void* data, std::size_t n) {
   return true;
 }
 
+std::ptrdiff_t Socket::recv_some(void* data, std::size_t n) {
+  for (;;) {
+    const ssize_t received = ::recv(fd_, data, n, MSG_DONTWAIT);
+    if (received >= 0) return received;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return -1;
+    if (errno == ECONNRESET) return 0;
+    raise("recv");
+  }
+}
+
 void Socket::set_recv_timeout(double seconds) noexcept {
   if (fd_ < 0) return;
   timeval tv{};
@@ -114,10 +125,6 @@ void Socket::shutdown_write() noexcept {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
 }
 
-void Socket::shutdown_read() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
-}
-
 void Socket::shutdown_both() noexcept {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
@@ -126,7 +133,7 @@ void Socket::reset() noexcept {
   if (fd_ < 0) return;
   // Linger with a zero timeout turns the eventual close() into an
   // abortive release: the kernel discards unsent data and fires an RST
-  // at the peer. The shutdown unblocks any thread parked in recv; the
+  // at the peer. The shutdown wakes any poll or recv on the socket; the
   // fd itself stays open until the owner destroys the Socket, so no
   // concurrent reader can race a reused fd number.
   linger hard{1, 0};
@@ -147,27 +154,22 @@ Listener::Listener(const std::string& host, std::uint16_t port, int backlog) {
   if (fd_ < 0) raise("socket");
   const int one = 1;
   ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+  const auto fail = [this](const char* call) {
     const int saved = errno;
-    ::close(fd_);
-    fd_ = -1;
+    ::close(std::exchange(fd_, -1));
     errno = saved;
-    raise("bind");
-  }
-  if (::listen(fd_, backlog) != 0) {
-    const int saved = errno;
-    ::close(fd_);
-    fd_ = -1;
-    errno = saved;
-    raise("listen");
-  }
+    raise(call);
+  };
+  if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0)
+    fail("bind");
+  if (::listen(fd_, backlog) != 0) fail("listen");
   socklen_t len = sizeof(addr);
   if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
-    raise("getsockname");
+    fail("getsockname");
   port_ = ntohs(addr.sin_port);
 
   int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) raise("pipe");
+  if (::pipe(pipe_fds) != 0) fail("pipe");
   wake_read_ = pipe_fds[0];
   wake_write_ = pipe_fds[1];
 }
@@ -178,16 +180,17 @@ Listener::~Listener() {
   if (wake_write_ >= 0) ::close(wake_write_);
 }
 
-std::optional<Socket> Listener::accept() {
+std::optional<Socket> Listener::accept(int timeout_ms) {
   for (;;) {
     pollfd fds[2];
     fds[0] = {fd_, POLLIN, 0};
     fds[1] = {wake_read_, POLLIN, 0};
-    const int ready = ::poll(fds, 2, -1);
+    const int ready = ::poll(fds, 2, timeout_ms);
     if (ready < 0) {
       if (errno == EINTR) continue;
       raise("poll");
     }
+    if (ready == 0) return std::nullopt;  // timed out
     if ((fds[1].revents & POLLIN) != 0) return std::nullopt;  // interrupted
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int client = ::accept(fd_, nullptr, nullptr);

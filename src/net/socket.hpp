@@ -1,14 +1,12 @@
-// Thin RAII wrappers over POSIX TCP sockets for the serving stack.
-//
-// Scope is deliberately narrow: blocking stream sockets on loopback or
-// LAN, the only transport epp_serve/epp_loadgen need. A Socket owns one
-// connected fd and moves like a unique_ptr; send_all/recv_all loop over
-// partial transfers and EINTR, send uses MSG_NOSIGNAL so a peer that
-// hung up yields an error return instead of SIGPIPE. A Listener binds
-// (port 0 picks an ephemeral port, reported by port()) and blocks in
-// accept() on a poll() over the listening fd plus an internal wake pipe,
-// so interrupt() unblocks a pending accept from any thread — that is the
-// whole graceful-shutdown story at the socket layer.
+// Thin RAII wrappers over POSIX TCP sockets for the serving stack:
+// blocking stream sockets on loopback or LAN. A Socket owns one fd and
+// moves like a unique_ptr; send_all/recv_all loop over partial transfers
+// and EINTR, send uses MSG_NOSIGNAL (a peer that hung up is an error
+// return, not SIGPIPE), and recv_some is the one non-blocking read, for
+// a readiness loop. A Listener binds (port 0 picks an ephemeral port)
+// and polls its fd plus a wake pipe, in accept() or in an owner's poll
+// loop (fd(), wake_fd()); interrupt() wakes either from any thread —
+// the whole graceful-shutdown story at the socket layer.
 //
 // Hard I/O failures throw SocketError; orderly peer shutdown is a normal
 // return (recv_all -> false), because a client closing its connection is
@@ -29,9 +27,8 @@ struct SocketError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// A receive timed out (set_recv_timeout elapsed with no bytes). Its own
-/// type so servers can tell an *idle* peer (close the session, count it)
-/// from a *broken* one (protocol error). Catch before SocketError.
+/// A receive timed out (set_recv_timeout elapsed with no bytes): a
+/// *silent* peer, not a broken one. Catch before SocketError.
 struct SocketTimeout : SocketError {
   using SocketError::SocketError;
 };
@@ -51,7 +48,6 @@ class Socket {
   /// Blocking connect to host:port; throws SocketError on failure.
   static Socket connect(const std::string& host, std::uint16_t port);
 
-  bool valid() const noexcept { return fd_ >= 0; }
   int fd() const noexcept { return fd_; }
 
   /// Write exactly n bytes. Returns false when the peer has gone away
@@ -61,25 +57,25 @@ class Socket {
   /// byte*; throws SocketTimeout when an armed receive timeout elapses,
   /// SocketError on mid-message EOF or hard errors.
   bool recv_all(void* data, std::size_t n);
+  /// One non-blocking read (MSG_DONTWAIT) of up to n bytes: the count
+  /// read, 0 on EOF or a reset peer, -1 when nothing is ready. Throws
+  /// SocketError on other failures.
+  std::ptrdiff_t recv_some(void* data, std::size_t n);
 
   /// Arm a receive timeout (SO_RCVTIMEO): a recv_all that waits longer
-  /// than this throws SocketTimeout. seconds <= 0 disarms. A server uses
-  /// this to bound how long a silent client can pin a reader thread.
+  /// than this throws SocketTimeout. seconds <= 0 disarms. A client uses
+  /// this to bound how long it waits on a silent server.
   void set_recv_timeout(double seconds) noexcept;
 
   /// Half-close the write side (peer sees EOF after draining).
   void shutdown_write() noexcept;
-  /// Half-close the read side; a reader blocked in recv_all returns EOF
-  /// while pending writes (drained responses) still flush.
-  void shutdown_read() noexcept;
-  /// Shut down both directions; unblocks a recv_all parked in another
-  /// thread (used to stop session readers during server drain).
+  /// Shut down both directions; wakes a recv_all parked in another thread.
   void shutdown_both() noexcept;
-  /// Arm an abortive close: SO_LINGER{1,0} plus a full shutdown, so any
-  /// reader parked on this socket unblocks now and the eventual close()
+  /// Arm an abortive close: SO_LINGER{1,0} plus a full shutdown, so a
+  /// poll or read on this socket sees EOF now and the eventual close()
   /// (destructor) discards unsent data and fires an RST at the peer
   /// instead of an orderly FIN. The fd is NOT closed here — that would
-  /// race a concurrent recv_all with kernel fd reuse. This is how the
+  /// race a concurrent poll or read with kernel fd reuse. This is how the
   /// chaos harness simulates a connection reset; never use it on a
   /// healthy session.
   void reset() noexcept;
@@ -102,9 +98,14 @@ class Listener {
   /// The bound port (resolves port 0 to the kernel's choice).
   std::uint16_t port() const noexcept { return port_; }
 
-  /// Block until a connection arrives (Socket), interrupt() is called or
-  /// the listener is closed (nullopt).
-  std::optional<Socket> accept();
+  /// Wait up to timeout_ms (-1 = forever) for a connection (Socket);
+  /// nullopt on timeout, after interrupt() or once the listener closes.
+  std::optional<Socket> accept(int timeout_ms = -1);
+
+  /// The listening fd and the wake pipe's read end, for an owner that
+  /// polls them beside other fds and then calls accept(0).
+  int fd() const noexcept { return fd_; }
+  int wake_fd() const noexcept { return wake_read_; }
 
   /// Wake every blocked/future accept() into returning nullopt.
   /// Async-signal-safe (one write on the wake pipe).

@@ -1,6 +1,9 @@
 #include "serve/server.hpp"
 
+#include <poll.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <sstream>
 #include <utility>
@@ -34,6 +37,9 @@ svc::PredictionRequest prediction_request(const net::RequestMessage& request) {
 /// response frame dribbles out over several paced sends.
 constexpr std::size_t kDribbleChunk = 16;
 
+/// Bytes the loop asks for per read: a burst of request frames.
+constexpr std::size_t kReadChunk = 4096;
+
 }  // namespace
 
 PredictionServer::PredictionServer(BundleRegistry& registry,
@@ -60,20 +66,12 @@ void PredictionServer::start() {
   workers_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i)
     workers_.emplace_back([this] { worker_loop(); });
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  loop_thread_ = std::thread([this] { serve_loop(); });
 }
 
 void PredictionServer::request_stop() {
   if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
-  if (listener_ != nullptr) listener_->interrupt();
-  {
-    // Unblock every reader parked in recv: half-close the read sides.
-    // Write sides stay open so drained responses still flush.
-    const std::lock_guard lock(sessions_mutex_);
-    for (SessionHandle& handle : session_threads_)
-      if (const SessionPtr session = handle.session.lock())
-        session->socket.shutdown_read();
-  }
+  if (listener_ != nullptr) listener_->interrupt();  // wakes the loop
   queue_cv_.notify_all();
 }
 
@@ -83,9 +81,8 @@ void PredictionServer::wait() {
   const std::lock_guard lifecycle(lifecycle_mutex_);
   if (joined_.load(std::memory_order_acquire)) return;
   // epp-lint: ignore(EPP-CONC-003) serialized join is this lock's purpose
-  if (accept_thread_.joinable()) accept_thread_.join();
-  reap_sessions(/*all=*/true);
-  // Readers are gone: nothing can be admitted any more. Let the workers
+  if (loop_thread_.joinable()) loop_thread_.join();
+  // The loop is gone: nothing can be admitted any more. Let the workers
   // finish what was queued, then stop. The flag is stored under the queue
   // lock: a worker that has checked its wait predicate but not yet blocked
   // still holds that lock, so the store cannot slip in between and the
@@ -106,159 +103,212 @@ void PredictionServer::stop() {
   wait();
 }
 
-void PredictionServer::accept_loop() {
+void PredictionServer::serve_loop() {
+  using Clock = std::chrono::steady_clock;
+  const auto idle = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(std::min(options_.idle_timeout_s, 1e6)));
+  const bool idle_armed = idle > Clock::duration::zero();
+  std::vector<SessionPtr> sessions;
+  std::vector<pollfd> fds;
+  bool listening = true;
   while (!stopping()) {
-    reap_sessions(/*all=*/false);
-    std::optional<net::Socket> accepted;
-    try {
-      accepted = listener_->accept();
-    } catch (const net::SocketError&) {
-      break;  // listener died; shut the server down
+    // fds[0] is the wake pipe, fds[1] the listener, then one entry per
+    // session; poll skips the fd -1 of a session whose first read is
+    // still deferred. The timeout is the nearest session timer.
+    Clock::time_point now = Clock::now();
+    Clock::time_point next_timer = Clock::time_point::max();
+    fds.assign({{listener_->wake_fd(), POLLIN, 0},
+                {listening ? listener_->fd() : -1, POLLIN, 0}});
+    for (const SessionPtr& session : sessions) {
+      const bool due = session->quiet_since <= now;
+      fds.push_back({due ? session->socket.fd() : -1, POLLIN, 0});
+      if (!due)
+        next_timer = std::min(next_timer, session->quiet_since);
+      else if (idle_armed)
+        next_timer = std::min(next_timer, session->quiet_since + idle);
     }
-    if (!accepted) break;  // interrupted
-    if (options_.chaos != nullptr && options_.chaos->reset_on_accept()) {
-      accepted->reset();
-      continue;  // the destructor's close fires the RST
-    }
-    if (open_sessions_.load(std::memory_order_acquire) >=
-        options_.max_connections) {
-      counters_.connections_rejected.fetch_add(1, std::memory_order_relaxed);
-      continue;  // socket closes as `accepted` goes out of scope
-    }
-    counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    auto session = std::make_shared<Session>();
-    session->socket = std::move(*accepted);
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    open_sessions_.fetch_add(1, std::memory_order_acq_rel);
-    std::thread reader([this, session, done] {
-      session_loop(session);
-      open_sessions_.fetch_sub(1, std::memory_order_acq_rel);
-      done->store(true, std::memory_order_release);
-    });
-    const std::lock_guard lock(sessions_mutex_);
-    session_threads_.push_back(
-        SessionHandle{std::move(reader), std::move(done), session});
-  }
-}
+    int timeout_ms = -1;
+    if (next_timer != Clock::time_point::max())
+      timeout_ms = static_cast<int>(std::max<Clock::rep>(
+          0, std::chrono::ceil<std::chrono::milliseconds>(next_timer - now).count()));
+    if (::poll(fds.data(), fds.size(), timeout_ms) < 0 && errno != EINTR)
+      request_stop();  // the sessions cannot be waited on; drain
+    if (stopping()) break;
 
-void PredictionServer::reap_sessions(bool all) {
-  std::list<SessionHandle> to_join;
-  {
-    const std::lock_guard lock(sessions_mutex_);
-    for (auto it = session_threads_.begin(); it != session_threads_.end();) {
-      if (all || it->done->load(std::memory_order_acquire)) {
-        to_join.splice(to_join.end(), session_threads_, it++);
-      } else {
-        ++it;
+    now = Clock::now();
+    for (std::size_t i = 0; i < sessions.size(); ++i) {
+      SessionPtr& session = sessions[i];
+      if (fds[i + 2].revents != 0) {
+        session->quiet_since = now;
+        if (!read_session(session)) session = nullptr;
+      } else if (idle_armed && now >= session->quiet_since + idle) {
+        counters_.idle_closes.fetch_add(1, std::memory_order_relaxed);
+        session = nullptr;  // silent client, or one stalled mid-frame
       }
     }
+    std::erase(sessions, nullptr);
+
+    while (listening && (fds[1].revents & POLLIN) != 0 && !stopping()) {
+      std::optional<net::Socket> accepted;
+      try {
+        accepted = listener_->accept(0);
+      } catch (const net::SocketError&) {
+        listening = false;  // listener died; keep serving open sessions
+        break;
+      }
+      if (!accepted) break;  // nothing more pending
+      if (options_.chaos != nullptr && options_.chaos->reset_on_accept()) {
+        accepted->reset();
+        continue;  // the destructor's close fires the RST
+      }
+      if (sessions.size() >= options_.max_connections) {
+        counters_.connections_rejected.fetch_add(1, std::memory_order_relaxed);
+        continue;  // socket closes as `accepted` goes out of scope
+      }
+      counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
+      auto session = std::make_shared<Session>();
+      session->socket = std::move(*accepted);
+      // Accept-time stall: the session exists but is not read before
+      // this time, as it would sit behind a loaded accept queue.
+      session->quiet_since = now;
+      if (options_.chaos != nullptr)
+        session->quiet_since += std::chrono::duration_cast<Clock::duration>(
+            std::chrono::duration<double>(options_.chaos->accept_delay_s()));
+      sessions.push_back(std::move(session));
+    }
+    open_sessions_.store(sessions.size(), std::memory_order_release);
   }
-  for (SessionHandle& handle : to_join)
-    if (handle.thread.joinable()) handle.thread.join();
+  // Dropping the loop's references leaves each session open until the
+  // workers have written its last admitted response.
+  sessions.clear();
+  open_sessions_.store(0, std::memory_order_release);
 }
 
-void PredictionServer::session_loop(SessionPtr session) {
-  if (options_.chaos != nullptr) {
-    // Accept-time stall: the session exists but its first read waits, as
-    // it would behind a loaded accept queue.
-    const double delay = options_.chaos->accept_delay_s();
-    if (delay > 0.0)
-      std::this_thread::sleep_for(std::chrono::duration<double>(delay));
+bool PredictionServer::read_session(const SessionPtr& session) {
+  constexpr std::size_t kHeader = net::kLengthPrefixBytes;
+  std::vector<std::uint8_t>& inbox = session->inbox;
+  std::uint8_t chunk[kReadChunk];
+  std::ptrdiff_t got = 0;
+  try {
+    got = session->socket.recv_some(chunk, sizeof(chunk));
+  } catch (const net::SocketError&) {
+    counters_.bad_frames.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
-  if (options_.idle_timeout_s > 0.0)
-    session->socket.set_recv_timeout(options_.idle_timeout_s);
-
-  std::vector<std::uint8_t> payload;
-  while (!stopping()) {
-    bool got = false;
-    try {
-      got = net::read_frame(session->socket, payload);
-    } catch (const net::SocketTimeout&) {
-      counters_.idle_closes.fetch_add(1, std::memory_order_relaxed);
-      break;  // silent client; reclaim the reader thread
-    } catch (const std::exception&) {
-      counters_.bad_frames.fetch_add(1, std::memory_order_relaxed);
-      break;  // framing is lost; the only safe move is to close
-    }
-    if (!got) break;  // peer closed
-    counters_.frames_received.fetch_add(1, std::memory_order_relaxed);
-
-    net::RequestMessage request;
-    try {
-      request = net::decode_request(payload);
-    } catch (const net::FrameError& error) {
-      counters_.bad_frames.fetch_add(1, std::memory_order_relaxed);
-      write_response(*session, error_response(0, svc::ErrorCode::kInternal,
-                                              error.what()));
-      break;  // desynchronized stream; close
-    }
-
-    if (request.kind != net::MessageKind::kPredict &&
-        request.kind != net::MessageKind::kObserve) {
-      handle_control(*session, request);
-      continue;
-    }
-
-    if (stopping()) {
-      write_response(*session,
-                     error_response(request.id, svc::ErrorCode::kOverloaded,
-                                    "server is draining"));
-      break;
-    }
-
-    // Version pinning happens here, at admission: this request will be
-    // served by exactly this registry version, even if a promotion
-    // lands while it waits in the queue.
-    std::shared_ptr<const ServingVersion> pinned = registry_.active();
-    if (pinned == nullptr) {
-      write_response(*session,
-                     error_response(request.id, svc::ErrorCode::kNotCalibrated,
-                                    "no active bundle version"));
-      continue;
-    }
-
-    // A cached answer takes microseconds, less than handing the request
-    // to a worker and back. Answer it here with the same evaluate and
-    // write a worker runs. Misses, observes and methods whose breaker is
-    // not closed queue as below.
-    if (request.kind == net::MessageKind::kPredict &&
-        request.method <= static_cast<std::uint8_t>(svc::Method::kHybrid) &&
-        pinned->resilient->answers_from_cache(prediction_request(request))) {
-      counters_.requests_enqueued.fetch_add(1, std::memory_order_relaxed);
-      counters_.served_inline.fetch_add(1, std::memory_order_relaxed);
-      serve(*session, request, *pinned);
-      continue;
-    }
-
-    // Admission control: bounded queue, shed-on-full with a typed error
-    // — overload turns into fast failures, never an unbounded backlog.
-    bool admitted = false;
-    {
-      const std::lock_guard lock(queue_mutex_);
-      if (queue_.size() < options_.queue_capacity) {
-        queue_.push_back(
-            WorkItem{session, std::move(request), std::move(pinned)});
-        const std::size_t depth = queue_.size();
-        std::size_t peak = counters_.queue_peak.load(std::memory_order_relaxed);
-        while (depth > peak &&
-               !counters_.queue_peak.compare_exchange_weak(
-                   peak, depth, std::memory_order_relaxed)) {
-        }
-        admitted = true;
-      }
-    }
-    if (admitted) {
-      counters_.requests_enqueued.fetch_add(1, std::memory_order_relaxed);
-      queue_cv_.notify_one();
-    } else {
-      counters_.requests_shed.fetch_add(1, std::memory_order_relaxed);
-      write_response(*session,
-                     error_response(request.id, svc::ErrorCode::kOverloaded,
-                                    "dispatch queue full (" +
-                                        std::to_string(options_.queue_capacity) +
-                                        " deep); request shed"));
-    }
+  if (got < 0) return true;  // spurious wake-up
+  if (got == 0) {
+    // EOF (or a reset) between frames is a normal close; inside one the
+    // framing is lost.
+    if (!inbox.empty()) counters_.bad_frames.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
+  inbox.insert(inbox.end(), chunk, chunk + got);
+
+  std::size_t offset = 0;
+  bool open = true;
+  while (open && inbox.size() - offset >= kHeader) {
+    std::uint32_t length = 0;
+    try {
+      length = net::decode_length_prefix(inbox.data() + offset);
+    } catch (const net::FrameError&) {
+      counters_.bad_frames.fetch_add(1, std::memory_order_relaxed);
+      return false;  // refused on the prefix alone, payload never awaited
+    }
+    if (inbox.size() - offset - kHeader < length) break;  // frame incomplete
+    const auto begin = inbox.begin() + static_cast<std::ptrdiff_t>(offset + kHeader);
+    payload_.assign(begin, begin + length);
+    offset += kHeader + length;
+    open = handle_frame(session, payload_) &&
+           !session->dead.load(std::memory_order_acquire) && !stopping();
+  }
+  inbox.erase(inbox.begin(), inbox.begin() + static_cast<std::ptrdiff_t>(offset));
+  return open;
+}
+
+bool PredictionServer::handle_frame(const SessionPtr& session,
+                                    const std::vector<std::uint8_t>& payload) {
+  counters_.frames_received.fetch_add(1, std::memory_order_relaxed);
+  net::RequestMessage request;
+  try {
+    request = net::decode_request(payload);
+  } catch (const net::FrameError& error) {
+    counters_.bad_frames.fetch_add(1, std::memory_order_relaxed);
+    write_response(*session, error_response(0, svc::ErrorCode::kInternal,
+                                            error.what()));
+    return false;  // desynchronized stream; close
+  }
+
+  if (request.kind == net::MessageKind::kReload) {
+    // A bundle load plus the EPP-SEM gate runs on a worker, not the loop.
+    enqueue(WorkItem{session, std::move(request), nullptr});
+    return true;
+  }
+  if (request.kind != net::MessageKind::kPredict &&
+      request.kind != net::MessageKind::kObserve) {
+    handle_control(*session, request);
+    return true;
+  }
+
+  if (stopping()) {
+    write_response(*session,
+                   error_response(request.id, svc::ErrorCode::kOverloaded,
+                                  "server is draining"));
+    return false;
+  }
+
+  // Version pinning happens here, at admission: this request will be
+  // served by exactly this registry version, even if a promotion
+  // lands while it waits in the queue.
+  std::shared_ptr<const ServingVersion> pinned = registry_.active();
+  if (pinned == nullptr) {
+    write_response(*session,
+                   error_response(request.id, svc::ErrorCode::kNotCalibrated,
+                                  "no active bundle version"));
+    return true;
+  }
+
+  // A cached answer takes microseconds, less than handing the request
+  // to a worker and back. Answer it here with the same evaluate and
+  // write a worker runs. Misses, observes and methods whose breaker is
+  // not closed queue as below.
+  if (request.kind == net::MessageKind::kPredict &&
+      request.method <= static_cast<std::uint8_t>(svc::Method::kHybrid) &&
+      pinned->resilient->answers_from_cache(prediction_request(request))) {
+    counters_.requests_enqueued.fetch_add(1, std::memory_order_relaxed);
+    counters_.served_inline.fetch_add(1, std::memory_order_relaxed);
+    serve(*session, request, *pinned);
+    return true;
+  }
+
+  if (enqueue(WorkItem{session, std::move(request), std::move(pinned)}))
+    counters_.requests_enqueued.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+bool PredictionServer::enqueue(WorkItem item) {
+  // Admission control: bounded queue, shed-on-full with a typed error
+  // — overload turns into fast failures, never an unbounded backlog.
+  std::unique_lock lock(queue_mutex_);
+  if (queue_.size() < options_.queue_capacity) {
+    queue_.push_back(std::move(item));
+    const std::size_t depth = queue_.size();
+    std::size_t peak = counters_.queue_peak.load(std::memory_order_relaxed);
+    while (depth > peak &&
+           !counters_.queue_peak.compare_exchange_weak(
+               peak, depth, std::memory_order_relaxed)) {
+    }
+    lock.unlock();
+    queue_cv_.notify_one();
+    return true;
+  }
+  lock.unlock();
+  counters_.requests_shed.fetch_add(1, std::memory_order_relaxed);
+  write_response(*item.session,
+                 error_response(item.request.id, svc::ErrorCode::kOverloaded,
+                                "dispatch queue full (" +
+                                    std::to_string(options_.queue_capacity) +
+                                    " deep); request shed"));
+  return false;
 }
 
 void PredictionServer::worker_loop() {
@@ -270,17 +320,17 @@ void PredictionServer::worker_loop() {
         return !queue_.empty() ||
                workers_stop_.load(std::memory_order_acquire);
       });
-      if (queue_.empty()) {
-        if (workers_stop_.load(std::memory_order_acquire)) return;
-        continue;
-      }
+      if (queue_.empty()) return;  // woken by workers_stop_ with nothing left
       item = std::move(queue_.front());
       queue_.pop_front();
     }
     if (options_.worker_delay_s > 0.0)
       std::this_thread::sleep_for(
           std::chrono::duration<double>(options_.worker_delay_s));
-    serve(*item.session, item.request, *item.pinned);
+    if (item.pinned == nullptr)
+      handle_control(*item.session, item.request);  // a reload
+    else
+      serve(*item.session, item.request, *item.pinned);
   }
 }
 
@@ -407,7 +457,6 @@ void PredictionServer::handle_control(Session& session,
         try {
           reload = options_.reload_handler(request.server);
         } catch (const std::exception& error) {
-          reload.ok = false;
           reload.message = error.what();
         }
       }
@@ -428,14 +477,13 @@ void PredictionServer::handle_control(Session& session,
     }
     case net::MessageKind::kShutdown:
       response.detail = "draining";
-      write_response(session, response);
-      request_stop();
-      return;
+      break;
     case net::MessageKind::kPredict:
     case net::MessageKind::kObserve:
       return;  // unreachable; work frames never land here
   }
   write_response(session, response);
+  if (request.kind == net::MessageKind::kShutdown) request_stop();
 }
 
 void PredictionServer::write_response(Session& session,
@@ -447,42 +495,33 @@ void PredictionServer::write_response(Session& session,
   const std::vector<std::uint8_t> payload = net::encode_response(response);
   const std::lock_guard lock(session.write_mutex);
   const net::ChaosPolicy* chaos = options_.chaos;
-  bool wrote = false;
+  bool wrote = true;
   try {
+    const std::vector<std::uint8_t> wire = net::frame_wire(payload);
     const net::WriteFault fault = chaos != nullptr
                                       ? chaos->next_write_fault()
                                       : net::WriteFault::kNone;
-    if (fault == net::WriteFault::kReset) {
+    if (fault != net::WriteFault::kNone) {
       // Injected fault, not a peer failure: the session dies by design
       // and is not counted in responses_dropped (the chaos counters
-      // record it).
+      // record it). A truncation sends half the frame first.
+      if (fault == net::WriteFault::kTruncate)
+        (void)session.socket.send_all(wire.data(), wire.size() / 2);
       session.socket.reset();
       session.dead.store(true, std::memory_order_release);
       return;
     }
-    if (fault == net::WriteFault::kTruncate) {
-      const std::vector<std::uint8_t> wire = net::frame_wire(payload);
-      (void)session.socket.send_all(wire.data(), wire.size() / 2);
-      session.socket.reset();
-      session.dead.store(true, std::memory_order_release);
-      return;
+    // A slow-loris write goes out in paced chunks, a clean one at once.
+    const bool dribble = chaos != nullptr && chaos->dribble_writes();
+    const std::size_t chunk = dribble ? kDribbleChunk : wire.size();
+    for (std::size_t offset = 0; wrote && offset < wire.size(); offset += chunk) {
+      if (dribble)
+        // epp-lint: ignore(EPP-CONC-003) slow-loris chaos paces sends on purpose
+        std::this_thread::sleep_for(std::chrono::duration<double>(chaos->dribble_pause_s()));
+      wrote = session.socket.send_all(wire.data() + offset,
+                                      std::min(chunk, wire.size() - offset));
     }
-    if (chaos != nullptr && chaos->dribble_writes()) {
-      const std::vector<std::uint8_t> wire = net::frame_wire(payload);
-      wrote = true;
-      for (std::size_t offset = 0; wrote && offset < wire.size();
-           offset += kDribbleChunk) {
-        const double pause = chaos->dribble_pause_s();
-        if (pause > 0.0)
-          // epp-lint: ignore(EPP-CONC-003) slow-loris chaos paces sends on purpose
-          std::this_thread::sleep_for(std::chrono::duration<double>(pause));
-        wrote = session.socket.send_all(
-            wire.data() + offset, std::min(kDribbleChunk, wire.size() - offset));
-      }
-      if (wrote) chaos->count_dribbled_write();
-    } else {
-      wrote = net::write_frame(session.socket, payload);
-    }
+    if (wrote && dribble) chaos->count_dribbled_write();
   } catch (const std::exception&) {
     wrote = false;
   }
@@ -493,34 +532,24 @@ void PredictionServer::write_response(Session& session,
 }
 
 ServerStats PredictionServer::stats() const {
-  ServerStats stats;
-  stats.connections_accepted =
-      counters_.connections_accepted.load(std::memory_order_relaxed);
-  stats.connections_rejected =
-      counters_.connections_rejected.load(std::memory_order_relaxed);
-  stats.frames_received =
-      counters_.frames_received.load(std::memory_order_relaxed);
-  stats.requests_enqueued =
-      counters_.requests_enqueued.load(std::memory_order_relaxed);
-  stats.requests_served =
-      counters_.requests_served.load(std::memory_order_relaxed);
-  stats.served_inline = counters_.served_inline.load(std::memory_order_relaxed);
-  stats.requests_shed =
-      counters_.requests_shed.load(std::memory_order_relaxed);
-  stats.bad_frames = counters_.bad_frames.load(std::memory_order_relaxed);
-  stats.responses_dropped =
-      counters_.responses_dropped.load(std::memory_order_relaxed);
-  stats.idle_closes = counters_.idle_closes.load(std::memory_order_relaxed);
-  stats.reloads_ok = counters_.reloads_ok.load(std::memory_order_relaxed);
-  stats.reloads_failed =
-      counters_.reloads_failed.load(std::memory_order_relaxed);
+  const auto get = [](const auto& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
+  const Counters& c = counters_;
+  std::size_t depth = 0;
   {
     const std::lock_guard lock(queue_mutex_);
-    stats.queue_depth = queue_.size();
+    depth = queue_.size();
   }
-  stats.queue_peak = counters_.queue_peak.load(std::memory_order_relaxed);
-  stats.open_sessions = open_sessions_.load(std::memory_order_acquire);
-  return stats;
+  return ServerStats{
+      get(c.connections_accepted), get(c.connections_rejected),
+      get(c.frames_received),      get(c.requests_enqueued),
+      get(c.requests_served),      get(c.served_inline),
+      get(c.requests_shed),        get(c.bad_frames),
+      get(c.responses_dropped),    get(c.idle_closes),
+      get(c.reloads_ok),           get(c.reloads_failed),
+      depth,                       get(c.queue_peak),
+      open_sessions_.load(std::memory_order_acquire)};
 }
 
 }  // namespace epp::serve

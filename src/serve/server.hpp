@@ -1,68 +1,51 @@
-// The prediction serving daemon core: a long-running concurrent TCP
-// server answering the length-prefixed binary protocol in
-// src/net/frame.hpp from whatever bundle version the BundleRegistry
-// currently holds active.
+// The prediction serving daemon core: a concurrent TCP server answering
+// the length-prefixed protocol of src/net/frame.hpp from whatever bundle
+// version the BundleRegistry holds active.
 //
-// Thread model (all threads are owned and joined by this class):
+// Threads: workers + 1, however many sessions are open.
 //
-//   * one accept thread — accepts connections and spawns one session
-//     reader per connection (bounded by max_connections; excess
-//     connections are closed immediately);
-//   * one reader thread per live session — decodes frames and answers
-//     control frames inline (ping/stats/shutdown/reload). A predict
-//     frame whose requested method has a cached answer and a closed
-//     breaker on the pinned version is answered inline too, by the
-//     same serve() the workers run, so its response bytes are the
-//     same; a non-mutating probe (ResilientPredictor::
-//     answers_from_cache) decides. Every other predict frame, and
-//     every observe frame, goes on the bounded dispatch queue;
-//   * a fixed pool of worker threads — pop queued requests, evaluate
-//     them through the *version-pinned* ResilientPredictor, and write
-//     the response under the session's write lock, so workers and the
-//     reader can interleave responses on one connection safely
-//     (responses carry the request id; clients match, not order — a
-//     hit can overtake a miss sent before it).
+//   * The loop thread poll()s the listener, its wake pipe and every
+//     session (at most max_connections; excess ones are closed at
+//     accept), reads what is ready into a per-session buffer and handles
+//     each whole frame. Ping, stats and shutdown are answered inline, as
+//     is a predict whose method has a cached answer and a closed breaker
+//     on the pinned version (ResilientPredictor::answers_from_cache, a
+//     non-mutating probe, decides), by the same serve() a worker runs.
+//     Other predicts, observes and reloads (a bundle load plus the
+//     EPP-SEM gate) go on the bounded queue; when it is full the request
+//     is shed at once with a typed kOverloaded error. The loop also keeps
+//     the session timers: the idle timeout counts from the last read, and
+//     a chaos accept delay defers the first read.
+//   * The workers pop queued items, evaluate them on their pinned version
+//     and write the response under the session's write lock. Sockets stay
+//     blocking, so workers and the loop interleave responses on one
+//     connection safely (clients match by request id: a hit can overtake
+//     a miss sent before it). A write on the loop holds the loop: an
+//     inline answer to a client that stops reading, or a dribbled one,
+//     paces every session (dribble is a chaos verdict, armed only to test
+//     slow writers).
 //
-// Version pinning: the reader captures the registry's active
-// ServingVersion (a shared_ptr) at admission, probes the cache on it and
-// either serves on it or lets the work item carry it to the worker — a
-// request admitted under version N is evaluated on version N even when a
-// reload promotes N+1 mid-flight, and never mixes relationships across
-// versions. The response reports the version that answered in
-// `bundle_version`.
+// Version pinning: a request admitted under registry version N is
+// answered on N (`bundle_version`) even when a reload promotes N+1
+// meanwhile. kObserve frames feed (predicted, observed RT) to the
+// DriftDetector; every response's `health` byte carries its state, and a
+// version swap resets it. An armed ServerOptions.chaos has its verdicts
+// applied on the real wire paths: reset at accept, deferred first reads,
+// reset / truncated / dribbled response writes.
 //
-// Drift: kObserve frames carry a client-measured RT; the worker
-// evaluates the same workload on the pinned version and feeds the
-// (predicted, observed) pair to the DriftDetector. Every response's
-// `health` byte carries the detector state; a version swap resets the
-// detector (new bundle, clean slate).
-//
-// Chaos: when ServerOptions.chaos is armed, the server *applies* the
-// decision-only net::ChaosPolicy verdicts — resets fresh connections at
-// accept, delays first reads, and resets / truncates / dribbles
-// response writes — so the loadgen harness can drive fault storms
-// against the real wire paths.
-//
-// Admission control: the dispatch queue is bounded. When it is full the
-// reader thread sheds the request *immediately* with a typed
-// ErrorCode::kOverloaded response instead of queueing without bound —
-// under overload clients see fast failures, not a latency collapse.
-// Cache hits answered inline never occupy the queue; they still count
-// as admitted (requests_enqueued) and served.
-//
-// Graceful shutdown (request_stop or a kShutdown frame): stop accepting,
-// stop reading new frames, let the workers drain every request already
-// admitted, flush those responses, then close the sessions. In-flight
-// work is never dropped; only unread bytes are.
+// Graceful shutdown (request_stop or a kShutdown frame): the loop stops
+// accepting and reading and exits; the workers drain every admitted
+// request; each session closes once its last response is written.
+// In-flight work is never dropped; only unread bytes are.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
 #include <memory>
 #include <string>
 #include <thread>
@@ -97,9 +80,9 @@ struct ServerOptions {
   /// Cap on the per-request deadline a client may ask for (seconds);
   /// larger requests are clamped. 0 disables per-request deadlines.
   double max_request_deadline_s = 10.0;
-  /// Close a session whose client sends nothing for this long (seconds);
-  /// counted in idle_closes. 0 lets a silent client pin its reader
-  /// thread forever (the pre-timeout behaviour).
+  /// Close a session whose client sends nothing for this long (seconds),
+  /// mid-frame or between frames; counted in idle_closes. 0 keeps a
+  /// silent session open until the client closes it.
   double idle_timeout_s = 0.0;
   /// Drift detector configuration (applies to kObserve frames).
   DriftOptions drift;
@@ -112,7 +95,7 @@ struct ServerOptions {
   const net::ChaosPolicy* chaos = nullptr;
   /// Test hook: sleep this long in the worker before each evaluation,
   /// to provoke queue buildup/shedding deterministically (cache hits
-  /// answered on the reader do not sleep). Never set in production paths.
+  /// answered on the loop do not sleep). Never set in production paths.
   double worker_delay_s = 0.0;
 };
 
@@ -121,10 +104,10 @@ struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_rejected = 0;  // over max_connections
   std::uint64_t frames_received = 0;
-  std::uint64_t requests_enqueued = 0; // admitted, inline ones included
+  std::uint64_t requests_enqueued = 0; // predict/observe admitted, inline too
   std::uint64_t requests_served = 0;   // predict/observe responses written
-  std::uint64_t served_inline = 0;     // of those, by the reader (cache hits)
-  std::uint64_t requests_shed = 0;     // kOverloaded at admission
+  std::uint64_t served_inline = 0;     // of those, by the loop (cache hits)
+  std::uint64_t requests_shed = 0;     // kOverloaded at admission, reloads too
   std::uint64_t bad_frames = 0;        // undecodable payloads
   std::uint64_t responses_dropped = 0; // peer gone before the write
   std::uint64_t idle_closes = 0;       // sessions closed by idle timeout
@@ -145,7 +128,7 @@ class PredictionServer {
   PredictionServer(const PredictionServer&) = delete;
   PredictionServer& operator=(const PredictionServer&) = delete;
 
-  /// Bind, listen and spawn the accept + worker threads. Throws
+  /// Bind, listen and spawn the loop + worker threads. Throws
   /// net::SocketError when the address cannot be bound.
   void start();
 
@@ -153,8 +136,8 @@ class PredictionServer {
   std::uint16_t port() const noexcept { return port_; }
 
   /// Begin graceful shutdown: stop accepting and reading, let workers
-  /// drain the admitted queue. Safe from any thread, including session
-  /// readers (a kShutdown frame calls this). Idempotent.
+  /// drain the admitted queue. Safe from any thread, including the loop
+  /// (a kShutdown frame calls this). Idempotent.
   void request_stop();
 
   /// True once request_stop() ran (or a kShutdown frame arrived).
@@ -180,6 +163,11 @@ class PredictionServer {
     util::RankedMutex write_mutex{EPP_LOCK_RANK(95),
                                   "serve.server.session_write"};
     std::atomic<bool> dead{false};
+    // Loop-only: bytes read but not yet a whole frame, and the time the
+    // idle timeout counts from (the last read). A chaos accept delay
+    // sets it in the future; the session is not read before it.
+    std::vector<std::uint8_t> inbox;
+    std::chrono::steady_clock::time_point quiet_since;
   };
   using SessionPtr = std::shared_ptr<Session>;
 
@@ -187,16 +175,24 @@ class PredictionServer {
     SessionPtr session;
     net::RequestMessage request;
     /// The registry version active at admission; the worker serves on
-    /// exactly this version (hot-swap isolation).
+    /// exactly this version (hot-swap isolation). Null for a reload.
     std::shared_ptr<const ServingVersion> pinned;
   };
 
-  void accept_loop();
-  void session_loop(SessionPtr session);
+  void serve_loop();
+  /// Read what the session has ready and handle every whole frame in
+  /// its inbox. False when the session is to be closed.
+  bool read_session(const SessionPtr& session);
+  /// Handle one frame's payload. False when the session is to be closed.
+  bool handle_frame(const SessionPtr& session,
+                    const std::vector<std::uint8_t>& payload);
+  /// Queue an item for the workers, or shed it with kOverloaded when the
+  /// queue is full. True when admitted.
+  bool enqueue(WorkItem item);
   void worker_loop();
   /// Evaluate one admitted predict/observe request on its pinned
   /// version, feed the drift detector and write the response. Workers
-  /// run it for queued requests, readers for cache hits.
+  /// run it for queued requests, the loop for cache hits.
   void serve(Session& session, const net::RequestMessage& request,
              const ServingVersion& version);
   /// Serialize and send under the session write lock, applying any
@@ -207,8 +203,6 @@ class PredictionServer {
                                 const ServingVersion& version);
   /// Reset the drift detector when the observed version changes.
   void drift_track_version(std::uint64_t version);
-  /// Reap finished session-reader threads (called from the accept loop).
-  void reap_sessions(bool all);
 
   BundleRegistry& registry_;
   ServerOptions options_;
@@ -218,18 +212,10 @@ class PredictionServer {
   std::atomic<std::uint64_t> drift_version_{0};
 
   std::unique_ptr<net::Listener> listener_;
-  std::thread accept_thread_;
+  std::thread loop_thread_;
   std::vector<std::thread> workers_;
-
-  struct SessionHandle {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-    std::weak_ptr<Session> session;  // for the shutdown read-side broadcast
-  };
-  util::RankedMutex sessions_mutex_{EPP_LOCK_RANK(20),
-                                    "serve.server.sessions"};
-  std::list<SessionHandle> session_threads_;
   std::atomic<std::size_t> open_sessions_{0};
+  std::vector<std::uint8_t> payload_;  // the loop's frame being handled
 
   mutable util::RankedMutex queue_mutex_{EPP_LOCK_RANK(40),
                                          "serve.server.queue"};
@@ -238,7 +224,7 @@ class PredictionServer {
 
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
-  /// Set by wait() once every reader is joined (the queue can no longer
+  /// Set by wait() once the loop is joined (the queue can no longer
   /// grow); workers drain what is left, then exit.
   std::atomic<bool> workers_stop_{false};
   std::atomic<bool> joined_{false};

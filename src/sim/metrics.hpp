@@ -19,7 +19,6 @@ class MetricsCollector {
   explicit MetricsCollector(double warmup_time = 0.0)
       : warmup_time_(warmup_time) {}
 
-  void set_warmup(double warmup_time) { warmup_time_ = warmup_time; }
   double warmup() const noexcept { return warmup_time_; }
 
   /// Record a completed request for `service_class`. Samples whose issue

@@ -82,7 +82,6 @@ class FifoResource {
 
   void add_job(double demand, Continuation on_complete);
 
-  std::size_t queue_length() const noexcept { return queue_.size(); }
   bool busy() const noexcept { return busy_; }
   double utilization(double now) const;
 

@@ -47,10 +47,6 @@ std::size_t sample_db_calls(const OperationProfile& op,
   return calls;
 }
 
-double browse_mix_probability(Operation op) noexcept {
-  return kBrowseMix[static_cast<std::size_t>(op)];
-}
-
 Operation sample_browse_operation(util::Rng& rng) noexcept {
   double u = rng.uniform();
   for (std::size_t i = 0; i < kNumOperations; ++i) {

@@ -50,10 +50,6 @@ const OperationProfile& profile(Operation op) noexcept;
 /// one more with probability frac(mean).
 std::size_t sample_db_calls(const OperationProfile& op, util::Rng& rng) noexcept;
 
-/// The browse service class mix: probability of each browse operation being
-/// selected as a client's next request (sums to 1 over the browse ops).
-double browse_mix_probability(Operation op) noexcept;
-
 /// Pick a browse operation according to the mix.
 Operation sample_browse_operation(util::Rng& rng) noexcept;
 

@@ -20,8 +20,6 @@ class Table {
   /// Convenience: formats doubles with the given precision.
   void add_numeric_row(const std::vector<double>& cells, int precision = 3);
 
-  std::size_t rows() const noexcept { return rows_.size(); }
-
   /// Render as an aligned ASCII table.
   std::string to_ascii() const;
   /// Render as CSV (no quoting; cells must not contain commas).

@@ -130,6 +130,19 @@ TEST(NetFrame, FrameWireIsTheLengthPrefixedPayload) {
   EXPECT_TRUE(std::equal(payload.begin(), payload.end(), wire.begin() + 4));
 }
 
+TEST(NetFrame, LengthPrefixDecodesLittleEndianUpToTheLimit) {
+  const std::vector<std::uint8_t> wire = frame_wire(encode_request(sample_request()));
+  EXPECT_EQ(decode_length_prefix(wire.data()), wire.size() - kLengthPrefixBytes);
+  const auto prefix_of = [](std::uint32_t length) {
+    return std::vector<std::uint8_t>{
+        static_cast<std::uint8_t>(length), static_cast<std::uint8_t>(length >> 8),
+        static_cast<std::uint8_t>(length >> 16), static_cast<std::uint8_t>(length >> 24)};
+  };
+  EXPECT_EQ(decode_length_prefix(prefix_of(kMaxFrameBytes).data()), kMaxFrameBytes);
+  EXPECT_THROW(decode_length_prefix(prefix_of(kMaxFrameBytes + 1).data()), FrameError);
+  EXPECT_THROW(decode_length_prefix(prefix_of(0xFFFFFFFFu).data()), FrameError);
+}
+
 // ---------------------------------------------------------------------------
 // Malformed payloads.
 // ---------------------------------------------------------------------------
@@ -349,6 +362,35 @@ TEST(NetFrame, MovedSocketKeepsItsUnreadFrames) {
   ASSERT_TRUE(read_frame(assigned, payload));
   EXPECT_EQ(decode_request(payload).id, 3u);
   EXPECT_FALSE(read_frame(assigned, payload));
+}
+
+TEST(NetFrame, RecvSomeReportsNothingReadyDataAndEof) {
+  Listener listener("127.0.0.1", 0);
+  Socket client = Socket::connect("127.0.0.1", listener.port());
+  std::optional<Socket> server = listener.accept();
+  ASSERT_TRUE(server.has_value());
+  std::uint8_t buffer[16];
+  EXPECT_EQ(server->recv_some(buffer, sizeof(buffer)), -1);  // nothing yet
+  const std::uint8_t sent[3] = {1, 2, 3};
+  ASSERT_TRUE(client.send_all(sent, sizeof(sent)));
+  client.shutdown_write();
+  std::size_t got = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::ptrdiff_t n = -1;
+  while ((n = server->recv_some(buffer + got, sizeof(buffer) - got)) != 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    if (n > 0) got += static_cast<std::size_t>(n);
+  EXPECT_EQ(n, 0) << "EOF never read";
+  ASSERT_EQ(got, sizeof(sent));
+  EXPECT_TRUE(std::equal(sent, sent + 3, buffer));
+}
+
+TEST(NetFrame, AcceptWithATimeoutReturnsEmptyWhenNothingIsPending) {
+  Listener listener("127.0.0.1", 0);
+  EXPECT_FALSE(listener.accept(0).has_value());
+  EXPECT_FALSE(listener.accept(20).has_value());
+  Socket client = Socket::connect("127.0.0.1", listener.port());
+  EXPECT_TRUE(listener.accept(10000).has_value());
 }
 
 TEST(NetFrame, ListenerInterruptUnblocksAccept) {

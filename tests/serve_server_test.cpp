@@ -1,28 +1,33 @@
 // Serving daemon core over the hot-swap registry: loopback round trips,
 // admission control (bounded queue, shed with typed kOverloaded),
 // per-request protocol deadlines, control frames (including live
-// reload), idle-session reaping, drift telemetry and graceful drain.
+// reload), idle-session reaping, drift telemetry, graceful drain, framing
+// across reads, wire chaos and the thread count of the serving loop.
 // Every fixture serves the golden corpus bundle through a BundleRegistry
 // — the same promotion path epp_serve uses — so version pinning and the
 // EPP-SEM gate are exercised on every scenario, without the simulator.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <future>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "calib/bundle.hpp"
+#include "net/chaos.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "serve/registry.hpp"
@@ -724,6 +729,302 @@ TEST(PredictionServer, AnswersDoNotDependOnWorkersOrArrivalOrder) {
 TEST(PredictionServer, DoubleStartThrows) {
   ServerFixture fixture;
   EXPECT_THROW(fixture.server->start(), std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
+// Framing across reads: the loop reassembles whatever the kernel hands it.
+// ---------------------------------------------------------------------------
+
+net::RequestMessage ping_request(std::uint64_t id) {
+  net::RequestMessage ping;
+  ping.kind = net::MessageKind::kPing;
+  ping.id = id;
+  return ping;
+}
+
+std::vector<std::uint8_t> wire_of(const net::RequestMessage& request) {
+  return net::frame_wire(net::encode_request(request));
+}
+
+TEST(PredictionServer, RequestSentOneBytePerSendIsAnswered) {
+  ServerFixture fixture;
+  net::Socket client = fixture.connect();
+  for (const std::uint8_t byte :
+       wire_of(predict_request(1, Method::kHistorical, "AppServF", 300.0))) {
+    ASSERT_TRUE(client.send_all(&byte, 1));
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  const auto response = receive(client);
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->id, 1u);
+  EXPECT_TRUE(response->ok()) << response->detail;
+  EXPECT_EQ(fixture.server->stats().frames_received, 1u);
+  EXPECT_EQ(fixture.server->stats().bad_frames, 0u);
+}
+
+TEST(PredictionServer, TwoRequestsCoalescedInOneSendAreBothAnswered) {
+  ServerFixture fixture;
+  net::Socket client = fixture.connect();
+  std::vector<std::uint8_t> wire =
+      wire_of(predict_request(1, Method::kLqn, "AppServF", 300.0));
+  const std::vector<std::uint8_t> second = wire_of(ping_request(2));
+  wire.insert(wire.end(), second.begin(), second.end());
+  ASSERT_TRUE(client.send_all(wire.data(), wire.size()));
+  std::set<std::uint64_t> ids;
+  for (int i = 0; i < 2; ++i) {
+    const auto response = receive(client);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_TRUE(response->ok()) << response->detail;
+    ids.insert(response->id);
+  }
+  EXPECT_EQ(ids, (std::set<std::uint64_t>{1, 2}));
+  EXPECT_EQ(fixture.server->stats().frames_received, 2u);
+}
+
+TEST(PredictionServer, OversizedPrefixClosesTheSessionWithoutBuffering) {
+  // The prefix announces 4 GiB. The server must refuse it on the four
+  // bytes alone: it closes the session at once instead of waiting for
+  // (or sizing a buffer for) the announced payload.
+  ServerFixture fixture;
+  net::Socket client = fixture.connect();
+  const std::uint8_t prefix[net::kLengthPrefixBytes] = {0xFF, 0xFF, 0xFF, 0xFF};
+  ASSERT_TRUE(client.send_all(prefix, sizeof(prefix)));
+  EXPECT_FALSE(receive(client).has_value()) << "session left open";
+  const ServerStats stats = fixture.server->stats();
+  EXPECT_EQ(stats.bad_frames, 1u);
+  EXPECT_EQ(stats.frames_received, 0u);
+  // Other sessions are unaffected.
+  net::Socket other = fixture.connect();
+  send(other, ping_request(3));
+  ASSERT_TRUE(receive(other).has_value());
+}
+
+TEST(PredictionServer, ClientStalledMidFrameIsClosedByTheIdleTimeout) {
+  ServerOptions options;
+  options.idle_timeout_s = 0.05;
+  ServerFixture fixture(options);
+  net::Socket stalled = fixture.connect();
+  const std::vector<std::uint8_t> wire = wire_of(ping_request(1));
+  ASSERT_TRUE(stalled.send_all(wire.data(), wire.size() / 2));
+  EXPECT_FALSE(receive(stalled).has_value()) << "half a frame held the session";
+  const ServerStats stats = fixture.server->stats();
+  EXPECT_EQ(stats.idle_closes, 1u);
+  EXPECT_EQ(stats.bad_frames, 0u);
+  EXPECT_EQ(stats.frames_received, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Wire chaos applied by a live server. Each verdict fires with
+// probability 1, so every outcome is certain.
+// ---------------------------------------------------------------------------
+
+/// A server whose options carry `chaos`; the policy outlives it.
+struct ChaosFixture {
+  net::ChaosPolicy chaos;
+  ServerFixture fixture;
+
+  explicit ChaosFixture(const net::ChaosConfig& config)
+      : chaos(config), fixture(options_with(&chaos)) {}
+
+  static ServerOptions options_with(const net::ChaosPolicy* chaos) {
+    ServerOptions options;
+    options.chaos = chaos;
+    return options;
+  }
+};
+
+/// Every byte the peer sends until it closes or resets the connection.
+std::vector<std::uint8_t> read_until_closed(net::Socket& socket) {
+  std::vector<std::uint8_t> bytes;
+  std::uint8_t buffer[256];
+  for (;;) {
+    const ssize_t got = ::recv(socket.fd(), buffer, sizeof(buffer), 0);
+    if (got <= 0) return bytes;
+    bytes.insert(bytes.end(), buffer, buffer + got);
+  }
+}
+
+TEST(PredictionServer, AcceptResetChaosGivesEof) {
+  net::ChaosConfig config;
+  config.accept_reset_p = 1.0;
+  ChaosFixture chaotic(config);
+  net::Socket client = chaotic.fixture.connect();
+  EXPECT_FALSE(receive(client).has_value());
+  EXPECT_EQ(chaotic.chaos.stats().accept_resets, 1u);
+  EXPECT_EQ(chaotic.fixture.server->stats().connections_accepted, 0u);
+}
+
+TEST(PredictionServer, TruncateChaosGivesAShortFrameThenEof) {
+  net::ChaosConfig config;
+  config.truncate_p = 1.0;
+  ChaosFixture chaotic(config);
+  net::Socket client = chaotic.fixture.connect();
+  send(client, ping_request(1));
+  // A pong carries no detail, so its frame size is fixed.
+  const std::size_t pong_bytes =
+      net::frame_wire(net::encode_response(net::ResponseMessage{})).size();
+  EXPECT_EQ(read_until_closed(client).size(), pong_bytes / 2);
+  EXPECT_EQ(chaotic.chaos.stats().write_truncates, 1u);
+}
+
+TEST(PredictionServer, ResetChaosGivesEof) {
+  net::ChaosConfig config;
+  config.reset_p = 1.0;
+  ChaosFixture chaotic(config);
+  net::Socket client = chaotic.fixture.connect();
+  send(client, ping_request(1));
+  EXPECT_FALSE(receive(client).has_value());
+  EXPECT_EQ(chaotic.chaos.stats().write_resets, 1u);
+  EXPECT_EQ(chaotic.fixture.server->stats().responses_dropped, 0u);
+}
+
+TEST(PredictionServer, DribbledWriteStillDecodes) {
+  net::ChaosConfig config;
+  config.dribble_s = 0.001;
+  ChaosFixture chaotic(config);
+  net::Socket client = chaotic.fixture.connect();
+  send(client, predict_request(1, Method::kLqn, "AppServF", 300.0));
+  const auto response = receive(client);
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->id, 1u);
+  EXPECT_TRUE(response->ok()) << response->detail;
+  EXPECT_GT(response->mean_rt_s, 0.0);
+  chaotic.fixture.server->stop();  // the writer counts after its last chunk
+  EXPECT_EQ(chaotic.chaos.stats().dribbled_writes, 1u);
+}
+
+TEST(PredictionServer, AcceptDelayHoldsTheFirstAnswerBack) {
+  net::ChaosConfig config;
+  config.accept_delay_s = 0.1;
+  // Draws are a pure function of (seed, stream, draw#): a twin policy's
+  // first delay is the one the server will apply to its first session.
+  const double delay_s = net::ChaosPolicy(config).accept_delay_s();
+  ASSERT_GT(delay_s, 0.0);
+  ChaosFixture chaotic(config);
+  const auto start = std::chrono::steady_clock::now();
+  net::Socket client = chaotic.fixture.connect();
+  send(client, ping_request(1));
+  ASSERT_TRUE(receive(client).has_value());
+  const std::chrono::duration<double> waited =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_GE(waited.count(), delay_s);
+  EXPECT_EQ(chaotic.chaos.stats().accept_delays, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Reloads run on a worker; the loop keeps answering.
+// ---------------------------------------------------------------------------
+
+TEST(PredictionServer, ReloadRunsOnAWorkerWhileOtherSessionsAreAnswered) {
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  ServerOptions options;
+  options.workers = 2;
+  options.reload_handler = [released](const std::string&) {
+    const bool freed = released.wait_for(std::chrono::seconds(30)) ==
+                       std::future_status::ready;
+    return ReloadStatus{false, freed ? "held, then released" : "never released"};
+  };
+  ServerFixture fixture(options);
+  net::Socket reloader = fixture.connect();
+  net::RequestMessage reload;
+  reload.kind = net::MessageKind::kReload;
+  reload.id = 1;
+  send(reloader, reload);
+
+  // The reload is parked in its handler; a ping on another session must
+  // still come back.
+  net::Socket other = fixture.connect();
+  send(other, ping_request(2));
+  const auto pong = receive(other);
+  release.set_value();
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_EQ(pong->id, 2u);
+
+  const auto ack = receive(reloader);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->id, 1u);
+  EXPECT_EQ(ack->detail, "held, then released");
+  EXPECT_EQ(fixture.server->stats().reloads_failed, 1u);
+}
+
+TEST(PredictionServer, ReloadIsShedWhenTheQueueIsFull) {
+  ServerOptions options;
+  options.workers = 1;
+  options.queue_capacity = 1;
+  options.worker_delay_s = 0.5;
+  options.reload_handler = [](const std::string&) {
+    return ReloadStatus{true, "promoted"};
+  };
+  ServerFixture fixture(options);
+  net::Socket client = fixture.connect();
+  const auto wait_for = [&](auto done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!done(fixture.server->stats()) &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  // The worker takes one miss and sleeps; a second miss fills the queue.
+  send(client, predict_request(1, Method::kLqn, "AppServF", 410.0));
+  wait_for([](const ServerStats& s) {
+    return s.requests_enqueued == 1 && s.queue_depth == 0;
+  });
+  send(client, predict_request(2, Method::kLqn, "AppServF", 420.0));
+  wait_for([](const ServerStats& s) { return s.queue_depth == 1; });
+  ASSERT_EQ(fixture.server->stats().queue_depth, 1u);
+
+  net::RequestMessage reload;
+  reload.kind = net::MessageKind::kReload;
+  reload.id = 3;
+  send(client, reload);
+  const auto shed = receive(client);
+  ASSERT_TRUE(shed.has_value());
+  EXPECT_EQ(shed->id, 3u);
+  EXPECT_EQ(shed->error_code, static_cast<std::uint8_t>(ErrorCode::kOverloaded));
+  for (int i = 0; i < 2; ++i) {
+    const auto response = receive(client);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_TRUE(response->ok()) << response->detail;
+  }
+  const ServerStats stats = fixture.server->stats();
+  EXPECT_EQ(stats.requests_shed, 1u);
+  EXPECT_EQ(stats.reloads_ok + stats.reloads_failed, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Threads: the daemon's thread count does not grow with its sessions.
+// ---------------------------------------------------------------------------
+
+/// This process's thread count, from the `Threads:` line of
+/// /proc/self/status; -1 when it cannot be read.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  return -1;
+}
+
+TEST(PredictionServer, ThreadCountIsTheSameForOneAndManySessions) {
+  ServerOptions options;
+  options.workers = 2;
+  ServerFixture fixture(options);
+  std::vector<net::Socket> sessions;
+  // Open sessions up to n, each proven live by a ping round trip.
+  const auto open_until = [&](std::size_t n) {
+    while (sessions.size() < n) {
+      sessions.push_back(fixture.connect());
+      send(sessions.back(), ping_request(sessions.size()));
+      ASSERT_TRUE(receive(sessions.back()).has_value());
+    }
+  };
+  open_until(1);
+  const int with_one = process_threads();
+  open_until(32);
+  const int with_many = process_threads();
+  ASSERT_GT(with_one, 0) << "no Threads: line in /proc/self/status";
+  EXPECT_EQ(with_many, with_one) << "threads grew with the open sessions";
+  EXPECT_EQ(fixture.server->stats().open_sessions, 32u);
 }
 
 }  // namespace
