@@ -1,8 +1,8 @@
 // Micro-benchmark: discrete-event engine throughput (events/second), the
 // cost of one "measured data point" on the simulation substrate, and the
 // scaling knobs added by the million-client refactor — old engine vs new
-// (slab + calendar queue), cancel churn, replication fan-out across
-// threads, and the fluid fast path.
+// (slab + calendar queue), cancel churn, and replication fan-out across
+// threads.
 //
 // Results print as the usual google-benchmark console table and are also
 // written to --json-out (default BENCH_sim.json) so CI can record the
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/fluid.hpp"
 #include "sim/legacy_engine.hpp"
 #include "sim/replicate.hpp"
 #include "sim/resources.hpp"
@@ -141,23 +140,6 @@ void BM_ReplicationScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplicationScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-// --- fluid fast path ------------------------------------------------------
-
-void BM_FluidTestbed(benchmark::State& state) {
-  // The same data point answered by the ODE fluid model: cost is flat in
-  // the population, so 10^6 clients is as cheap as the crossover point.
-  for (auto _ : state) {
-    trade::TestbedConfig config = trade::typical_workload(
-        trade::app_serv_f(), static_cast<std::size_t>(state.range(0)), kWorkloadSeed);
-    config.warmup_s = 5.0;
-    config.measure_s = 20.0;
-    config.fluid_threshold = 1;  // always engage
-    benchmark::DoNotOptimize(trade::run_testbed(config));
-  }
-}
-BENCHMARK(BM_FluidTestbed)->Arg(2600)->Arg(1000000)
-    ->Unit(benchmark::kMicrosecond);
 
 // --- JSON capture ---------------------------------------------------------
 

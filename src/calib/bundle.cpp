@@ -47,11 +47,9 @@ CalibrationBundle calibrate(const CalibrationOptions& options) {
   sweep.seed = options.sweep_seed;
   const auto saturation = [&](const ServerRecord& record, double buy_fraction,
                               std::uint64_t seed) {
-    sim::TestbedRun run{
+    return sim::TestbedRun{
         sim::trade::max_throughput_config(record.sim, buy_fraction, seed),
         options.replications};
-    run.config.fluid_threshold = options.fluid_threshold;
-    return run;
   };
 
   // --- stage 1: every run whose config depends on nothing ----------------

@@ -85,9 +85,6 @@ struct CalibrationOptions {
   /// Independent replications per saturation benchmark, averaged via
   /// sim::run_replications (1 = single run, the historical behaviour).
   std::size_t replications = 1;
-  /// Forwarded to TestbedConfig::fluid_threshold: populations at or above
-  /// this count answer from the fluid fast path (0 = always exact).
-  std::size_t fluid_threshold = 0;
 };
 
 /// The calibration pipeline (support services 1-3): benchmark every

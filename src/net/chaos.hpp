@@ -79,7 +79,7 @@ class ChaosPolicy {
   /// a chaotic write stays bounded regardless of the configured mean.
   double dribble_pause_s() const noexcept;
   /// Count one dribbled frame (the serving layer calls this once per
-  /// frame it actually chunked).
+  /// frame it chunks, before the first chunk goes out).
   void count_dribbled_write() const noexcept {
     counters_.dribbled_writes.fetch_add(1, std::memory_order_relaxed);
   }

@@ -40,6 +40,11 @@ constexpr std::size_t kDribbleChunk = 16;
 /// Bytes the loop asks for per read: a burst of request frames.
 constexpr std::size_t kReadChunk = 4096;
 
+/// How long the loop leaves the listener out of its poll set after a
+/// failed accept (EMFILE, say). A connection left pending would keep the
+/// listener readable, and polling it meanwhile would spin the loop.
+constexpr std::chrono::milliseconds kAcceptPause{100};
+
 }  // namespace
 
 PredictionServer::PredictionServer(BundleRegistry& registry,
@@ -110,13 +115,16 @@ void PredictionServer::serve_loop() {
   const bool idle_armed = idle > Clock::duration::zero();
   std::vector<SessionPtr> sessions;
   std::vector<pollfd> fds;
-  bool listening = true;
+  Clock::time_point accept_paused_until = Clock::time_point::min();
   while (!stopping()) {
     // fds[0] is the wake pipe, fds[1] the listener, then one entry per
-    // session; poll skips the fd -1 of a session whose first read is
-    // still deferred. The timeout is the nearest session timer.
+    // session; poll skips the fd -1 of a listener paused after a failed
+    // accept and of a session whose first read is still deferred. The
+    // timeout is the nearest of their timers.
     Clock::time_point now = Clock::now();
     Clock::time_point next_timer = Clock::time_point::max();
+    const bool listening = now >= accept_paused_until;
+    if (!listening) next_timer = accept_paused_until;
     fds.assign({{listener_->wake_fd(), POLLIN, 0},
                 {listening ? listener_->fd() : -1, POLLIN, 0}});
     for (const SessionPtr& session : sessions) {
@@ -148,12 +156,15 @@ void PredictionServer::serve_loop() {
     }
     std::erase(sessions, nullptr);
 
-    while (listening && (fds[1].revents & POLLIN) != 0 && !stopping()) {
+    while ((fds[1].revents & POLLIN) != 0 && !stopping()) {
       std::optional<net::Socket> accepted;
       try {
         accepted = listener_->accept(0);
       } catch (const net::SocketError&) {
-        listening = false;  // listener died; keep serving open sessions
+        // Out of descriptors, say: keep serving the open sessions and
+        // try the listener again after the pause.
+        counters_.accept_errors.fetch_add(1, std::memory_order_relaxed);
+        accept_paused_until = now + kAcceptPause;
         break;
       }
       if (!accepted) break;  // nothing more pending
@@ -412,6 +423,7 @@ void PredictionServer::handle_control(Session& session,
       const DriftSnapshot drift_stats = drift_.snapshot();
       std::ostringstream text;
       text << "connections_accepted=" << server_stats.connections_accepted
+           << " accept_errors=" << server_stats.accept_errors
            << " requests_enqueued=" << server_stats.requests_enqueued
            << " requests_served=" << server_stats.requests_served
            << " served_inline=" << server_stats.served_inline
@@ -512,7 +524,10 @@ void PredictionServer::write_response(Session& session,
       return;
     }
     // A slow-loris write goes out in paced chunks, a clean one at once.
+    // It is counted when chosen, so the count is visible as soon as the
+    // peer has the whole frame.
     const bool dribble = chaos != nullptr && chaos->dribble_writes();
+    if (dribble) chaos->count_dribbled_write();
     const std::size_t chunk = dribble ? kDribbleChunk : wire.size();
     for (std::size_t offset = 0; wrote && offset < wire.size(); offset += chunk) {
       if (dribble)
@@ -521,7 +536,6 @@ void PredictionServer::write_response(Session& session,
       wrote = session.socket.send_all(wire.data() + offset,
                                       std::min(chunk, wire.size() - offset));
     }
-    if (wrote && dribble) chaos->count_dribbled_write();
   } catch (const std::exception&) {
     wrote = false;
   }
@@ -543,6 +557,7 @@ ServerStats PredictionServer::stats() const {
   }
   return ServerStats{
       get(c.connections_accepted), get(c.connections_rejected),
+      get(c.accept_errors),
       get(c.frames_received),      get(c.requests_enqueued),
       get(c.requests_served),      get(c.served_inline),
       get(c.requests_shed),        get(c.bad_frames),

@@ -15,7 +15,9 @@
 //     EPP-SEM gate) go on the bounded queue; when it is full the request
 //     is shed at once with a typed kOverloaded error. The loop also keeps
 //     the session timers: the idle timeout counts from the last read, and
-//     a chaos accept delay defers the first read.
+//     a chaos accept delay defers the first read. A failed accept (out
+//     of descriptors, say) is counted and leaves the listener unpolled
+//     for 100 ms; the open sessions are served meanwhile.
 //   * The workers pop queued items, evaluate them on their pinned version
 //     and write the response under the session's write lock. Sockets stay
 //     blocking, so workers and the loop interleave responses on one
@@ -103,6 +105,7 @@ struct ServerOptions {
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_rejected = 0;  // over max_connections
+  std::uint64_t accept_errors = 0;  // failed accepts, each pauses accepting
   std::uint64_t frames_received = 0;
   std::uint64_t requests_enqueued = 0; // predict/observe admitted, inline too
   std::uint64_t requests_served = 0;   // predict/observe responses written
@@ -234,6 +237,7 @@ class PredictionServer {
   struct Counters {
     std::atomic<std::uint64_t> connections_accepted{0};
     std::atomic<std::uint64_t> connections_rejected{0};
+    std::atomic<std::uint64_t> accept_errors{0};
     std::atomic<std::uint64_t> frames_received{0};
     std::atomic<std::uint64_t> requests_enqueued{0};
     std::atomic<std::uint64_t> requests_served{0};

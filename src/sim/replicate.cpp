@@ -90,7 +90,6 @@ ReplicatedResult run_replications(const trade::TestbedConfig& config,
     s.app_cpu_utilization += r.app_cpu_utilization;
     s.db_cpu_utilization += r.db_cpu_utilization;
     s.disk_utilization += r.disk_utilization;
-    s.solved_by_fluid = s.solved_by_fluid || r.solved_by_fluid;
     rep_means.add(r.mean_rt_s);
     for (const auto& [name, cr] : r.per_class) {
       trade::ClassResult& merged = s.per_class[name];

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "sim/fluid.hpp"
 #include "sim/trade/simulation.hpp"
 
 namespace epp::sim::trade {
@@ -53,7 +52,6 @@ RunResult collect(const TestbedConfig& config, const Simulation& sim,
 }  // namespace
 
 RunResult run_testbed(const TestbedConfig& config, bool keep_samples) {
-  if (fluid_engages(config)) return run_testbed_fluid(config);
   if (config.classes.empty())
     throw std::invalid_argument("Testbed: no service classes");
   Simulation sim({config.server}, config.db_concurrency, config.db_speed,

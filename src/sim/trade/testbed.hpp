@@ -77,10 +77,6 @@ struct TestbedConfig {
   double db_speed = 1.0;
   double disk_speed = 1.0;
   std::optional<CacheConfig> cache;
-  /// When > 0 and the total closed-client population reaches this count,
-  /// run_testbed answers from the fluid (ODE) fast path instead of the
-  /// exact discrete-event engine (see sim/fluid.hpp). 0 = always exact.
-  std::size_t fluid_threshold = 0;
 };
 
 struct ClassResult {
@@ -104,9 +100,6 @@ struct RunResult {
   std::map<std::string, ClassResult> per_class;
   /// Quantile over all recorded response times (q in [0,1]).
   std::vector<double> rt_samples_s;  // retained for distribution studies
-  /// True when the fluid fast path produced this result (p90 fields are
-  /// then tail approximations, not measured order statistics).
-  bool solved_by_fluid = false;
 };
 
 /// Simulate one configuration and return its measurements. Deterministic

@@ -69,7 +69,6 @@ std::string render(const RunResult& r) {
   std::snprintf(buf, sizeof buf, " %016llx\n",
                 static_cast<unsigned long long>(digest(r.rt_samples_s)));
   out += "samples " + std::to_string(r.rt_samples_s.size()) + buf;
-  out += count_line("solved_by_fluid", r.solved_by_fluid ? 1 : 0);
   return out;
 }
 
@@ -171,7 +170,6 @@ browse mean_rt_s 0x1.63585e05f134cp-3
 browse p90_rt_s 0x1.4dacd833ae25ap-2
 browse throughput_rps 0x1.7055555555555p+7
 samples 0 14650fb0739d0383
-solved_by_fluid 0
 )");
 }
 
@@ -194,7 +192,6 @@ buy mean_rt_s 0x1.c1277a3beb87dp-4
 buy p90_rt_s 0x1.ca8c915ac54p-3
 buy throughput_rps 0x1.d333333333333p+3
 samples 0 14650fb0739d0383
-solved_by_fluid 0
 )");
 }
 
@@ -221,7 +218,6 @@ open_buy mean_rt_s 0x1.209f37edc9bc9p-5
 open_buy p90_rt_s 0x1.0cdf1895450cep-4
 open_buy throughput_rps 0x1.f888888888889p+2
 samples 0 14650fb0739d0383
-solved_by_fluid 0
 )");
 }
 
@@ -244,7 +240,6 @@ buy mean_rt_s 0x1.163390cf7b084p-5
 buy p90_rt_s 0x1.ecfdfc354a2p-5
 buy throughput_rps 0x1.dc44444444444p+4
 samples 0 14650fb0739d0383
-solved_by_fluid 0
 )");
 }
 
@@ -269,7 +264,6 @@ buy mean_rt_s 0x1.c796c98e2e73fp-7
 buy p90_rt_s 0x1.523590153dcccp-6
 buy throughput_rps 0x1.a3bbbbbbbbbbcp+3
 samples 7618 f03a50b32e82b4f0
-solved_by_fluid 0
 )");
 }
 

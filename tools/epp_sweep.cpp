@@ -23,7 +23,7 @@
 //   epp_sweep [--loads lo:hi:step] [--buys p1,p2,...]
 //             [--methods historical,lqn,hybrid] [--servers n1,n2,...]
 //             [--threads N] [--passes N] [--csv]
-//             [--replications N] [--fluid-threshold M]
+//             [--replications N]
 //             [--bundle FILE] [--save-bundle FILE]
 //             [--deadline-ms MS] [--max-retries N]
 //             [--fault-spec SPEC] [--batch-budget-ms MS]
@@ -65,8 +65,7 @@ struct SweepConfig {
   std::vector<std::string> servers{"AppServS", "AppServF", "AppServVF"};
   std::size_t threads = std::max(1u, std::thread::hardware_concurrency());
   std::size_t passes = 2;
-  std::size_t replications = 1;     // simulator runs averaged per benchmark
-  std::size_t fluid_threshold = 0;  // 0 = always exact simulation
+  std::size_t replications = 1;  // simulator runs averaged per benchmark
   bool csv = false;
   calib::ArtifactCli artifact;  // --bundle / --save-bundle
   // Resilient serving (any of these set switches the sweep to the
@@ -96,7 +95,7 @@ int usage(std::ostream& out) {
          "                 [--methods historical,lqn,hybrid]\n"
          "                 [--servers AppServS,AppServF,AppServVF]\n"
          "                 [--threads N] [--passes N] [--csv]\n"
-         "                 [--replications N] [--fluid-threshold M]\n"
+         "                 [--replications N]\n"
          "                 [--bundle FILE] [--save-bundle FILE]\n"
          "                 [--deadline-ms MS] [--max-retries N]\n"
          "                 [--fault-spec SPEC] [--batch-budget-ms MS]\n\n"
@@ -107,9 +106,7 @@ int usage(std::ostream& out) {
          "Produce artifacts with epp_calibrate or --save-bundle.\n\n"
          "--replications N averages each calibration benchmark over N\n"
          "independent simulator replications (seeds derived per index,\n"
-         "fanned out on the worker pool). --fluid-threshold M answers\n"
-         "populations of M+ clients from the fluid (ODE) fast path\n"
-         "instead of the exact discrete-event engine.\n\n"
+         "fanned out on the worker pool).\n\n"
          "--deadline-ms / --max-retries / --fault-spec / --batch-budget-ms\n"
          "switch to fault-tolerant serving: each cell returns a value or a\n"
          "typed error, degraded cells are flagged fallback/stale. The fault\n"
@@ -151,8 +148,6 @@ SweepConfig parse_args(int argc, char** argv) {
       config.passes = cli::parse_size(arg, value(), 1);
     } else if (arg == "--replications") {
       config.replications = cli::parse_size(arg, value(), 1);
-    } else if (arg == "--fluid-threshold") {
-      config.fluid_threshold = cli::parse_size(arg, value(), 0);
     } else if (arg == "--csv") {
       config.csv = true;
     } else if (arg == "--deadline-ms") {
@@ -290,7 +285,6 @@ int main(int argc, char** argv) try {
   calib::CalibrationOptions calibration_options;
   calibration_options.pool = &pool;
   calibration_options.replications = config.replications;
-  calibration_options.fluid_threshold = config.fluid_threshold;
   if (config.artifact.load_path.empty())
     std::cerr << "calibrating from the simulated testbed...\n";
   const util::Timer calibration_timer;
