@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -202,6 +203,132 @@ TEST(Testbed, KeepSamplesReturnsResponseTimes) {
   config.measure_s = 20.0;
   const RunResult r = run_testbed(config, /*keep_samples=*/true);
   EXPECT_GT(r.rt_samples_s.size(), 100u);
+}
+
+// ---------------------------------------------------------------------------
+// Operational laws. Every run is the exact engine, at any population, so
+// these hold for the measured window well past the largest calibration run.
+// ---------------------------------------------------------------------------
+
+double law_err(double got, double want) {
+  return std::abs(got - want) / std::abs(want);
+}
+
+TEST(Testbed, ResponseTimeLawHoldsFarPastSaturation) {
+  // N = X (R + Z) for a closed class. 6000 clients on AppServF is past
+  // every calibration saturation run; the backlog drains at ~186 rps.
+  const std::size_t clients = 6000;
+  TestbedConfig config = typical_workload(app_serv_f(), clients, 42);
+  config.warmup_s = 60.0;
+  config.measure_s = 120.0;
+  const RunResult r = run_testbed(config);
+  EXPECT_NEAR(r.throughput_rps, 186.0, 14.0);
+  EXPECT_GT(r.app_cpu_utilization, 0.97);
+  const double think = config.classes.front().mean_think_time_s;
+  EXPECT_LT(law_err(r.throughput_rps * (r.mean_rt_s + think),
+                    static_cast<double>(clients)),
+            0.05)
+      << "X " << r.throughput_rps << " R " << r.mean_rt_s;
+}
+
+TEST(Testbed, ResponseTimeLawHoldsPerClassInAMixedWorkload) {
+  const std::size_t clients = 2600;
+  TestbedConfig config = mixed_workload(app_serv_f(), clients, 0.25, 42);
+  config.warmup_s = 30.0;
+  config.measure_s = 120.0;
+  const RunResult r = run_testbed(config);
+  for (const auto& spec : config.classes) {
+    const ClassResult& c = r.per_class.at(spec.name);
+    EXPECT_LT(law_err(c.throughput_rps * (c.mean_rt_s + spec.mean_think_time_s),
+                      static_cast<double>(spec.clients)),
+              0.05)
+        << spec.name << ": X " << c.throughput_rps << " R " << c.mean_rt_s;
+  }
+}
+
+TEST(Testbed, UtilizationLawDemandIsTheSameAtEveryLoad) {
+  // U = X D: the app-server demand per request, U / X, does not depend on
+  // the population, from light load to saturation.
+  const auto demand = [](std::size_t clients) {
+    TestbedConfig config = typical_workload(app_serv_f(), clients, 13);
+    config.warmup_s = 30.0;
+    config.measure_s = 90.0;
+    const RunResult r = run_testbed(config);
+    return r.app_cpu_utilization / r.throughput_rps;
+  };
+  const double light = demand(350);
+  const double saturated = demand(3000);
+  EXPECT_LT(law_err(light, saturated), 0.05)
+      << "light " << light << " saturated " << saturated;
+  // Saturated at ~186 rps, so the demand is ~1/186 s.
+  EXPECT_NEAR(saturated, 1.0 / 186.0, 0.1 / 186.0);
+}
+
+TEST(Testbed, ForcedFlowDbVisitsPerRequestDoNotDependOnLoad) {
+  // X_db = V_db X: database calls per request are a property of the
+  // request mix, not of the population.
+  const auto visits = [](std::size_t clients) {
+    TestbedConfig config = typical_workload(app_serv_s(), clients, 17);
+    config.warmup_s = 30.0;
+    config.measure_s = 90.0;
+    return run_testbed(config).db_calls_per_request;
+  };
+  const double light = visits(150);
+  const double saturated = visits(2000);
+  EXPECT_GT(light, 0.0);
+  EXPECT_LT(law_err(light, saturated), 0.05)
+      << "light " << light << " saturated " << saturated;
+}
+
+TEST(Testbed, SaturatedThroughputScalesWithServerSpeed) {
+  // Past saturation the app CPU is the bottleneck, so X = speed / D on
+  // every server at the same (far-past-saturation) population.
+  const auto saturated = [](const ServerSpec& server) {
+    TestbedConfig config = typical_workload(server, 5000, 23);
+    config.warmup_s = 60.0;
+    config.measure_s = 90.0;
+    return run_testbed(config).throughput_rps;
+  };
+  const double fast = saturated(app_serv_f());
+  EXPECT_LT(law_err(saturated(app_serv_s()) / fast, app_serv_s().speed), 0.05);
+  EXPECT_LT(law_err(saturated(app_serv_vf()) / fast, app_serv_vf().speed), 0.05);
+}
+
+TEST(Testbed, OpenClassThroughputIsItsArrivalRate) {
+  TestbedConfig config;
+  config.server = app_serv_f();
+  config.warmup_s = 30.0;
+  config.measure_s = 120.0;
+  config.seed = 42;
+  ServiceClassSpec open;
+  open.name = "open";
+  open.open_arrival_rps = 50.0;
+  config.classes.push_back(open);
+  config.classes.push_back({"browse", UserType::kBrowse, 500, 7.0});
+  const RunResult r = run_testbed(config);
+  const ClassResult& o = r.per_class.at("open");
+  EXPECT_LT(law_err(o.throughput_rps, 50.0), 0.05) << o.throughput_rps;
+  EXPECT_GT(o.mean_rt_s, 0.0);
+  const ClassResult& b = r.per_class.at("browse");
+  EXPECT_NEAR(r.throughput_rps, o.throughput_rps + b.throughput_rps, 1e-9);
+}
+
+TEST(Testbed, SamplesMatchCompletionsAndQuantileAtLargePopulation) {
+  TestbedConfig config = typical_workload(app_serv_f(), 4000, 5);
+  config.warmup_s = 30.0;
+  config.measure_s = 30.0;
+  const RunResult r = run_testbed(config, /*keep_samples=*/true);
+  ASSERT_EQ(r.rt_samples_s.size(), r.per_class.at("browse").completions);
+  std::vector<double> sorted = r.rt_samples_s;
+  std::sort(sorted.begin(), sorted.end());
+  // The reported p90 lies inside the samples' 89th..91st percentiles.
+  const auto at = [&](double q) {
+    return sorted[static_cast<std::size_t>(
+        q * static_cast<double>(sorted.size() - 1))];
+  };
+  EXPECT_GE(r.p90_rt_s, at(0.89));
+  EXPECT_LE(r.p90_rt_s, at(0.91));
+  EXPECT_GT(r.p90_rt_s, r.mean_rt_s);
 }
 
 TEST(Testbed, InvalidConfigsThrow) {
