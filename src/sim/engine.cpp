@@ -82,6 +82,13 @@ void Engine::cancel(Handle handle) noexcept {
   if (rec.gen != handle.gen) return;  // already fired / canceled / reused
   --live_;
   free_slot(handle.slot);  // the queue entry goes stale; skipped lazily
+  if (live_ == 0) drop_stale_entries();
+}
+
+void Engine::drop_stale_entries() noexcept {
+  for (auto& bucket : buckets_) bucket.clear();
+  overflow_.clear();
+  cur_ = 0;
 }
 
 std::size_t Engine::bucket_index(double time) const noexcept {
@@ -183,21 +190,48 @@ void Engine::advance_bucket() {
   start_new_year();
 }
 
+Engine::Timer Engine::add_timer(RawFn fn, void* ctx) {
+  timers_.push_back(TimerRecord{kInfinity, 0, fn, ctx});
+  return static_cast<Timer>(timers_.size() - 1);
+}
+
 EPP_HOT_BEGIN(sim_event_loop);
 
-double Engine::peek_live_time() {
-  if (live_ == 0) {
-    // Nothing can fire again: drop any stale entries wholesale.
-    for (auto& bucket : buckets_) bucket.clear();
-    overflow_.clear();
-    cur_ = 0;
-    return kInfinity;
-  }
+void Engine::arm_after(Timer timer, double delay) {
+  // The same checks, time and sequence number as schedule_raw_after.
+  const double time = now_ + delay;
+  if (!(delay >= 0.0) || !std::isfinite(time))
+    throw std::invalid_argument("Engine::arm_after: bad delay");
+  TimerRecord& rec = timers_[timer];
+  if (rec.time == kInfinity) ++armed_;
+  rec.time = time;
+  rec.seq = next_seq_++;
+}
+
+void Engine::disarm(Timer timer) noexcept {
+  TimerRecord& rec = timers_[timer];
+  if (rec.time == kInfinity) return;
+  rec.time = kInfinity;
+  --armed_;
+}
+
+Engine::TimerRecord* Engine::first_timer() noexcept {
+  if (armed_ == 0) return nullptr;
+  TimerRecord* first = &timers_.front();
+  for (TimerRecord& rec : timers_)
+    if (rec.time < first->time ||
+        (rec.time == first->time && rec.seq < first->seq))
+      first = &rec;
+  return first;
+}
+
+const Engine::QEntry* Engine::calendar_head() {
+  if (live_ == 0) return nullptr;
   for (;;) {
     auto& heap = buckets_[cur_];
     while (!heap.empty()) {
       const QEntry& top = heap.front();
-      if (record(top.slot).gen == top.gen) return top.time;
+      if (record(top.slot).gen == top.gen) return &top;
       std::pop_heap(heap.begin(), heap.end(), EntryAfter{});
       heap.pop_back();  // stale (canceled) entry: slot already reclaimed
     }
@@ -205,8 +239,32 @@ double Engine::peek_live_time() {
   }
 }
 
-bool Engine::step() {
-  if (peek_live_time() == kInfinity) return false;
+double Engine::peek_live_time() {
+  const QEntry* head = calendar_head();
+  const TimerRecord* timer = first_timer();
+  const double head_time = head != nullptr ? head->time : kInfinity;
+  return timer != nullptr ? std::min(timer->time, head_time) : head_time;
+}
+
+bool Engine::fire_next(double limit) {
+  const QEntry* head = calendar_head();
+  TimerRecord* timer = first_timer();
+  if (timer != nullptr &&
+      (head == nullptr || timer->time < head->time ||
+       (timer->time == head->time && timer->seq < head->seq))) {
+    if (!(timer->time <= limit)) return false;
+    now_ = timer->time;
+    ++processed_;
+    // Disarm first so the handler may re-arm; copy fn/ctx because it may
+    // also register timers (reallocating timers_).
+    timer->time = kInfinity;
+    --armed_;
+    const RawFn fn = timer->fn;
+    void* ctx = timer->ctx;
+    fn(ctx, 0);
+    return true;
+  }
+  if (head == nullptr || !(head->time <= limit)) return false;
   auto& heap = buckets_[cur_];
   std::pop_heap(heap.begin(), heap.end(), EntryAfter{});
   const QEntry top = heap.back();
@@ -220,17 +278,21 @@ bool Engine::step() {
   const std::uint64_t arg = rec.arg;
   // Free first so the slot can be reused by events the handler schedules.
   free_slot(top.slot);
+  if (live_ == 0) drop_stale_entries();
   fn(ctx, arg);
   return true;
 }
 
+bool Engine::step() { return fire_next(kInfinity); }
+
 void Engine::run_until(double end_time) {
-  while (peek_live_time() <= end_time) step();
+  while (fire_next(end_time)) {
+  }
   if (end_time > now_) now_ = end_time;
 }
 
 void Engine::run_all() {
-  while (step()) {
+  while (fire_next(kInfinity)) {
   }
 }
 

@@ -3,13 +3,56 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/annotations.hpp"
+
 namespace epp::sim {
 
 PsResource::PsResource(Engine& engine, double speed, std::string name)
     : engine_(engine), speed_(speed), name_(std::move(name)) {
   if (speed <= 0.0) throw std::invalid_argument("PsResource: speed <= 0");
+  timer_ = engine_.add_timer(&PsResource::on_completion, this);
   last_update_ = engine_.now();
 }
+
+PsResource::~PsResource() { engine_.disarm(timer_); }
+
+double PsResource::utilization(double now) const {
+  if (now <= 0.0) return 0.0;
+  double busy = busy_time_;
+  if (!jobs_.empty()) busy += now - last_update_;
+  return busy / now;
+}
+
+FifoResource::FifoResource(Engine& engine, double speed, std::string name)
+    : engine_(engine), speed_(speed), name_(std::move(name)) {
+  if (speed <= 0.0) throw std::invalid_argument("FifoResource: speed <= 0");
+  timer_ = engine_.add_timer(&FifoResource::on_job_done, this);
+}
+
+FifoResource::~FifoResource() { engine_.disarm(timer_); }
+
+double FifoResource::utilization(double now) const {
+  if (now <= 0.0) return 0.0;
+  double busy = busy_time_;
+  if (busy_) busy += now - busy_since_;
+  return busy / now;
+}
+
+SlotPool::SlotPool(std::size_t capacity, std::size_t num_queues)
+    : capacity_(capacity), queues_(num_queues) {
+  if (capacity == 0) throw std::invalid_argument("SlotPool: zero capacity");
+  if (num_queues == 0) throw std::invalid_argument("SlotPool: zero queues");
+}
+
+std::size_t SlotPool::waiting() const noexcept {
+  std::size_t total = 0;
+  for (const auto& q : queues_) total += q.size();
+  return total;
+}
+
+// Per-event work of every resource: each request passes through here
+// several times, so nothing below may allocate once buffers have grown.
+EPP_HOT_BEGIN(sim_resources);
 
 void PsResource::advance_vtime() {
   const double now = engine_.now();
@@ -23,48 +66,43 @@ void PsResource::advance_vtime() {
 
 void PsResource::on_completion(void* self, std::uint64_t) {
   auto& ps = *static_cast<PsResource*>(self);
-  ps.pending_completion_.reset();
   ps.advance_vtime();
   // Numerical guard: the front job is complete by construction.
-  auto it = ps.jobs_.begin();
-  Continuation done = std::move(it->second.on_complete);
-  ps.jobs_.erase(it);
+  std::pop_heap(ps.jobs_.begin(), ps.jobs_.end(), JobAfter{});
+  const std::uint32_t slot = ps.jobs_.back().slot;
+  ps.jobs_.pop_back();
+  Continuation done = std::move(ps.continuations_[slot]);
+  ps.free_slots_.push_back(slot);
   ps.schedule_next_completion();
   done();
 }
 
 void PsResource::schedule_next_completion() {
-  engine_.cancel(pending_completion_);
-  pending_completion_.reset();
-  if (jobs_.empty()) return;
-  const double finish_v = jobs_.begin()->first;
+  if (jobs_.empty()) {
+    engine_.disarm(timer_);
+    return;
+  }
+  const double finish_v = jobs_.front().finish_vtime;
   const double dt =
       (finish_v - vtime_) * static_cast<double>(jobs_.size()) / speed_;
-  // Raw typed dispatch: completion events are the engine's hottest
-  // customers and carry no state beyond `this`.
-  pending_completion_ = engine_.schedule_raw_after(std::max(0.0, dt),
-                                                   &PsResource::on_completion,
-                                                   this);
+  engine_.arm_after(timer_, std::max(0.0, dt));
 }
 
 void PsResource::add_job(double demand, Continuation on_complete) {
   if (demand < 0.0) throw std::invalid_argument("PsResource: negative demand");
   advance_vtime();
-  const double finish_v = vtime_ + demand;
-  jobs_.emplace(finish_v, Job{finish_v, next_seq_++, std::move(on_complete)});
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(continuations_.size());
+    continuations_.push_back(std::move(on_complete));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    continuations_[slot] = std::move(on_complete);
+  }
+  jobs_.push_back(Job{vtime_ + demand, next_seq_++, slot});
+  std::push_heap(jobs_.begin(), jobs_.end(), JobAfter{});
   schedule_next_completion();
-}
-
-double PsResource::utilization(double now) const {
-  if (now <= 0.0) return 0.0;
-  double busy = busy_time_;
-  if (!jobs_.empty()) busy += now - last_update_;
-  return busy / now;
-}
-
-FifoResource::FifoResource(Engine& engine, double speed, std::string name)
-    : engine_(engine), speed_(speed), name_(std::move(name)) {
-  if (speed <= 0.0) throw std::invalid_argument("FifoResource: speed <= 0");
 }
 
 void FifoResource::add_job(double demand, Continuation on_complete) {
@@ -88,24 +126,9 @@ void FifoResource::start_next() {
   }
   busy_ = true;
   busy_since_ = engine_.now();
-  Job job = std::move(queue_.front());
-  queue_.pop_front();
+  Job job = queue_.pop_front();
   current_done_ = std::move(job.on_complete);
-  engine_.schedule_raw_after(job.demand / speed_, &FifoResource::on_job_done,
-                             this);
-}
-
-double FifoResource::utilization(double now) const {
-  if (now <= 0.0) return 0.0;
-  double busy = busy_time_;
-  if (busy_) busy += now - busy_since_;
-  return busy / now;
-}
-
-SlotPool::SlotPool(std::size_t capacity, std::size_t num_queues)
-    : capacity_(capacity), queues_(num_queues) {
-  if (capacity == 0) throw std::invalid_argument("SlotPool: zero capacity");
-  if (num_queues == 0) throw std::invalid_argument("SlotPool: zero queues");
+  engine_.arm_after(timer_, job.demand / speed_);
 }
 
 void SlotPool::acquire(std::size_t queue, Continuation on_acquired) {
@@ -127,8 +150,7 @@ void SlotPool::release() {
     auto& q = queues_[(rr_next_ + probe) % queues_.size()];
     if (!q.empty()) {
       rr_next_ = (rr_next_ + probe + 1) % queues_.size();
-      Continuation next = std::move(q.front());
-      q.pop_front();
+      Continuation next = q.pop_front();
       next();  // slot ownership transfers to the admitted waiter
       return;
     }
@@ -136,10 +158,6 @@ void SlotPool::release() {
   --in_use_;
 }
 
-std::size_t SlotPool::waiting() const noexcept {
-  std::size_t total = 0;
-  for (const auto& q : queues_) total += q.size();
-  return total;
-}
+EPP_HOT_END(sim_resources);
 
 }  // namespace epp::sim

@@ -12,13 +12,18 @@
 //                     simulated exactly with the virtual-time technique;
 //   * FifoResource  — a serial device (the DB disk is "a processor that can
 //                     only process one request at a time").
+//
+// Each PsResource and FifoResource owns one re-armable engine timer for
+// its next completion, and every queue reuses its storage, so a
+// resource's per-event work allocates nothing once its buffers have
+// grown to the run's high-water mark.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -29,12 +34,52 @@ namespace epp::sim {
 /// resources call it themselves; it never goes through the engine.
 using Continuation = std::function<void()>;
 
+/// FIFO queue on a reused power-of-two ring buffer: push/pop move
+/// elements in place, and the buffer grows (doubling) only when full.
+template <typename T>
+class RingQueue {
+ public:
+  bool empty() const noexcept { return size_ == 0; }
+  std::size_t size() const noexcept { return size_; }
+
+  void push_back(T value) {
+    if (size_ == slots_.size()) grow();
+    slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(value);
+    ++size_;
+  }
+
+  /// Remove and return the oldest element; the queue must not be empty.
+  T pop_front() {
+    T value = std::move(slots_[head_]);
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --size_;
+    return value;
+  }
+
+ private:
+  void grow() {
+    std::vector<T> bigger(std::max<std::size_t>(8, 2 * slots_.size()));
+    for (std::size_t i = 0; i < size_; ++i)
+      bigger[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    slots_ = std::move(bigger);
+    head_ = 0;
+  }
+
+  std::vector<T> slots_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
 /// Egalitarian processor sharing at a fixed total speed. A job with demand
 /// d (seconds of work at speed 1) completes after attaining d/speed seconds
 /// of virtual service. With n active jobs each progresses at speed/n.
 class PsResource {
  public:
   PsResource(Engine& engine, double speed, std::string name = "ps");
+  ~PsResource();
+  // The engine's timer holds `this`.
+  PsResource(const PsResource&) = delete;
+  PsResource& operator=(const PsResource&) = delete;
 
   /// Begin serving a job; on_complete fires when its demand is exhausted.
   void add_job(double demand, Continuation on_complete);
@@ -47,14 +92,21 @@ class PsResource {
   double utilization(double now) const;
 
  private:
+  /// Heap entry: the job finishing at virtual time `finish_vtime`, its
+  /// continuation in continuations_[slot]. `seq` (arrival order) keeps
+  /// equal finish times FIFO.
   struct Job {
     double finish_vtime;
     std::uint64_t seq;
-    Continuation on_complete;
-    bool operator<(const Job& other) const noexcept {
-      if (finish_vtime != other.finish_vtime)
-        return finish_vtime < other.finish_vtime;
-      return seq < other.seq;
+    std::uint32_t slot;
+  };
+  // Min-heap order on (finish_vtime, seq) via std::*_heap's max-heap
+  // primitives.
+  struct JobAfter {
+    bool operator()(const Job& a, const Job& b) const noexcept {
+      if (a.finish_vtime != b.finish_vtime)
+        return a.finish_vtime > b.finish_vtime;
+      return a.seq > b.seq;
     }
   };
 
@@ -65,20 +117,24 @@ class PsResource {
   Engine& engine_;
   double speed_;
   std::string name_;
-  // Jobs keyed by the virtual time at which they finish. std::multimap keeps
-  // them ordered; the front is always the next completion.
-  std::multimap<double, Job> jobs_;
+  Engine::Timer timer_{};
+  std::vector<Job> jobs_;  // heap; the front is always the next completion
+  std::vector<Continuation> continuations_;  // slab indexed by Job::slot
+  std::vector<std::uint32_t> free_slots_;
   double vtime_ = 0.0;
   double last_update_ = 0.0;
   double busy_time_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  Engine::Handle pending_completion_;
 };
 
 /// Single-server FIFO queue (used for the DB disk).
 class FifoResource {
  public:
   FifoResource(Engine& engine, double speed, std::string name = "fifo");
+  ~FifoResource();
+  // The engine's timer holds `this`.
+  FifoResource(const FifoResource&) = delete;
+  FifoResource& operator=(const FifoResource&) = delete;
 
   void add_job(double demand, Continuation on_complete);
 
@@ -97,7 +153,8 @@ class FifoResource {
   Engine& engine_;
   double speed_;
   std::string name_;
-  std::deque<Job> queue_;
+  Engine::Timer timer_{};
+  RingQueue<Job> queue_;
   Continuation current_done_;  // completion of the job in service
   bool busy_ = false;
   double busy_time_ = 0.0;
@@ -127,7 +184,7 @@ class SlotPool {
  private:
   std::size_t capacity_;
   std::size_t in_use_ = 0;
-  std::vector<std::deque<Continuation>> queues_;
+  std::vector<RingQueue<Continuation>> queues_;
   std::size_t rr_next_ = 0;
 };
 

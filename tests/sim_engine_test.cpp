@@ -228,6 +228,98 @@ TEST(Engine, PendingTracksLiveEvents) {
   EXPECT_EQ(engine.pending(), 0u);
 }
 
+// Re-armable timers: one pending firing each, outside the calendar but
+// ordered against it by the same (time, seq) rule.
+TEST(EngineTimer, EqualTimeOrderFollowsArmAndScheduleOrder) {
+  Engine engine;
+  std::vector<std::uint64_t> order;
+  const Engine::Timer timer = engine.add_timer(
+      [](void* ctx, std::uint64_t) {
+        static_cast<std::vector<std::uint64_t>*>(ctx)->push_back(99);
+      },
+      &order);
+  engine.schedule_raw_at(1.0, push_arg, &order, 1);
+  engine.arm_after(timer, 1.0);                     // armed after event 1
+  engine.schedule_raw_at(1.0, push_arg, &order, 2);  // scheduled after it
+  engine.run_all();
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 99, 2}));
+}
+
+TEST(EngineTimer, RearmingReplacesThePendingFiring) {
+  TimeLog log;
+  const Engine::Timer timer = log.engine.add_timer(&TimeLog::record, &log);
+  log.engine.arm_after(timer, 5.0);
+  log.engine.arm_after(timer, 2.0);
+  log.engine.run_all();
+  EXPECT_EQ(log.fired, (std::vector<double>{2.0}));
+  EXPECT_EQ(log.engine.events_processed(), 1u);
+}
+
+TEST(EngineTimer, DisarmedTimerNeverFires) {
+  Engine engine;
+  bool ran = false;
+  const Engine::Timer timer = engine.add_timer(set_flag, &ran);
+  engine.arm_after(timer, 1.0);
+  engine.disarm(timer);
+  engine.disarm(timer);  // already disarmed: no-op
+  EXPECT_EQ(engine.pending(), 0u);
+  EXPECT_EQ(engine.peek_live_time(), std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(engine.step());
+  engine.schedule_raw_at(3.0, noop, nullptr);
+  engine.run_all();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(engine.events_processed(), 1u);
+  EXPECT_DOUBLE_EQ(engine.now(), 3.0);
+}
+
+TEST(EngineTimer, RunUntilLeavesALaterTimerPending) {
+  TimeLog log;
+  const Engine::Timer timer = log.engine.add_timer(&TimeLog::record, &log);
+  log.engine.arm_after(timer, 7.0);
+  log.engine.run_until(5.0);
+  EXPECT_TRUE(log.fired.empty());
+  EXPECT_DOUBLE_EQ(log.engine.now(), 5.0);
+  EXPECT_EQ(log.engine.pending(), 1u);
+  EXPECT_DOUBLE_EQ(log.engine.peek_live_time(), 7.0);
+  log.engine.run_until(7.0);  // the boundary is inclusive
+  EXPECT_EQ(log.fired, (std::vector<double>{7.0}));
+}
+
+TEST(EngineTimer, PendingAndRunAllCountArmedTimers) {
+  struct Rearm {
+    Engine engine;
+    Engine::Timer timer = 0;
+    int fired = 0;
+    static void fire(void* ctx, std::uint64_t) {
+      auto& self = *static_cast<Rearm*>(ctx);
+      // The timer is disarmed while its handler runs, so it may re-arm.
+      EXPECT_EQ(self.engine.pending(), 0u);
+      if (++self.fired < 3) self.engine.arm_after(self.timer, 1.0);
+    }
+  } rearm;
+  rearm.timer = rearm.engine.add_timer(&Rearm::fire, &rearm);
+  rearm.engine.arm_after(rearm.timer, 1.0);
+  EXPECT_EQ(rearm.engine.pending(), 1u);
+  rearm.engine.schedule_raw_at(0.5, noop, nullptr);
+  EXPECT_EQ(rearm.engine.pending(), 2u);
+  rearm.engine.run_all();
+  EXPECT_EQ(rearm.fired, 3);
+  EXPECT_EQ(rearm.engine.pending(), 0u);
+  EXPECT_EQ(rearm.engine.events_processed(), 4u);
+  EXPECT_DOUBLE_EQ(rearm.engine.now(), 3.0);
+}
+
+TEST(EngineTimer, ArmRejectsBadDelays) {
+  Engine engine;
+  const Engine::Timer timer = engine.add_timer(noop, nullptr);
+  EXPECT_THROW(engine.arm_after(timer, -1.0), std::invalid_argument);
+  EXPECT_THROW(engine.arm_after(timer, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(
+      engine.arm_after(timer, std::numeric_limits<double>::infinity()),
+      std::invalid_argument);
+  EXPECT_EQ(engine.pending(), 0u);
+}
+
 // The calendar queue's overflow ladder and year wrap: events spread over
 // ten orders of magnitude of simulated time still run in order.
 TEST(Engine, WidelySpacedTimesRunInOrder) {

@@ -95,6 +95,47 @@ TEST(PsResource, RejectsInvalidArguments) {
   EXPECT_THROW(cpu.add_job(-1.0, [] {}), std::invalid_argument);
 }
 
+// A PS completion is a timer firing: against a calendar event at the
+// same time it runs in schedule order, whichever came first.
+TEST(PsResource, CompletionAndEventAtOneTimeRunInScheduleOrder) {
+  struct Log {
+    std::vector<char> order;
+    static void event(void* ctx, std::uint64_t) {
+      static_cast<Log*>(ctx)->order.push_back('e');
+    }
+  };
+  {
+    Engine engine;
+    PsResource cpu(engine, 1.0);
+    Log log;
+    engine.schedule_raw_at(1.0, &Log::event, &log);
+    cpu.add_job(1.0, [&] { log.order.push_back('c'); });  // done at t=1
+    engine.run_all();
+    EXPECT_EQ(log.order, (std::vector<char>{'e', 'c'}));
+  }
+  {
+    Engine engine;
+    PsResource cpu(engine, 1.0);
+    Log log;
+    cpu.add_job(1.0, [&] { log.order.push_back('c'); });
+    engine.schedule_raw_at(1.0, &Log::event, &log);
+    engine.run_all();
+    EXPECT_EQ(log.order, (std::vector<char>{'c', 'e'}));
+  }
+}
+
+TEST(PsResource, EqualFinishTimesCompleteInArrivalOrder) {
+  Engine engine;
+  PsResource cpu(engine, 1.0);
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i)
+    cpu.add_job(1.0, [&order, i] { order.push_back(i); });
+  EXPECT_EQ(engine.pending(), 1u);  // one timer, however many jobs
+  engine.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(cpu.active_jobs(), 0u);
+}
+
 TEST(FifoResource, ServesOneAtATime) {
   Engine engine;
   FifoResource disk(engine, 1.0);
@@ -157,6 +198,23 @@ TEST(SlotPool, RoundRobinAcrossSourceQueues) {
   pool.acquire(1, [&] { admitted.push_back(1); });
   for (int i = 0; i < 4; ++i) pool.release();
   EXPECT_EQ(admitted, (std::vector<int>{0, 1, 0, 1}));
+}
+
+TEST(SlotPool, WaitersKeepFifoOrderAcrossRingGrowth) {
+  // More waiters than the ring's first capacity, admitted while others
+  // queue, so the ring wraps and grows with a non-zero head.
+  SlotPool pool(1, 1);
+  std::vector<int> admitted;
+  pool.acquire(0, [] {});
+  for (int i = 0; i < 5; ++i)
+    pool.acquire(0, [&admitted, i] { admitted.push_back(i); });
+  for (int i = 0; i < 3; ++i) pool.release();
+  for (int i = 5; i < 40; ++i)
+    pool.acquire(0, [&admitted, i] { admitted.push_back(i); });
+  EXPECT_EQ(pool.waiting(), 37u);
+  while (pool.waiting() > 0) pool.release();
+  ASSERT_EQ(admitted.size(), 40u);
+  for (int i = 0; i < 40; ++i) EXPECT_EQ(admitted[static_cast<std::size_t>(i)], i);
 }
 
 TEST(SlotPool, InvalidUseThrows) {
