@@ -1,7 +1,7 @@
 // Micro-benchmark: discrete-event engine throughput (events/second), the
 // cost of one "measured data point" on the simulation substrate, and the
 // scaling knobs added by the million-client refactor — old engine vs new
-// (slab + calendar queue), cancel churn, and replication fan-out across
+// (calendar queue), PS-resource churn, and replication fan-out across
 // threads.
 //
 // Results print as the usual google-benchmark console table and are also
@@ -38,7 +38,7 @@ constexpr int kReplicationThreads[] = {1, 2, 4, 8};
 
 void noop(void*, std::uint64_t) {}
 
-// --- engine core: pre-refactor baseline vs slab/calendar engine ----------
+// --- engine core: pre-refactor baseline vs calendar engine ---------------
 
 void BM_LegacyEngineScheduleRun(benchmark::State& state) {
   for (auto _ : state) {
@@ -66,25 +66,6 @@ void BM_EngineScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EngineScheduleRun)->Arg(1000)->Arg(100000);
-
-void BM_EngineCancelChurn(benchmark::State& state) {
-  // Timer-wheel style load: every event reschedules and cancels, so the
-  // slab's eager reclaim and generation checks sit on the hot path.
-  for (auto _ : state) {
-    Engine engine;
-    const long n = state.range(0);
-    std::vector<Engine::Handle> handles(static_cast<std::size_t>(n));
-    for (long i = 0; i < n; ++i)
-      handles[static_cast<std::size_t>(i)] =
-          engine.schedule_raw_at(static_cast<double>(i % 97), &noop, nullptr, 0);
-    for (long i = 0; i < n; i += 2)
-      engine.cancel(handles[static_cast<std::size_t>(i)]);
-    engine.run_all();
-    benchmark::DoNotOptimize(engine.events_processed());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EngineCancelChurn)->Arg(100000);
 
 // --- resources and the SoA testbed ---------------------------------------
 

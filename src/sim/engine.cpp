@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 #include "util/annotations.hpp"
 
@@ -28,67 +27,21 @@ std::size_t next_pow2(std::size_t n) noexcept {
 
 Engine::Engine() : buckets_(kMinBuckets) {}
 
-std::uint32_t Engine::allocate_slot() {
-  if (free_slots_.empty()) {
-    if (chunks_.size() >= (std::size_t{1} << (32 - kChunkShift)))
-      throw std::length_error("Engine: event slab exhausted");
-    chunks_.push_back(std::make_unique<Record[]>(kChunkSize));
-    const auto base =
-        static_cast<std::uint32_t>((chunks_.size() - 1) << kChunkShift);
-    free_slots_.reserve(free_slots_.size() + kChunkSize);
-    // Push in reverse so slots are first handed out in ascending order.
-    for (std::size_t i = kChunkSize; i-- > 0;)
-      free_slots_.push_back(base + static_cast<std::uint32_t>(i));
-  }
-  const std::uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  return slot;
-}
-
-void Engine::free_slot(std::uint32_t slot) noexcept {
-  // Invalidates outstanding handles and stale queue entries.
-  ++record(slot).gen;
-  free_slots_.push_back(slot);
-}
-
-Engine::Handle Engine::schedule_raw_at(double time, RawFn fn, void* ctx,
-                                       std::uint64_t arg) {
+void Engine::schedule_raw_at(double time, RawFn fn, void* ctx,
+                             std::uint64_t arg) {
   // !(time >= now_) also rejects NaN; infinities would park forever in
   // the overflow ladder and break the year-jump logic, so refuse them.
   if (!(time >= now_) || !std::isfinite(time))
     throw std::invalid_argument("Engine::schedule_raw_at: time in the past");
-  const std::uint32_t slot = allocate_slot();
-  Record& rec = record(slot);
-  rec.time = time;
-  rec.fn = fn;
-  rec.ctx = ctx;
-  rec.arg = arg;
-  const QEntry entry{time, next_seq_++, slot, rec.gen};
   ++live_;
-  insert(entry);
-  return Handle{slot, rec.gen};
+  insert(QEntry{time, next_seq_++, fn, ctx, arg});
 }
 
-Engine::Handle Engine::schedule_raw_after(double delay, RawFn fn, void* ctx,
-                                          std::uint64_t arg) {
+void Engine::schedule_raw_after(double delay, RawFn fn, void* ctx,
+                                std::uint64_t arg) {
   if (!(delay >= 0.0))
     throw std::invalid_argument("Engine::schedule_raw_after: negative delay");
-  return schedule_raw_at(now_ + delay, fn, ctx, arg);
-}
-
-void Engine::cancel(Handle handle) noexcept {
-  if (!handle) return;
-  Record& rec = record(handle.slot);
-  if (rec.gen != handle.gen) return;  // already fired / canceled / reused
-  --live_;
-  free_slot(handle.slot);  // the queue entry goes stale; skipped lazily
-  if (live_ == 0) drop_stale_entries();
-}
-
-void Engine::drop_stale_entries() noexcept {
-  for (auto& bucket : buckets_) bucket.clear();
-  overflow_.clear();
-  cur_ = 0;
+  schedule_raw_at(now_ + delay, fn, ctx, arg);
 }
 
 std::size_t Engine::bucket_index(double time) const noexcept {
@@ -108,6 +61,10 @@ void Engine::insert(const QEntry& entry) {
     overflow_.push_back(entry);
     return;
   }
+  place(entry);
+}
+
+void Engine::place(const QEntry& entry) {
   const std::size_t idx = bucket_index(entry.time);
   if (idx <= cur_) {
     // The event lands in (or before) the bucket being drained: keep the
@@ -119,23 +76,21 @@ void Engine::insert(const QEntry& entry) {
   }
 }
 
-std::vector<Engine::QEntry> Engine::drain_live_entries() {
-  std::vector<QEntry> live;
-  live.reserve(live_);
+std::vector<Engine::QEntry> Engine::drain_entries() {
+  std::vector<QEntry> entries;
+  entries.reserve(live_);
   for (auto& bucket : buckets_) {
-    for (const QEntry& e : bucket)
-      if (record(e.slot).gen == e.gen) live.push_back(e);
+    entries.insert(entries.end(), bucket.begin(), bucket.end());
     bucket.clear();
   }
-  for (const QEntry& e : overflow_)
-    if (record(e.slot).gen == e.gen) live.push_back(e);
+  entries.insert(entries.end(), overflow_.begin(), overflow_.end());
   overflow_.clear();
-  return live;
+  return entries;
 }
 
 void Engine::rebuild(std::size_t num_buckets) {
   num_buckets = std::clamp(num_buckets, kMinBuckets, kMaxBuckets);
-  std::vector<QEntry> live = drain_live_entries();
+  std::vector<QEntry> live = drain_entries();
   buckets_.assign(num_buckets, {});
   cur_ = 0;
   double min_t = kInfinity, max_t = -kInfinity;
@@ -155,28 +110,32 @@ void Engine::rebuild(std::size_t num_buckets) {
 }
 
 void Engine::start_new_year() {
-  // Every bucket is empty, so all live events sit in the overflow
+  // Every bucket is empty, so all pending events sit in the overflow
   // ladder. Jump the calendar straight to the earliest of them (idle
   // years cost nothing) and redistribute.
-  std::vector<QEntry> live;
-  live.reserve(overflow_.size());
   double min_t = kInfinity;
-  for (const QEntry& e : overflow_)
-    if (record(e.slot).gen == e.gen) {
-      live.push_back(e);
-      min_t = std::min(min_t, e.time);
-    }
-  overflow_.clear();
+  for (const QEntry& e : overflow_) min_t = std::min(min_t, e.time);
   cur_ = 0;
   year_start_ = min_t;
-  if (live.size() < buckets_.size() / kGrowFactor &&
+  if (overflow_.size() < buckets_.size() / kGrowFactor &&
       buckets_.size() > kMinBuckets) {
     // Shrink on year boundaries only, so steady-state pops stay cheap.
-    overflow_ = std::move(live);
     rebuild(next_pow2(std::max<std::size_t>(1, overflow_.size())));
     return;
   }
-  for (const QEntry& e : live) insert(e);
+  // Redistribute in place: entries beyond the new year stay in the
+  // ladder, compacted to its front, so a year wrap allocates nothing.
+  // place() skips insert()'s grow check, which every schedule already
+  // passed with the same population.
+  const double end = year_end();
+  std::size_t kept = 0;
+  for (const QEntry& e : overflow_) {
+    if (e.time >= end)
+      overflow_[kept++] = e;
+    else
+      place(e);
+  }
+  overflow_.resize(kept);
   std::make_heap(buckets_[cur_].begin(), buckets_[cur_].end(), EntryAfter{});
 }
 
@@ -227,16 +186,8 @@ Engine::TimerRecord* Engine::first_timer() noexcept {
 
 const Engine::QEntry* Engine::calendar_head() {
   if (live_ == 0) return nullptr;
-  for (;;) {
-    auto& heap = buckets_[cur_];
-    while (!heap.empty()) {
-      const QEntry& top = heap.front();
-      if (record(top.slot).gen == top.gen) return &top;
-      std::pop_heap(heap.begin(), heap.end(), EntryAfter{});
-      heap.pop_back();  // stale (canceled) entry: slot already reclaimed
-    }
-    advance_bucket();
-  }
+  while (buckets_[cur_].empty()) advance_bucket();
+  return &buckets_[cur_].front();
 }
 
 double Engine::peek_live_time() {
@@ -269,17 +220,10 @@ bool Engine::fire_next(double limit) {
   std::pop_heap(heap.begin(), heap.end(), EntryAfter{});
   const QEntry top = heap.back();
   heap.pop_back();
-  Record& rec = record(top.slot);
-  now_ = rec.time;
+  now_ = top.time;
   ++processed_;
   --live_;
-  const RawFn fn = rec.fn;
-  void* ctx = rec.ctx;
-  const std::uint64_t arg = rec.arg;
-  // Free first so the slot can be reused by events the handler schedules.
-  free_slot(top.slot);
-  if (live_ == 0) drop_stale_entries();
-  fn(ctx, arg);
+  top.fn(top.ctx, top.arg);
   return true;
 }
 

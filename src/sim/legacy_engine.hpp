@@ -2,15 +2,17 @@
 // class name) as a reference implementation.
 //
 // It is NOT used by the simulator any more — sim::Engine (engine.hpp)
-// replaced the shared_ptr/std::function binary heap with a slab-allocated
-// event pool behind a calendar/ladder queue. This copy exists for two
+// replaced the shared_ptr/std::function binary heap with a calendar/ladder
+// queue of plain entries plus re-armable timers. This copy exists for two
 // jobs only:
 //
 //   * bench/sim_engine_micro keeps an old-vs-new comparison point so the
 //     perf trajectory in BENCH_sim.json stays anchored to the seed;
 //   * tests/sim_engine_test drives both engines through identical
 //     stochastic schedules and asserts bit-identical execution traces
-//     (the "exact mode stays exact" guarantee of the refactor).
+//     (the "exact mode stays exact" guarantee of the refactor). That
+//     test models a timer as one pending event of this engine, canceled
+//     and rescheduled on every re-arm.
 //
 // Do not "fix" or optimise this file; it is the baseline.
 #pragma once

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/legacy_engine.hpp"
@@ -30,6 +35,39 @@ struct TimeLog {
   static void record(void* ctx, std::uint64_t) {
     auto& log = *static_cast<TimeLog*>(ctx);
     log.fired.push_back(log.engine.now());
+  }
+};
+
+/// An engine that logs (now, arg) for every firing plus the (time, arg)
+/// of every event schedule() asked for. `arg` numbers the events in
+/// schedule order, so the engine must fire them in `want`'s sorted order:
+/// (time, seq). `on_fire`, if set, runs after each firing is logged.
+struct OrderLog {
+  using Fired = std::vector<std::pair<double, std::uint64_t>>;
+  Engine engine;
+  Fired fired;
+  Fired want;
+  std::function<void(std::uint64_t arg)> on_fire;
+
+  void schedule(double time) {
+    const std::uint64_t arg = want.size();
+    engine.schedule_raw_at(time, &OrderLog::record, this, arg);
+    want.emplace_back(time, arg);
+  }
+  void schedule(std::initializer_list<double> times) {
+    for (const double t : times) schedule(t);
+  }
+  void run_and_check() {
+    engine.run_all();
+    Fired sorted = want;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(fired, sorted);
+    EXPECT_EQ(engine.pending(), 0u);
+  }
+  static void record(void* ctx, std::uint64_t arg) {
+    auto& log = *static_cast<OrderLog*>(ctx);
+    log.fired.emplace_back(log.engine.now(), arg);
+    if (log.on_fire) log.on_fire(arg);
   }
 };
 
@@ -66,33 +104,6 @@ TEST(Engine, ScheduleAfterUsesCurrentTime) {
   EXPECT_EQ(log.fired, (std::vector<double>{7.5}));
 }
 
-TEST(Engine, CancelPreventsExecution) {
-  Engine engine;
-  bool ran = false;
-  Engine::Handle handle = engine.schedule_raw_at(1.0, set_flag, &ran);
-  EXPECT_TRUE(handle);
-  engine.cancel(handle);
-  engine.run_all();
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(engine.events_processed(), 0u);
-}
-
-TEST(Engine, CancelIsIdempotentAndSafeOnStaleHandles) {
-  Engine engine;
-  int fired = 0;
-  Engine::Handle first = engine.schedule_raw_at(1.0, count, &fired);
-  engine.cancel(first);
-  engine.cancel(first);  // double cancel: no-op
-  // The slot is reclaimed eagerly, so this schedule reuses it; the stale
-  // handle's generation no longer matches and must not cancel it.
-  Engine::Handle second = engine.schedule_raw_at(2.0, count, &fired);
-  engine.cancel(first);
-  engine.run_all();
-  EXPECT_EQ(fired, 1);
-  engine.cancel(second);  // already fired: no-op
-  engine.cancel(Engine::Handle{});  // empty handle: no-op
-}
-
 TEST(Engine, RunUntilStopsAtBoundary) {
   Engine engine;
   int fired = 0;
@@ -107,31 +118,13 @@ TEST(Engine, RunUntilStopsAtBoundary) {
   EXPECT_DOUBLE_EQ(engine.now(), 10.0);
 }
 
-// Regression (pre-refactor bug): run_until used the raw queue head's time
-// to decide whether to step, but step() skips canceled heads and executes
-// the next live event wherever it is — so a canceled head inside the
-// window let a live event far beyond end_time run. The loop is now driven
-// by peek_live_time(), which never reports canceled events.
-TEST(Engine, RunUntilIgnoresCanceledHeadBeforeLaterEvent) {
-  Engine engine;
-  bool late_ran = false;
-  Engine::Handle canceled = engine.schedule_raw_at(1.0, noop, nullptr);
-  engine.schedule_raw_at(20.0, set_flag, &late_ran);
-  engine.cancel(canceled);
-  engine.run_until(10.0);
-  EXPECT_FALSE(late_ran);
-  EXPECT_DOUBLE_EQ(engine.now(), 10.0);
-  engine.run_until(25.0);
-  EXPECT_TRUE(late_ran);
-}
-
-TEST(Engine, PeekLiveTimeSkipsCanceledEvents) {
+TEST(Engine, PeekLiveTimeReportsEarliestPending) {
   Engine engine;
   EXPECT_EQ(engine.peek_live_time(), std::numeric_limits<double>::infinity());
-  Engine::Handle early = engine.schedule_raw_at(1.0, noop, nullptr);
+  engine.schedule_raw_at(1.0, noop, nullptr);
   engine.schedule_raw_at(5.0, noop, nullptr);
   EXPECT_DOUBLE_EQ(engine.peek_live_time(), 1.0);
-  engine.cancel(early);
+  engine.step();
   EXPECT_DOUBLE_EQ(engine.peek_live_time(), 5.0);
   engine.run_all();
   EXPECT_EQ(engine.peek_live_time(), std::numeric_limits<double>::infinity());
@@ -187,45 +180,99 @@ TEST(Engine, RawDispatchCarriesContextAndArg) {
   EXPECT_EQ(engine.events_processed(), 3u);
 }
 
-// Satellite (b): canceled slots are reclaimed eagerly, so cancel-heavy
-// workloads reuse the slab instead of growing it.
-TEST(Engine, CanceledSlotsAreReusedWithoutGrowingTheSlab) {
-  Engine engine;
-  EXPECT_EQ(engine.pending(), 0u);
-  std::vector<Engine::Handle> handles;
-  for (int i = 0; i < 1000; ++i)
-    handles.push_back(engine.schedule_raw_at(1.0 + i, noop, nullptr));
-  EXPECT_EQ(engine.pending(), 1000u);
-  const std::size_t capacity_before = engine.capacity();
-  EXPECT_GE(capacity_before, 1000u);
-  for (const Engine::Handle& h : handles) engine.cancel(h);
-  EXPECT_EQ(engine.pending(), 0u);
-  // Many cancel/reschedule rounds: capacity must not grow past the first
-  // high-water mark because every canceled slot goes back on the free list.
-  for (int round = 0; round < 20; ++round) {
-    handles.clear();
-    for (int i = 0; i < 1000; ++i)
-      handles.push_back(engine.schedule_raw_at(1.0 + i, noop, nullptr));
-    for (const Engine::Handle& h : handles) engine.cancel(h);
-  }
-  EXPECT_EQ(engine.capacity(), capacity_before);
-  EXPECT_EQ(engine.pending(), 0u);
-  engine.run_all();
-  EXPECT_EQ(engine.events_processed(), 0u);
-}
-
 TEST(Engine, PendingTracksLiveEvents) {
   Engine engine;
   engine.schedule_raw_at(1.0, noop, nullptr);
-  Engine::Handle h = engine.schedule_raw_at(2.0, noop, nullptr);
+  engine.schedule_raw_at(2.0, noop, nullptr);
   engine.schedule_raw_at(3.0, noop, nullptr);
   EXPECT_EQ(engine.pending(), 3u);
-  engine.cancel(h);
-  EXPECT_EQ(engine.pending(), 2u);
   engine.step();
-  EXPECT_EQ(engine.pending(), 1u);
+  EXPECT_EQ(engine.pending(), 2u);
   engine.run_all();
   EXPECT_EQ(engine.pending(), 0u);
+}
+
+// Running dry leaves the calendar's current bucket where the last event
+// was. Events scheduled after an idle stretch must still run in (time,
+// seq) order wherever they land: before, in or after the current bucket,
+// or beyond the calendar year (the first year spans 64 s).
+TEST(Engine, CalendarRefillsInOrderAfterRunningDry) {
+  OrderLog log;
+  Engine& engine = log.engine;
+
+  // Run dry mid-year, then refill at once: in the current bucket, after
+  // it, and beyond the year.
+  log.schedule({10.0, 30.5, 50.25});
+  log.run_and_check();
+  log.schedule({50.75, 50.25, 51.5, 63.0, 50.75, 200.0});
+  EXPECT_EQ(engine.pending(), 6u);
+  log.run_and_check();
+
+  // Idle across several calendar years, then refill beyond the old year;
+  // the peek moves the calendar to a new year starting at 1100.
+  engine.run_until(1000.0);
+  EXPECT_EQ(engine.pending(), 0u);
+  log.schedule({1100.0, 5000.0, 1130.0, 1100.0, 1100.5});
+  EXPECT_DOUBLE_EQ(engine.peek_live_time(), 1100.0);
+  // Before the new year's first bucket, in it, after it, and beyond the
+  // year, with ties against the events already there.
+  log.schedule({1000.5, 1100.0, 1100.25, 1101.5, 1130.0, 99999.0, 1000.5});
+  EXPECT_EQ(engine.pending(), 12u);
+  EXPECT_DOUBLE_EQ(engine.peek_live_time(), 1000.5);
+  log.run_and_check();
+  EXPECT_EQ(engine.events_processed(), log.want.size());
+}
+
+// A year wrap redistributes the overflow ladder in place: the entries of
+// the new year go to their buckets and the rest stay in the ladder for a
+// later wrap. With the first year spanning 64 s, the wrap at 100 keeps
+// 170..1000.5 in the ladder, and events scheduled from inside the new
+// year tie with entries still in the ladder.
+TEST(Engine, YearWrapKeepsLaterLadderEntriesInOrder) {
+  OrderLog log;
+  log.schedule({5.0, 1000.0, 170.0, 100.0, 300.0, 150.0, 100.0, 1000.5});
+  log.on_fire = [&log](std::uint64_t arg) {
+    if (arg == 5)  // the event at 150
+      log.schedule({160.0, 170.0, 5000.0, 300.0});
+    if (arg == 2)  // the first event at 170
+      log.schedule({170.0, 171.0, 1000.0});
+  };
+  log.run_and_check();
+  EXPECT_EQ(log.engine.events_processed(), 15u);
+  EXPECT_DOUBLE_EQ(log.engine.now(), 5000.0);
+}
+
+// A year wrap that finds the calendar oversized shrinks it. 400 events
+// within 4 s grow it past its 64 buckets; five far events scheduled after
+// them go to the overflow ladder. Once the near events have run, the far
+// ones are all that is pending when the year wraps, so the wrap rebuilds
+// the calendar around them. Order must hold across the rebuild, also for
+// ties scheduled from the first far event.
+TEST(Engine, ShrinkingAtAYearWrapKeepsOrder) {
+  OrderLog log;
+  for (int i = 0; i < 400; ++i) log.schedule(std::fmod(i * 0.37, 4.0));
+  log.schedule({1e6, 3e6, 1e6, 2e6, 1e6 + 1.0});
+  log.on_fire = [&log](std::uint64_t arg) {
+    if (arg == 400) log.schedule({1e6, 1e6 + 0.5, 2e6, 1e6 + 1.0});
+  };
+  log.run_and_check();
+  EXPECT_EQ(log.engine.events_processed(), 409u);
+}
+
+// An event that schedules enough others to grow the calendar does so
+// while the bucket being drained is half-popped; the rebuild must keep
+// the remaining ties at the current time ahead of the new ones.
+TEST(Engine, GrowingWhileABucketDrainsKeepsOrder) {
+  OrderLog log;
+  for (int i = 0; i < 10; ++i) log.schedule(1.0);
+  log.schedule({1.5, 2.0, 1.0});
+  log.on_fire = [&log](std::uint64_t arg) {
+    if (arg != 3) return;
+    for (int i = 0; i < 600; ++i)
+      log.schedule(1.0 + static_cast<double>(i % 7) * 0.25);
+  };
+  log.run_and_check();
+  EXPECT_EQ(log.engine.events_processed(), 613u);
 }
 
 // Re-armable timers: one pending firing each, outside the calendar but
@@ -320,6 +367,53 @@ TEST(EngineTimer, ArmRejectsBadDelays) {
   EXPECT_EQ(engine.pending(), 0u);
 }
 
+// A timer's handler may register more timers (reallocating the engine's
+// timer table) and arm them, and re-arm itself; every firing still runs
+// in (time, seq) order.
+TEST(EngineTimer, HandlerMayRegisterAndArmTimers) {
+  struct Registry {
+    struct Tag {
+      Registry* registry = nullptr;
+      std::uint64_t id = 0;
+    };
+    Engine engine;
+    std::array<Tag, 33> tags{};
+    std::vector<Engine::Timer> timers;
+    std::vector<std::pair<double, std::uint64_t>> fired;  // (time, id)
+    static void fire(void* ctx, std::uint64_t) {
+      const Tag& tag = *static_cast<Tag*>(ctx);
+      Registry& self = *tag.registry;
+      self.fired.emplace_back(self.engine.now(), tag.id);
+      if (tag.id != 0 || self.timers.size() > 1) return;
+      for (std::uint64_t id = 1; id < self.tags.size(); ++id) {
+        self.tags[id] = Tag{&self, id};
+        self.timers.push_back(self.engine.add_timer(&fire, &self.tags[id]));
+        self.engine.arm_after(self.timers.back(),
+                              static_cast<double>(id % 4));
+      }
+      self.engine.arm_after(self.timers.front(), 2.0);
+    }
+  } registry;
+  registry.tags[0] = Registry::Tag{&registry, 0};
+  registry.timers.push_back(
+      registry.engine.add_timer(&Registry::fire, &registry.tags[0]));
+  registry.engine.arm_after(registry.timers.front(), 1.0);
+  registry.engine.run_all();
+
+  // Timer 0 fires at 1 and 3; timer id fires at 1 + id % 4, ties in arm
+  // order, and timer 0's re-arm at 1 + 2 comes after the ids armed
+  // before it.
+  std::vector<std::pair<double, std::uint64_t>> want{{1.0, 0}};
+  for (std::uint64_t offset = 0; offset < 4; ++offset) {
+    for (std::uint64_t id = 1; id < registry.tags.size(); ++id)
+      if (id % 4 == offset) want.emplace_back(1.0 + static_cast<double>(offset), id);
+    if (offset == 2) want.emplace_back(3.0, 0);
+  }
+  EXPECT_EQ(registry.fired, want);
+  EXPECT_EQ(registry.engine.pending(), 0u);
+  EXPECT_EQ(registry.engine.events_processed(), 34u);
+}
+
 // The calendar queue's overflow ladder and year wrap: events spread over
 // ten orders of magnitude of simulated time still run in order.
 TEST(Engine, WidelySpacedTimesRunInOrder) {
@@ -359,73 +453,142 @@ TEST(Engine, MillionEqualTimeEventsRunFifo) {
 
 // Satellite (c): the new engine's execution trace is bit-identical to the
 // frozen pre-refactor engine's under an adversarial stochastic schedule —
-// random times (with deliberate ties), nested scheduling, and cancels.
-// LegacyEngine is driven through its own closure API, Engine through raw
-// dispatch with the firing closure as ctx.
+// random times (with deliberate ties), nested scheduling, and re-armed and
+// disarmed timers. LegacyEngine is driven through its own closure API,
+// Engine through raw dispatch with the firing closure as ctx. On
+// LegacyEngine a timer is its one pending event, canceled and rescheduled
+// on every re-arm: the way the resources moved their next completion
+// before they had timers.
+constexpr std::size_t kTraceTimers = 4;
+constexpr std::uint64_t kTimerId = 200000;  // timer k fires id kTimerId + k
+
+using Fire = std::function<void(std::uint64_t)>;
+
+class LegacyTimers {
+ public:
+  LegacyTimers(LegacyEngine& engine, Fire& fire)
+      : engine_(engine), fire_(fire) {}
+  LegacyTimers(const LegacyTimers&) = delete;
+  LegacyTimers& operator=(const LegacyTimers&) = delete;
+
+  void arm(std::size_t k, double delay) {
+    disarm(k);
+    pending_[k] = engine_.schedule_after(delay, [this, k] {
+      pending_[k].reset();  // disarmed before it fires, as Engine does
+      fire_(kTimerId + k);
+    });
+  }
+  void disarm(std::size_t k) {
+    LegacyEngine::cancel(pending_[k]);
+    pending_[k].reset();
+  }
+
+ private:
+  LegacyEngine& engine_;
+  Fire& fire_;
+  std::array<LegacyEngine::Handle, kTraceTimers> pending_{};
+};
+
+class EngineTimers {
+ public:
+  EngineTimers(Engine& engine, Fire& fire) : engine_(engine) {
+    for (std::size_t k = 0; k < kTraceTimers; ++k) {
+      targets_[k] = Target{&fire, kTimerId + k};
+      timers_[k] = engine.add_timer(
+          [](void* ctx, std::uint64_t) {
+            const auto& target = *static_cast<Target*>(ctx);
+            (*target.fire)(target.id);
+          },
+          &targets_[k]);
+    }
+  }
+  EngineTimers(const EngineTimers&) = delete;
+  EngineTimers& operator=(const EngineTimers&) = delete;
+
+  void arm(std::size_t k, double delay) { engine_.arm_after(timers_[k], delay); }
+  void disarm(std::size_t k) { engine_.disarm(timers_[k]); }
+
+ private:
+  struct Target {
+    Fire* fire = nullptr;
+    std::uint64_t id = 0;
+  };
+  Engine& engine_;
+  std::array<Target, kTraceTimers> targets_{};
+  std::array<Engine::Timer, kTraceTimers> timers_{};
+};
+
 TEST(Engine, TraceMatchesLegacyEngineBitForBit) {
   struct Trace {
     std::vector<double> times;
     std::vector<std::uint64_t> ids;
   };
-  using Fire = std::function<void(std::uint64_t)>;
-  // Quantized times manufacture equal-time collisions; every third event
-  // schedules a follow-up and every seventh pre-scheduled event is
-  // canceled before the run. `at`/`after` schedule a call of fire(id).
-  const auto drive = [](auto& engine, auto at, auto after, auto cancel_fn) {
+  // Quantized times manufacture equal-time collisions, also between
+  // events and timers. Every third event schedules a follow-up, every
+  // fifth re-arms a timer and every eleventh disarms one. Timer firings
+  // only record: a firing that acted would let timer 0 (id 200000, a
+  // multiple of 5) re-arm itself forever. `at`/`after` schedule a call of
+  // fire(id); `Timers` wraps the engine's timers.
+  const auto drive = [](auto& engine, auto at, auto after, auto timers_tag) {
+    using Timers = typename decltype(timers_tag)::type;
     Trace trace;
     util::Rng rng(12345, 99);
-    std::uint64_t next_id = 0;
-    Fire fire = [&](std::uint64_t id) {
+    Fire fire;
+    Timers timers(engine, fire);
+    fire = [&](std::uint64_t id) {
       trace.times.push_back(engine.now());
       trace.ids.push_back(id);
+      if (id >= kTimerId) return;
       if (id % 3 == 0) {
         const double delay = std::floor(rng.uniform() * 50.0) * 0.25;
         after(engine, delay, fire, 100000 + id);
       }
+      if (id % 5 == 0)
+        timers.arm(id % kTraceTimers, std::floor(rng.uniform() * 40.0) * 0.25);
+      if (id % 11 == 0) timers.disarm(id % kTraceTimers);
     };
-    std::vector<decltype(at(engine, 0.0, fire, 0))> handles;
-    for (int i = 0; i < 4000; ++i) {
-      const double t = std::floor(rng.uniform() * 400.0) * 0.25;
-      handles.push_back(at(engine, t, fire, next_id++));
-    }
-    for (std::size_t i = 0; i < handles.size(); i += 7)
-      cancel_fn(engine, handles[i]);
+    for (std::uint64_t id = 0; id < 4000; ++id)
+      at(engine, std::floor(rng.uniform() * 400.0) * 0.25, fire, id);
     engine.run_until(75.0);
     engine.run_all();
     return trace;
+  };
+  constexpr Engine::RawFn kCall = [](void* ctx, std::uint64_t id) {
+    (*static_cast<Fire*>(ctx))(id);
   };
 
   LegacyEngine legacy;
   const Trace want = drive(
       legacy,
       [](LegacyEngine& e, double t, Fire& fire, std::uint64_t id) {
-        return e.schedule_at(t, [&fire, id] { fire(id); });
+        e.schedule_at(t, [&fire, id] { fire(id); });
       },
       [](LegacyEngine& e, double d, Fire& fire, std::uint64_t id) {
-        return e.schedule_after(d, [&fire, id] { fire(id); });
+        e.schedule_after(d, [&fire, id] { fire(id); });
       },
-      [](LegacyEngine&, const LegacyEngine::Handle& h) {
-        LegacyEngine::cancel(h);
-      });
-  constexpr Engine::RawFn kCall = [](void* ctx, std::uint64_t id) {
-    (*static_cast<Fire*>(ctx))(id);
-  };
+      std::type_identity<LegacyTimers>{});
   Engine engine;
   const Trace got = drive(
       engine,
       [](Engine& e, double t, Fire& fire, std::uint64_t id) {
-        return e.schedule_raw_at(t, kCall, &fire, id);
+        e.schedule_raw_at(t, kCall, &fire, id);
       },
       [](Engine& e, double d, Fire& fire, std::uint64_t id) {
-        return e.schedule_raw_after(d, kCall, &fire, id);
+        e.schedule_raw_after(d, kCall, &fire, id);
       },
-      [](Engine& e, const Engine::Handle& h) { e.cancel(h); });
+      std::type_identity<EngineTimers>{});
   ASSERT_EQ(want.ids.size(), got.ids.size());
   EXPECT_EQ(want.ids, got.ids);
   for (std::size_t i = 0; i < want.times.size(); ++i)
     ASSERT_EQ(want.times[i], got.times[i]) << "at event " << i;
   EXPECT_EQ(legacy.events_processed(), engine.events_processed());
   EXPECT_EQ(legacy.now(), engine.now());
+  // The trace must really contain timer firings, or it pins nothing
+  // about them.
+  const auto timer_firings = std::count_if(
+      got.ids.begin(), got.ids.end(),
+      [](std::uint64_t id) { return id >= kTimerId; });
+  EXPECT_GT(timer_firings, 0);
 }
 
 }  // namespace
