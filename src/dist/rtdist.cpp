@@ -30,7 +30,7 @@ double ResponseTimeDistribution::cdf(double x) const {
 }
 
 double ResponseTimeDistribution::quantile(double p) const {
-  if (p <= 0.0 || p >= 1.0)
+  if (!(p > 0.0 && p < 1.0))  // NaN fails this check too
     throw std::invalid_argument("ResponseTimeDistribution: p outside (0,1)");
   if (regime_ == Regime::kPreSaturation) return -scale_ * std::log(1.0 - p);
   if (p < 0.5) return location_ + scale_ * std::log(2.0 * p);
@@ -88,7 +88,7 @@ double sample_stat(std::span<const double> samples, double q, double& mean) {
 PercentileExtrapolator PercentileExtrapolator::calibrate(
     double p, std::span<const double> pre_samples_s,
     std::span<const double> post_samples_s) {
-  if (p <= 0.0 || p >= 1.0)
+  if (!(p > 0.0 && p < 1.0))  // NaN fails this check too
     throw std::invalid_argument("PercentileExtrapolator: p outside (0,1)");
   double pre_mean = 0.0, post_mean = 0.0;
   const double pre_q = sample_stat(pre_samples_s, p, pre_mean);

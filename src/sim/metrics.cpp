@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/annotations.hpp"
+
 namespace epp::sim {
 
 void MetricsCollector::record(const std::string& service_class,
@@ -15,14 +17,16 @@ void MetricsCollector::record(const std::string& service_class,
   if (completion_time < warmup_time_) return;
   const double rt = completion_time - issue_time;
   per_class_[service_class].add(rt);
-  all_.add(rt);
   ++total_completions_;
+  total_rt_s_ += rt;
 }
 
 std::size_t MetricsCollector::class_handle(const std::string& service_class) {
   handles_.push_back(&per_class_[service_class]);  // map nodes are stable
   return handles_.size() - 1;
 }
+
+EPP_HOT_BEGIN(sim_metrics);
 
 void MetricsCollector::record(std::size_t handle, double issue_time,
                               double completion_time) {
@@ -31,9 +35,11 @@ void MetricsCollector::record(std::size_t handle, double issue_time,
   if (completion_time < warmup_time_) return;
   const double rt = completion_time - issue_time;
   handles_[handle]->add(rt);
-  all_.add(rt);
   ++total_completions_;
+  total_rt_s_ += rt;
 }
+
+EPP_HOT_END(sim_metrics);
 
 std::size_t MetricsCollector::completions(
     const std::string& service_class) const {
@@ -47,7 +53,11 @@ double MetricsCollector::mean_response_time(
   return it == per_class_.end() ? 0.0 : it->second.mean();
 }
 
-double MetricsCollector::mean_response_time() const { return all_.mean(); }
+double MetricsCollector::mean_response_time() const {
+  return total_completions_ == 0
+             ? 0.0
+             : total_rt_s_ / static_cast<double>(total_completions_);
+}
 
 double MetricsCollector::response_time_quantile(
     const std::string& service_class, double q) const {
@@ -56,7 +66,11 @@ double MetricsCollector::response_time_quantile(
 }
 
 double MetricsCollector::response_time_quantile(double q) const {
-  return all_.quantile(q);
+  std::vector<double> all;
+  all.reserve(total_completions_);
+  for (const auto& [_, samples] : per_class_)
+    all.insert(all.end(), samples.samples().begin(), samples.samples().end());
+  return util::select_quantile(all, q);
 }
 
 double MetricsCollector::throughput(double now) const {

@@ -3,6 +3,12 @@
 // Mirrors what the paper's JMeter workload generators record: per-service-
 // class response-time samples and completion counts, taken after a warm-up
 // period ("a 1 minute warm-up period" in section 4.2).
+//
+// Each response time is stored once, in its class's SampleSet. The
+// overall mean comes from a running sum added in completion order, so it
+// is bit-identical to the mean of one set holding every sample; the
+// overall quantile selects over a scratch concatenation of the classes,
+// which holds the same multiset and so the same order statistics.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +44,8 @@ class MetricsCollector {
   /// Mean response time in seconds for one class, or across all classes.
   double mean_response_time(const std::string& service_class) const;
   double mean_response_time() const;
-  /// Exact q-quantile of recorded response times (q in [0,1]).
+  /// Exact q-quantile of recorded response times (q in [0,1]), selected
+  /// on a scratch copy in linear time.
   double response_time_quantile(const std::string& service_class,
                                 double q) const;
   double response_time_quantile(double q) const;
@@ -54,8 +61,8 @@ class MetricsCollector {
   double warmup_time_;
   std::map<std::string, util::SampleSet> per_class_;  // node-stable
   std::vector<util::SampleSet*> handles_;
-  util::SampleSet all_;
   std::size_t total_completions_ = 0;
+  double total_rt_s_ = 0.0;  // summed in completion order
 };
 
 }  // namespace epp::sim

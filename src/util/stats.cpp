@@ -47,11 +47,6 @@ double OnlineStats::ci95_halfwidth() const noexcept {
   return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
 }
 
-void SampleSet::add(double x) {
-  samples_.push_back(x);
-  sorted_valid_ = false;
-}
-
 double SampleSet::mean() const noexcept {
   if (samples_.empty()) return 0.0;
   double sum = 0.0;
@@ -68,30 +63,35 @@ double SampleSet::variance() const noexcept {
   return acc / static_cast<double>(n - 1);
 }
 
-void SampleSet::ensure_sorted() const {
-  if (sorted_valid_) return;
-  sorted_ = samples_;
-  std::sort(sorted_.begin(), sorted_.end());
-  sorted_valid_ = true;
+double select_quantile(std::vector<double>& values, double q) {
+  if (values.empty()) return 0.0;
+  // Written so that NaN fails the check too.
+  if (!(q >= 0.0 && q <= 1.0))
+    throw std::invalid_argument("quantile: q outside [0,1]");
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  const auto lo_it = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), lo_it, values.end());
+  // Everything after lo_it is >= *lo_it, so the (lo+1)-th order statistic
+  // is the smallest of them.
+  const double hi = lo_it + 1 == values.end()
+                        ? *lo_it
+                        : *std::min_element(lo_it + 1, values.end());
+  return *lo_it * (1.0 - frac) + hi * frac;
 }
 
 double SampleSet::quantile(double q) const {
-  if (samples_.empty()) return 0.0;
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q outside [0,1]");
-  ensure_sorted();
-  const double pos = q * static_cast<double>(sorted_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
+  std::vector<double> scratch = samples_;
+  return select_quantile(scratch, q);
 }
 
 double SampleSet::cdf(double x) const {
   if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) /
-         static_cast<double>(sorted_.size());
+  const auto at_most = std::count_if(samples_.begin(), samples_.end(),
+                                     [x](double s) { return s <= x; });
+  return static_cast<double>(at_most) /
+         static_cast<double>(samples_.size());
 }
 
 double prediction_accuracy_percent(double predicted, double actual) {

@@ -31,33 +31,36 @@ class OnlineStats {
   double max_ = 0.0;
 };
 
-/// Sample collector retaining every observation; supports exact quantiles.
-/// The simulator records one entry per completed request, so memory use is
-/// bounded by the number of simulated completions. Not thread-safe (the
-/// quantile/cdf accessors maintain a sort cache): each simulation owns its
-/// collectors, and parallel experiments replicate whole simulations.
+/// Sample collector retaining every observation in insertion order;
+/// supports exact quantiles. The simulator records one entry per
+/// completed request, so memory use is bounded by the number of simulated
+/// completions. The const accessors keep no cache: `quantile` selects on
+/// a scratch copy and `cdf` scans, so concurrent readers are safe once
+/// the writer is done.
 class SampleSet {
  public:
-  void add(double x);
+  void add(double x) { samples_.push_back(x); }
   void reserve(std::size_t n) { samples_.reserve(n); }
 
   std::size_t count() const noexcept { return samples_.size(); }
+  /// Mean of the samples summed in insertion order.
   double mean() const noexcept;
   double variance() const noexcept;
   /// Exact sample quantile, q in [0, 1], linear interpolation between order
-  /// statistics. Returns 0 on an empty set.
+  /// statistics. Returns 0 on an empty set. O(n) on a scratch copy.
   double quantile(double q) const;
-  /// Empirical P(X <= x).
+  /// Empirical P(X <= x), by a linear scan.
   double cdf(double x) const;
   const std::vector<double>& samples() const noexcept { return samples_; }
 
  private:
-  void ensure_sorted() const;
-
   std::vector<double> samples_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
 };
+
+/// Exact q-quantile of `values` (q in [0, 1]) with SampleSet::quantile's
+/// interpolation, found by selection: reorders `values` and leaves them
+/// otherwise intact. Returns 0 on an empty vector.
+double select_quantile(std::vector<double>& values, double q);
 
 /// The paper's accuracy measure: 100% minus mean absolute relative error,
 /// clamped at 0. `predicted` and `actual` must be the same length.

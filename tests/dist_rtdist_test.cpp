@@ -42,6 +42,7 @@ TEST(RtDist, QuantileRejectsDegenerateP) {
   const auto d = ResponseTimeDistribution::exponential(1.0);
   EXPECT_THROW(d.quantile(0.0), std::invalid_argument);
   EXPECT_THROW(d.quantile(1.0), std::invalid_argument);
+  EXPECT_THROW(d.quantile(std::nan("")), std::invalid_argument);
 }
 
 TEST(RtDist, FactoriesValidateParameters) {
@@ -104,6 +105,8 @@ TEST(RtDist, ExtrapolatorRejectsBadInput) {
   EXPECT_THROW(dist::PercentileExtrapolator::calibrate(0.9, {}, ok),
                std::invalid_argument);
   EXPECT_THROW(dist::PercentileExtrapolator::calibrate(1.5, ok, ok),
+               std::invalid_argument);
+  EXPECT_THROW(dist::PercentileExtrapolator::calibrate(std::nan(""), ok, ok),
                std::invalid_argument);
   const std::vector<double> zeros{0.0, 0.0};
   EXPECT_THROW(dist::PercentileExtrapolator::calibrate(0.9, zeros, ok),

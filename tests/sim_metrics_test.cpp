@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <stdexcept>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace epp::sim {
 namespace {
@@ -42,6 +47,30 @@ TEST(Metrics, QuantilePerClass) {
     m.record("q", 0.0, static_cast<double>(i));
   EXPECT_NEAR(m.response_time_quantile("q", 0.90), 90.1, 0.2);
   EXPECT_NEAR(m.response_time_quantile(0.5), 50.5, 0.2);
+}
+
+TEST(Metrics, OverallMeanAndQuantileMatchOneSetBitForBit) {
+  MetricsCollector m(0.0);
+  util::Rng rng(3, 0x3C1A55);
+  const char* const names[] = {"a", "b", "c"};
+  std::vector<double> all;  // every sample in completion order
+  for (int i = 0; i < 5000; ++i) {
+    const double rt = 0.25 * static_cast<double>(rng.below(30)) + rng.uniform();
+    m.record(names[rng.below(3)], 1.0, 1.0 + rt);
+    all.push_back((1.0 + rt) - 1.0);
+  }
+  double sum = 0.0;
+  for (const double rt : all) sum += rt;
+  const double mean = sum / static_cast<double>(all.size());
+  std::sort(all.begin(), all.end());
+  const double pos = 0.9 * static_cast<double>(all.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  const double p90 = all[lo] * (1.0 - frac) + all[lo + 1] * frac;
+  const double got_mean = m.mean_response_time();
+  const double got_p90 = m.response_time_quantile(0.9);
+  EXPECT_EQ(std::memcmp(&got_mean, &mean, sizeof mean), 0);
+  EXPECT_EQ(std::memcmp(&got_p90, &p90, sizeof p90), 0);
 }
 
 TEST(Metrics, UnknownClassIsEmpty) {

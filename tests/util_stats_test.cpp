@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace epp::util {
 namespace {
@@ -66,6 +71,39 @@ TEST(SampleSet, QuantileRejectsOutOfRange) {
   s.add(1.0);
   EXPECT_THROW(s.quantile(-0.1), std::invalid_argument);
   EXPECT_THROW(s.quantile(1.1), std::invalid_argument);
+  EXPECT_THROW(s.quantile(std::nan("")), std::invalid_argument);
+}
+
+// Reference: sort, then interpolate between neighbouring order statistics.
+double sorted_quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return v[lo] * (1.0 - frac) + v[hi] * frac;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(SampleSet, SelectionQuantileMatchesSortBitForBit) {
+  std::vector<double> qs{0.0, 0.5, 0.9, 0.999, 1.0};
+  for (int k = 1; k < 100; k += 7) qs.push_back(k / 100.0);
+  Rng rng(7, 0x5E1EC7);
+  for (const bool ties : {true, false}) {
+    for (const std::size_t n : {1u, 2u, 3u, 10000u}) {
+      SampleSet s;
+      // With ties, few distinct values: most order statistics repeat.
+      for (std::size_t i = 0; i < n; ++i)
+        s.add(ties ? 0.125 * static_cast<double>(rng.below(40)) + 0.01
+                   : rng.uniform());
+      for (const double q : qs)
+        EXPECT_TRUE(same_bits(s.quantile(q), sorted_quantile(s.samples(), q)))
+            << "ties=" << ties << " n=" << n << " q=" << q;
+    }
+  }
 }
 
 TEST(SampleSet, EmpiricalCdf) {
