@@ -32,13 +32,14 @@ int main() {
     for (const core::MeasuredPoint& p : measured) {
       core::WorkloadSpec w;
       w.browse_clients = p.clients;
-      table.add_row(
-          {util::fmt(p.clients, 0), util::fmt(p.mean_rt_s * 1e3, 1),
-           util::fmt(setup.historical->predict_mean_rt_s(server, w) * 1e3, 1),
-           util::fmt(setup.lqn->predict_mean_rt_s(server, w) * 1e3, 1),
-           util::fmt(p.throughput_rps, 1),
-           util::fmt(setup.historical->predict_throughput_rps(server, w), 1),
-           util::fmt(setup.lqn->predict_throughput_rps(server, w), 1)});
+      const core::Prediction hist = setup.historical->predict(server, w);
+      const core::Prediction lqn = setup.lqn->predict(server, w);
+      table.add_row({util::fmt(p.clients, 0), util::fmt(p.mean_rt_s * 1e3, 1),
+                     util::fmt(hist.mean_rt_s * 1e3, 1),
+                     util::fmt(lqn.mean_rt_s * 1e3, 1),
+                     util::fmt(p.throughput_rps, 1),
+                     util::fmt(hist.throughput_rps, 1),
+                     util::fmt(lqn.throughput_rps, 1)});
     }
     table.print(std::cout);
     std::cout << '\n';

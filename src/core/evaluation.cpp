@@ -130,9 +130,10 @@ AccuracySummary accuracy_against(const Predictor& predictor,
     workload.buy_clients = p.clients * buy_fraction;
     workload.browse_clients = p.clients - workload.buy_clients;
     workload.think_time_s = think_time_s;
-    rt_pred.push_back(predictor.predict_mean_rt_s(server, workload));
+    const Prediction prediction = predictor.predict(server, workload);
+    rt_pred.push_back(prediction.mean_rt_s);
     rt_meas.push_back(p.mean_rt_s);
-    x_pred.push_back(predictor.predict_throughput_rps(server, workload));
+    x_pred.push_back(prediction.throughput_rps);
     x_meas.push_back(p.throughput_rps);
   }
   AccuracySummary summary;

@@ -63,16 +63,11 @@ hydra::Relationship1 HistoricalPredictor::rel1_for(const std::string& server,
   return model_.cross_server_fit().predict_for(max_tput, model_.gradient_m());
 }
 
-double HistoricalPredictor::predict_mean_rt_s(
-    const std::string& server, const WorkloadSpec& workload) const {
-  return rel1_for(server, workload.buy_fraction())
-      .predict_metric(workload.total_clients());
-}
-
-double HistoricalPredictor::predict_throughput_rps(
-    const std::string& server, const WorkloadSpec& workload) const {
-  return rel1_for(server, workload.buy_fraction())
-      .predict_throughput(workload.total_clients());
+Prediction HistoricalPredictor::predict(const std::string& server,
+                                        const WorkloadSpec& workload) const {
+  const hydra::Relationship1 rel = rel1_for(server, workload.buy_fraction());
+  return {rel.predict_metric(workload.total_clients()),
+          rel.predict_throughput(workload.total_clients())};
 }
 
 double HistoricalPredictor::predict_max_throughput_rps(

@@ -66,10 +66,8 @@ class HistoricalPredictor final : public Predictor {
 
   // --- predictions -------------------------------------------------------
   std::string name() const override { return "historical"; }
-  double predict_mean_rt_s(const std::string& server,
-                           const WorkloadSpec& workload) const override;
-  double predict_throughput_rps(const std::string& server,
-                                const WorkloadSpec& workload) const override;
+  Prediction predict(const std::string& server,
+                     const WorkloadSpec& workload) const override;
   double predict_max_throughput_rps(const std::string& server,
                                     double buy_fraction) const override;
   bool predicts_saturated(const std::string& server,

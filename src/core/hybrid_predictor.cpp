@@ -70,16 +70,11 @@ void HybridPredictor::fill(Bucket& bucket, const std::string& server,
   bucket.state.notify_all();
 }
 
-double HybridPredictor::predict_mean_rt_s(const std::string& server,
-                                          const WorkloadSpec& workload) const {
-  return fit_for(server, workload.buy_fraction())
-      .predict_metric(workload.total_clients());
-}
-
-double HybridPredictor::predict_throughput_rps(
-    const std::string& server, const WorkloadSpec& workload) const {
-  return fit_for(server, workload.buy_fraction())
-      .predict_throughput(workload.total_clients());
+Prediction HybridPredictor::predict(const std::string& server,
+                                    const WorkloadSpec& workload) const {
+  const hydra::Relationship1& rel = fit_for(server, workload.buy_fraction());
+  return {rel.predict_metric(workload.total_clients()),
+          rel.predict_throughput(workload.total_clients())};
 }
 
 double HybridPredictor::predict_max_throughput_rps(const std::string& server,

@@ -37,14 +37,10 @@ lqn::SolveResult LqnPredictor::solve(const std::string& server_name,
   return result;
 }
 
-double LqnPredictor::predict_mean_rt_s(const std::string& server_name,
-                                       const WorkloadSpec& workload) const {
-  return solve(server_name, workload).mean_response_time_s();
-}
-
-double LqnPredictor::predict_throughput_rps(const std::string& server_name,
-                                            const WorkloadSpec& workload) const {
-  return solve(server_name, workload).total_throughput_rps();
+Prediction LqnPredictor::predict(const std::string& server_name,
+                                 const WorkloadSpec& workload) const {
+  const lqn::SolveResult result = solve(server_name, workload);
+  return {result.mean_response_time_s(), result.total_throughput_rps()};
 }
 
 double LqnPredictor::predict_max_throughput_rps(const std::string& server_name,

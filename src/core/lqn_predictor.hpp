@@ -8,8 +8,9 @@
 // established/new server request processing speed ratio".
 //
 // Every prediction builds the case-study LQN for the queried (server,
-// workload) pair and solves it, which is why this method's prediction
-// latency is the highest of the three (section 8.5).
+// workload) pair and solves it once; mean response time and throughput
+// both come from that one solve. The solve is why this method's
+// prediction latency is the highest of the three (section 8.5).
 #pragma once
 
 #include <map>
@@ -35,10 +36,8 @@ class LqnPredictor final : public Predictor {
   const TradeCalibration& calibration() const noexcept { return calibration_; }
 
   std::string name() const override { return "layered-queuing"; }
-  double predict_mean_rt_s(const std::string& server,
-                           const WorkloadSpec& workload) const override;
-  double predict_throughput_rps(const std::string& server,
-                                const WorkloadSpec& workload) const override;
+  Prediction predict(const std::string& server,
+                     const WorkloadSpec& workload) const override;
   double predict_max_throughput_rps(const std::string& server,
                                     double buy_fraction) const override;
 

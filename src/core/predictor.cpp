@@ -24,7 +24,7 @@ bool Predictor::predicts_saturated(const std::string& server,
   const double max_tput =
       predict_max_throughput_rps(server, workload.buy_fraction());
   if (max_tput <= 0.0) return false;
-  return predict_throughput_rps(server, workload) >= 0.985 * max_tput;
+  return predict(server, workload).throughput_rps >= 0.985 * max_tput;
 }
 
 double Predictor::predict_percentile_rt_s(const std::string& server,

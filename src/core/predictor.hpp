@@ -4,8 +4,7 @@
 //
 // A predictor answers, for a named server architecture and a workload
 // (browse/buy client populations with a think time):
-//   * the mean response time;
-//   * the throughput;
+//   * the mean response time and the throughput, from one evaluation;
 //   * the max throughput at a workload mix;
 //   * percentile response times, by extrapolating the mean through the
 //     regime distributions of section 7.1;
@@ -31,19 +30,32 @@ struct CapacityResult {
   int prediction_evaluations = 0;
 };
 
+/// The two numbers one evaluation of a method yields.
+struct Prediction {
+  double mean_rt_s = 0.0;       // workload-mean response time (seconds)
+  double throughput_rps = 0.0;  // total request throughput (requests/second)
+};
+
 class Predictor {
  public:
   virtual ~Predictor() = default;
 
   virtual std::string name() const = 0;
 
-  /// Workload-mean response time (seconds) for the workload on the server.
-  virtual double predict_mean_rt_s(const std::string& server,
-                                   const WorkloadSpec& workload) const = 0;
+  /// Mean response time and throughput for the workload on the server. A
+  /// caller that needs both reads them from one call.
+  virtual Prediction predict(const std::string& server,
+                             const WorkloadSpec& workload) const = 0;
 
-  /// Total request throughput (requests/second).
-  virtual double predict_throughput_rps(const std::string& server,
-                                        const WorkloadSpec& workload) const = 0;
+  /// One field of predict(...).
+  double predict_mean_rt_s(const std::string& server,
+                           const WorkloadSpec& workload) const {
+    return predict(server, workload).mean_rt_s;
+  }
+  double predict_throughput_rps(const std::string& server,
+                                const WorkloadSpec& workload) const {
+    return predict(server, workload).throughput_rps;
+  }
 
   /// Max throughput for a workload mix (buy_fraction of the clients are
   /// buy users; 0 = the typical all-browse workload).

@@ -142,10 +142,7 @@ PredictionResult BatchPredictor::predict(
         "injected fault: " + std::string(method_name(request.method)) +
             " on '" + request.server + "'");
   const core::WorkloadSpec workload = quantized(request.workload);
-  CachedPrediction fresh;
-  fresh.mean_rt_s = predictor.predict_mean_rt_s(request.server, workload);
-  fresh.throughput_rps =
-      predictor.predict_throughput_rps(request.server, workload);
+  const core::Prediction fresh = predictor.predict(request.server, workload);
   cache_.insert(key, fresh);
   PredictionResult result;
   result.mean_rt_s = fresh.mean_rt_s;

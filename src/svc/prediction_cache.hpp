@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/predictor.hpp"
 #include "util/annotations.hpp"
 #include "util/lock_rank.hpp"
 
@@ -54,12 +55,9 @@ struct CacheKeyHash {
   std::size_t operator()(const CacheKey& key) const noexcept;
 };
 
-/// The memoized value: everything the batch engine computes for a
+/// The memoized value: the one evaluation the batch engine makes for a
 /// request, so one hit answers the whole request.
-struct CachedPrediction {
-  double mean_rt_s = 0.0;
-  double throughput_rps = 0.0;
-};
+using CachedPrediction = core::Prediction;
 
 struct CacheStats {
   std::uint64_t hits = 0;

@@ -71,13 +71,9 @@ TEST(Evaluation, AccuracyAgainstEmptyIsPerfect) {
   class Zero final : public Predictor {
    public:
     std::string name() const override { return "zero"; }
-    double predict_mean_rt_s(const std::string&,
-                             const WorkloadSpec&) const override {
-      return 1.0;
-    }
-    double predict_throughput_rps(const std::string&,
-                                  const WorkloadSpec&) const override {
-      return 1.0;
+    Prediction predict(const std::string&,
+                       const WorkloadSpec&) const override {
+      return {1.0, 1.0};
     }
     double predict_max_throughput_rps(const std::string&,
                                       double) const override {

@@ -15,14 +15,11 @@ class StubPredictor final : public Predictor {
  public:
   std::string name() const override { return "stub"; }
 
-  double predict_mean_rt_s(const std::string&,
-                           const WorkloadSpec& w) const override {
+  Prediction predict(const std::string&,
+                     const WorkloadSpec& w) const override {
     const double n = w.total_clients();
-    return std::max(kBase, n / kMaxTput - w.think_time_s);
-  }
-  double predict_throughput_rps(const std::string&,
-                                const WorkloadSpec& w) const override {
-    return std::min(w.total_clients() / (w.think_time_s + kBase), kMaxTput);
+    return {std::max(kBase, n / kMaxTput - w.think_time_s),
+            std::min(n / (w.think_time_s + kBase), kMaxTput)};
   }
   double predict_max_throughput_rps(const std::string&, double) const override {
     return kMaxTput;

@@ -33,18 +33,12 @@ class PhysicsPredictor final : public core::Predictor {
     return max_power(arch) / (1.0 + 0.9 * buy_fraction);
   }
 
-  double predict_mean_rt_s(const std::string& arch,
+  core::Prediction predict(const std::string& arch,
                            const core::WorkloadSpec& w) const override {
-    const double x_max =
-        predict_max_throughput_rps(arch, w.buy_fraction());
-    const double n = y_ * w.total_clients();
-    return std::max(kBase, n / x_max - w.think_time_s);
-  }
-
-  double predict_throughput_rps(const std::string& arch,
-                                const core::WorkloadSpec& w) const override {
     const double x_max = predict_max_throughput_rps(arch, w.buy_fraction());
-    return std::min(y_ * w.total_clients() / (w.think_time_s + kBase), x_max);
+    const double n = y_ * w.total_clients();
+    return {std::max(kBase, n / x_max - w.think_time_s),
+            std::min(n / (w.think_time_s + kBase), x_max)};
   }
 
   static constexpr double kBase = 0.020;

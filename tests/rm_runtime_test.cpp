@@ -26,15 +26,11 @@ class PhysicsPredictor final : public core::Predictor {
                                     double buy_fraction) const override {
     return max_power(arch) / (1.0 + 0.9 * buy_fraction);
   }
-  double predict_mean_rt_s(const std::string& arch,
+  core::Prediction predict(const std::string& arch,
                            const core::WorkloadSpec& w) const override {
     const double x_max = predict_max_throughput_rps(arch, w.buy_fraction());
-    return std::max(0.020, y_ * w.total_clients() / x_max - w.think_time_s);
-  }
-  double predict_throughput_rps(const std::string& arch,
-                                const core::WorkloadSpec& w) const override {
-    const double x_max = predict_max_throughput_rps(arch, w.buy_fraction());
-    return std::min(y_ * w.total_clients() / (w.think_time_s + 0.020), x_max);
+    return {std::max(0.020, y_ * w.total_clients() / x_max - w.think_time_s),
+            std::min(y_ * w.total_clients() / (w.think_time_s + 0.020), x_max)};
   }
 
  private:

@@ -6,15 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/errors.hpp"
 #include "core/historical_predictor.hpp"
 #include "core/hybrid_predictor.hpp"
 #include "core/lqn_predictor.hpp"
 #include "svc/fault.hpp"
+#include "svc/resilient.hpp"
 #include "util/cancellation.hpp"
 #include "util/thread_pool.hpp"
 
@@ -53,6 +57,13 @@ struct Predictors {
     }
     historical.register_new_server(
         "AppServS", lqn.predict_max_throughput_rps("AppServS", 0.0));
+    // Relationship 3 from the established server's LQN bottleneck bound.
+    std::vector<double> buy_pct, max_tput;
+    for (const double pct : {0.0, 10.0, 25.0, 40.0}) {
+      buy_pct.push_back(pct);
+      max_tput.push_back(lqn.predict_max_throughput_rps("AppServF", pct / 100));
+    }
+    historical.calibrate_mix(buy_pct, max_tput);
   }
 };
 
@@ -74,22 +85,106 @@ std::unique_ptr<BatchPredictor> make_engine(BatchOptions options = {}) {
 }
 
 TEST(BatchPredictor, CachedPredictionBitEqualsFreshForAllMethods) {
+  // 3 servers x {0, 25%} buy x 0.25-2x each server's knee. AppServS
+  // all-browse at 1.1x its knee (676 clients) is a cell whose LQN solve
+  // does not converge.
   const auto engine = make_engine();
-  for (Method method : {Method::kHistorical, Method::kLqn, Method::kHybrid}) {
-    const PredictionRequest request{method, "AppServF", browse_load(900.0)};
-    const PredictionResult cold = engine->predict(request);
-    const PredictionResult warm = engine->predict(request);
-    EXPECT_FALSE(cold.cached) << method_name(method);
-    EXPECT_TRUE(warm.cached) << method_name(method);
-    // Bit-equality, not tolerance: the cache memoizes the exact value the
-    // predictor computed at the quantized workload.
-    EXPECT_EQ(warm.mean_rt_s, cold.mean_rt_s) << method_name(method);
-    EXPECT_EQ(warm.throughput_rps, cold.throughput_rps) << method_name(method);
-    const core::Predictor& direct = engine->predictor_for(method);
-    const core::WorkloadSpec q = engine->quantized(request.workload);
-    EXPECT_EQ(warm.mean_rt_s, direct.predict_mean_rt_s("AppServF", q));
-    EXPECT_EQ(warm.throughput_rps,
-              direct.predict_throughput_rps("AppServF", q));
+  Predictors& p = predictors();
+  int answered = 0, diverged = 0;
+  for (const char* server : {"AppServS", "AppServF", "AppServVF"})
+    for (const double buy : {0.0, 0.25}) {
+      const double knee =
+          p.lqn.predict_max_throughput_rps(server, buy) / Predictors::kGradient;
+      for (const double scale : {0.25, 0.5, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0}) {
+        const double clients = std::round(scale * knee);
+        core::WorkloadSpec w;
+        w.buy_clients = std::round(clients * buy);
+        w.browse_clients = clients - w.buy_clients;
+        for (Method method :
+             {Method::kHistorical, Method::kLqn, Method::kHybrid}) {
+          const std::string cell = std::string(method_name(method)) + " " +
+                                   server + " buy=" + std::to_string(buy) +
+                                   " x" + std::to_string(scale);
+          const PredictionRequest request{method, server, w};
+          const PredictionResult cold = engine->predict(request);
+          const PredictionResult warm = engine->predict(request);
+          const core::WorkloadSpec q = engine->quantized(w);
+          if (method == Method::kLqn && !cold.ok()) {
+            // Not cached: the engine re-solves and fails the same way.
+            ASSERT_EQ(cold.code, ErrorCode::kSolverDiverged) << cell;
+            EXPECT_EQ(warm.code, ErrorCode::kSolverDiverged) << cell;
+            try {
+              (void)p.lqn.solve(server, q);
+              ADD_FAILURE() << cell << ": direct solve converged";
+            } catch (const core::SolverDivergedError& error) {
+              EXPECT_EQ(cold.error, error.what()) << cell;
+              EXPECT_EQ(warm.error, error.what()) << cell;
+            }
+            ++diverged;
+            continue;
+          }
+          ASSERT_TRUE(cold.ok()) << cell << ": " << cold.error;
+          EXPECT_FALSE(cold.cached) << cell;
+          EXPECT_TRUE(warm.cached) << cell;
+          // Bit-equality, not tolerance: the cache memoizes the exact
+          // value the predictor computed at the quantized workload.
+          const core::Predictor& direct = engine->predictor_for(method);
+          EXPECT_EQ(cold.mean_rt_s, direct.predict_mean_rt_s(server, q))
+              << cell;
+          EXPECT_EQ(cold.throughput_rps,
+                    direct.predict_throughput_rps(server, q))
+              << cell;
+          EXPECT_EQ(warm.mean_rt_s, cold.mean_rt_s) << cell;
+          EXPECT_EQ(warm.throughput_rps, cold.throughput_rps) << cell;
+          ++answered;
+        }
+      }
+    }
+  EXPECT_EQ(diverged, 1);
+  EXPECT_EQ(answered, 3 * 2 * 8 * 3 - diverged);
+}
+
+/// A stand-in method that counts its evaluations.
+class CountingPredictor final : public core::Predictor {
+ public:
+  std::string name() const override { return "counting"; }
+  core::Prediction predict(const std::string&,
+                           const core::WorkloadSpec& w) const override {
+    evaluations_.fetch_add(1);
+    return {0.02 + 1e-5 * w.total_clients(),
+            w.total_clients() / (w.think_time_s + 0.02)};
+  }
+  double predict_max_throughput_rps(const std::string&, double) const override {
+    return 186.0;
+  }
+  int evaluations() const { return evaluations_.load(); }
+
+ private:
+  mutable std::atomic<int> evaluations_{0};
+};
+
+TEST(BatchPredictor, OneEvaluationPerMissNonePerHit) {
+  CountingPredictor counting;
+  Predictors& p = predictors();
+  const BatchPredictor engine(&counting, &p.lqn, &p.hybrid);
+  for (int i = 1; i <= 5; ++i) {
+    const PredictionRequest request{Method::kHistorical, "AppServF",
+                                    browse_load(100.0 + i)};
+    ASSERT_FALSE(engine.predict(request).cached);
+    EXPECT_EQ(counting.evaluations(), i) << "after miss " << i;
+    ASSERT_TRUE(engine.predict(request).cached);
+    EXPECT_EQ(counting.evaluations(), i) << "after hit " << i;
+  }
+
+  CountingPredictor behind_resilient;
+  const BatchPredictor wrapped(&behind_resilient, &p.lqn, &p.hybrid);
+  const ResilientPredictor resilient(wrapped);
+  for (int i = 1; i <= 5; ++i) {
+    const Outcome outcome = resilient.predict(
+        {Method::kHistorical, "AppServF", browse_load(200.0 + i)});
+    ASSERT_TRUE(outcome.ok()) << outcome.error().to_string();
+    EXPECT_FALSE(outcome.value().prediction.cached);
+    EXPECT_EQ(behind_resilient.evaluations(), i) << "after request " << i;
   }
 }
 

@@ -488,13 +488,9 @@ class ScriptedPredictor : public core::Predictor {
   enum class Mode { kFail, kNotCalibrated, kAnswer };
 
   std::string name() const override { return "scripted"; }
-  double predict_mean_rt_s(const std::string&,
+  core::Prediction predict(const std::string&,
                            const core::WorkloadSpec&) const override {
-    return act(0.1);
-  }
-  double predict_throughput_rps(const std::string&,
-                                const core::WorkloadSpec&) const override {
-    return act(10.0);
+    return {act(0.1), 10.0};
   }
   double predict_max_throughput_rps(const std::string&, double) const override {
     return act(100.0);
