@@ -62,11 +62,13 @@ int main() {
       for (const core::MeasuredPoint& p : measured) {
         core::WorkloadSpec w;
         w.browse_clients = p.clients;
-        const double mean = predictor->predict_mean_rt_s(server, w);
-        const bool post = predictor->predicts_saturated(server, w);
-        p90_pred.push_back(extrapolator.predict(mean, post));
+        // One evaluation serves both p90 estimates: the same mean and
+        // regime that predict_percentile_rt_s would derive from it.
+        const core::Prediction at = predictor->predict(server, w);
+        const bool post = predictor->predicts_saturated(server, w, at);
+        p90_pred.push_back(extrapolator.predict(at.mean_rt_s, post));
         p90_analytic.push_back(
-            predictor->predict_percentile_rt_s(server, w, 0.90, scale_b));
+            dist::predict_percentile(at.mean_rt_s, 0.90, post, scale_b));
         p90_meas.push_back(p.p90_rt_s);
       }
       const double p90_acc = util::prediction_accuracy_percent(p90_pred, p90_meas);

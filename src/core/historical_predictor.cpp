@@ -77,7 +77,8 @@ double HistoricalPredictor::predict_max_throughput_rps(
 }
 
 bool HistoricalPredictor::predicts_saturated(
-    const std::string& server, const WorkloadSpec& workload) const {
+    const std::string& server, const WorkloadSpec& workload,
+    const Prediction& /*at*/) const {
   const hydra::Relationship1 rel = rel1_for(server, workload.buy_fraction());
   return workload.total_clients() >= rel.clients_at_max_throughput();
 }

@@ -71,7 +71,8 @@ class HistoricalPredictor final : public Predictor {
   double predict_max_throughput_rps(const std::string& server,
                                     double buy_fraction) const override;
   bool predicts_saturated(const std::string& server,
-                          const WorkloadSpec& workload) const override;
+                          const WorkloadSpec& workload,
+                          const Prediction& at) const override;
 
   /// Closed-form capacity: a single inversion instead of a search.
   CapacityResult max_clients_for_goal(const std::string& server,

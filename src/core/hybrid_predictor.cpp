@@ -83,7 +83,8 @@ double HybridPredictor::predict_max_throughput_rps(const std::string& server,
 }
 
 bool HybridPredictor::predicts_saturated(const std::string& server,
-                                         const WorkloadSpec& workload) const {
+                                         const WorkloadSpec& workload,
+                                         const Prediction& /*at*/) const {
   const hydra::Relationship1& rel = fit_for(server, workload.buy_fraction());
   return workload.total_clients() >= rel.clients_at_max_throughput();
 }

@@ -41,7 +41,8 @@ class HybridPredictor final : public Predictor {
   double predict_max_throughput_rps(const std::string& server,
                                     double buy_fraction) const override;
   bool predicts_saturated(const std::string& server,
-                          const WorkloadSpec& workload) const override;
+                          const WorkloadSpec& workload,
+                          const Prediction& at) const override;
   CapacityResult max_clients_for_goal(const std::string& server,
                                       double goal_s, double buy_fraction = 0.0,
                                       double think_time_s = 7.0) const override;

@@ -20,18 +20,20 @@ WorkloadSpec workload_at(double clients, double buy_fraction, double think) {
 }  // namespace
 
 bool Predictor::predicts_saturated(const std::string& server,
-                                   const WorkloadSpec& workload) const {
+                                   const WorkloadSpec& workload,
+                                   const Prediction& at) const {
   const double max_tput =
       predict_max_throughput_rps(server, workload.buy_fraction());
   if (max_tput <= 0.0) return false;
-  return predict(server, workload).throughput_rps >= 0.985 * max_tput;
+  return at.throughput_rps >= 0.985 * max_tput;
 }
 
 double Predictor::predict_percentile_rt_s(const std::string& server,
                                           const WorkloadSpec& workload,
                                           double p, double scale_b_s) const {
-  const double mean = predict_mean_rt_s(server, workload);
-  return dist::predict_percentile(mean, p, predicts_saturated(server, workload),
+  const Prediction at = predict(server, workload);
+  return dist::predict_percentile(at.mean_rt_s, p,
+                                  predicts_saturated(server, workload, at),
                                   scale_b_s);
 }
 

@@ -63,12 +63,17 @@ class Predictor {
                                             double buy_fraction) const = 0;
 
   /// Whether the workload drives the server past max throughput (selects
-  /// the distribution regime of section 7.1).
+  /// the distribution regime of section 7.1). `at` is predict(server,
+  /// workload): the default compares its throughput with the max
+  /// throughput, so the check costs no second evaluation; methods with a
+  /// closed-form knee ignore it.
   virtual bool predicts_saturated(const std::string& server,
-                                  const WorkloadSpec& workload) const;
+                                  const WorkloadSpec& workload,
+                                  const Prediction& at) const;
 
-  /// Percentile response time via the regime distributions; scale_b_s is
-  /// the calibrated post-saturation double-exponential scale.
+  /// Percentile response time via the regime distributions, from one
+  /// predict(); scale_b_s is the calibrated post-saturation
+  /// double-exponential scale.
   double predict_percentile_rt_s(const std::string& server,
                                  const WorkloadSpec& workload, double p,
                                  double scale_b_s) const;

@@ -25,7 +25,12 @@ std::size_t next_pow2(std::size_t n) noexcept {
 
 }  // namespace
 
-Engine::Engine() : buckets_(kMinBuckets) {}
+Engine::Engine() : heads_(kMinBuckets, kNil) {}
+
+void Engine::reserve(std::size_t n) {
+  pool_.reserve(n);
+  next_.reserve(n);
+}
 
 void Engine::schedule_raw_at(double time, RawFn fn, void* ctx,
                              std::uint64_t arg) {
@@ -47,18 +52,18 @@ void Engine::schedule_raw_after(double delay, RawFn fn, void* ctx,
 std::size_t Engine::bucket_index(double time) const noexcept {
   if (time <= year_start_) return 0;
   const double idx = (time - year_start_) / bucket_width_;
-  const auto n = buckets_.size();
+  const auto n = heads_.size();
   const auto i = static_cast<std::size_t>(idx);
   return i >= n ? n - 1 : i;
 }
 
 void Engine::insert(const QEntry& entry) {
-  if (live_ > buckets_.size() * kGrowFactor && buckets_.size() < kMaxBuckets) {
+  if (live_ > heads_.size() * kGrowFactor && heads_.size() < kMaxBuckets) {
     rebuild(next_pow2(live_ / 2));
     // `entry` is not in the structure yet; rebuild only moved the others.
   }
   if (entry.time >= year_end()) {
-    overflow_.push_back(entry);
+    push_new(entry, overflow_);
     return;
   }
   place(entry);
@@ -69,44 +74,86 @@ void Engine::place(const QEntry& entry) {
   if (idx <= cur_) {
     // The event lands in (or before) the bucket being drained: keep the
     // heap property so it still pops in global (time, seq) order.
-    buckets_[cur_].push_back(entry);
-    std::push_heap(buckets_[cur_].begin(), buckets_[cur_].end(), EntryAfter{});
+    current_.push_back(entry);
+    std::push_heap(current_.begin(), current_.end(), EntryAfter{});
   } else {
-    buckets_[idx].push_back(entry);  // unsorted until the calendar arrives
+    push_new(entry, heads_[idx]);  // unsorted until the calendar arrives
   }
 }
 
-std::vector<Engine::QEntry> Engine::drain_entries() {
-  std::vector<QEntry> entries;
-  entries.reserve(live_);
-  for (auto& bucket : buckets_) {
-    entries.insert(entries.end(), bucket.begin(), bucket.end());
-    bucket.clear();
+void Engine::push_new(const QEntry& entry, Slot& chain) {
+  Slot slot = free_;
+  if (slot != kNil) {
+    free_ = next_[slot];
+    pool_[slot] = entry;
+  } else {
+    slot = static_cast<Slot>(pool_.size());
+    pool_.push_back(entry);
+    next_.push_back(kNil);
   }
-  entries.insert(entries.end(), overflow_.begin(), overflow_.end());
-  overflow_.clear();
-  return entries;
+  next_[slot] = chain;
+  chain = slot;
+}
+
+void Engine::relink(Slot slot) {
+  const QEntry& entry = pool_[slot];
+  Slot* chain = &overflow_;
+  if (entry.time < year_end()) {
+    const std::size_t idx = bucket_index(entry.time);
+    if (idx <= cur_) {
+      // Into the drained bucket's heap; the caller restores heap order.
+      current_.push_back(entry);
+      next_[slot] = free_;
+      free_ = slot;
+      return;
+    }
+    chain = &heads_[idx];
+  }
+  next_[slot] = *chain;
+  *chain = slot;
+}
+
+void Engine::relink_chain(Slot chain) {
+  while (chain != kNil) {
+    const Slot next = next_[chain];
+    relink(chain);
+    chain = next;
+  }
 }
 
 void Engine::rebuild(std::size_t num_buckets) {
   num_buckets = std::clamp(num_buckets, kMinBuckets, kMaxBuckets);
-  std::vector<QEntry> live = drain_entries();
-  buckets_.assign(num_buckets, {});
+  // Chain every pending entry together; the drained bucket's heap goes
+  // back into the pool.
+  Slot all = overflow_;
+  overflow_ = kNil;
+  for (Slot& head : heads_) {
+    while (head != kNil) {
+      const Slot next = next_[head];
+      next_[head] = all;
+      all = head;
+      head = next;
+    }
+  }
+  for (const QEntry& e : current_) push_new(e, all);
+  current_.clear();
+  heads_.assign(num_buckets, kNil);
   cur_ = 0;
+  std::size_t count = 0;
   double min_t = kInfinity, max_t = -kInfinity;
-  for (const QEntry& e : live) {
-    min_t = std::min(min_t, e.time);
-    max_t = std::max(max_t, e.time);
+  for (Slot slot = all; slot != kNil; slot = next_[slot]) {
+    min_t = std::min(min_t, pool_[slot].time);
+    max_t = std::max(max_t, pool_[slot].time);
+    ++count;
   }
   // Size buckets so the live population spreads to ~1 event per bucket;
   // everything past the year boundary falls into the overflow ladder.
-  year_start_ = live.empty() ? now_ : std::min(now_, min_t);
+  year_start_ = count == 0 ? now_ : std::min(now_, min_t);
   const double span = max_t - year_start_;
-  bucket_width_ = span > 0.0 && !live.empty()
-                      ? span / static_cast<double>(live.size())
-                      : 1.0;
-  for (const QEntry& e : live) insert(e);
-  std::make_heap(buckets_[cur_].begin(), buckets_[cur_].end(), EntryAfter{});
+  bucket_width_ =
+      span > 0.0 && count > 0 ? span / static_cast<double>(count) : 1.0;
+  relink_chain(all);
+  std::make_heap(current_.begin(), current_.end(), EntryAfter{});
 }
 
 void Engine::start_new_year() {
@@ -114,39 +161,34 @@ void Engine::start_new_year() {
   // ladder. Jump the calendar straight to the earliest of them (idle
   // years cost nothing) and redistribute.
   double min_t = kInfinity;
-  for (const QEntry& e : overflow_) min_t = std::min(min_t, e.time);
+  for (Slot slot = overflow_; slot != kNil; slot = next_[slot])
+    min_t = std::min(min_t, pool_[slot].time);
   cur_ = 0;
   year_start_ = min_t;
-  if (overflow_.size() < buckets_.size() / kGrowFactor &&
-      buckets_.size() > kMinBuckets) {
+  if (live_ < heads_.size() / kGrowFactor && heads_.size() > kMinBuckets) {
     // Shrink on year boundaries only, so steady-state pops stay cheap.
-    rebuild(next_pow2(std::max<std::size_t>(1, overflow_.size())));
+    rebuild(next_pow2(std::max<std::size_t>(1, live_)));
     return;
   }
-  // Redistribute in place: entries beyond the new year stay in the
-  // ladder, compacted to its front, so a year wrap allocates nothing.
-  // place() skips insert()'s grow check, which every schedule already
-  // passed with the same population.
-  const double end = year_end();
-  std::size_t kept = 0;
-  for (const QEntry& e : overflow_) {
-    if (e.time >= end)
-      overflow_[kept++] = e;
-    else
-      place(e);
-  }
-  overflow_.resize(kept);
-  std::make_heap(buckets_[cur_].begin(), buckets_[cur_].end(), EntryAfter{});
+  // Redistribute: entries beyond the new year go back to the ladder.
+  // Relinking moves chain links only, so a year wrap allocates nothing.
+  const Slot ladder = overflow_;
+  overflow_ = kNil;
+  relink_chain(ladder);
+  std::make_heap(current_.begin(), current_.end(), EntryAfter{});
 }
 
 void Engine::advance_bucket() {
   ++cur_;
-  while (cur_ < buckets_.size() && buckets_[cur_].empty()) ++cur_;
-  if (cur_ < buckets_.size()) {
-    std::make_heap(buckets_[cur_].begin(), buckets_[cur_].end(), EntryAfter{});
+  while (cur_ < heads_.size() && heads_[cur_] == kNil) ++cur_;
+  if (cur_ == heads_.size()) {
+    start_new_year();
     return;
   }
-  start_new_year();
+  const Slot bucket = heads_[cur_];
+  heads_[cur_] = kNil;
+  relink_chain(bucket);  // every entry lands in current_
+  std::make_heap(current_.begin(), current_.end(), EntryAfter{});
 }
 
 Engine::Timer Engine::add_timer(RawFn fn, void* ctx) {
@@ -186,8 +228,8 @@ Engine::TimerRecord* Engine::first_timer() noexcept {
 
 const Engine::QEntry* Engine::calendar_head() {
   if (live_ == 0) return nullptr;
-  while (buckets_[cur_].empty()) advance_bucket();
-  return &buckets_[cur_].front();
+  while (current_.empty()) advance_bucket();
+  return &current_.front();
 }
 
 double Engine::peek_live_time() {
@@ -216,10 +258,9 @@ bool Engine::fire_next(double limit) {
     return true;
   }
   if (head == nullptr || !(head->time <= limit)) return false;
-  auto& heap = buckets_[cur_];
-  std::pop_heap(heap.begin(), heap.end(), EntryAfter{});
-  const QEntry top = heap.back();
-  heap.pop_back();
+  std::pop_heap(current_.begin(), current_.end(), EntryAfter{});
+  const QEntry top = current_.back();
+  current_.pop_back();
   now_ = top.time;
   ++processed_;
   --live_;

@@ -1,18 +1,21 @@
 // Discrete-event simulation engine.
 //
-// A single-threaded engine built for million-client populations: the
-// parallelism in EPP lives one level up (independent replications and
-// parameter sweeps on util::ThreadPool, see sim/replicate.hpp), which is
-// the standard way to scale stochastic discrete-event studies, so the
-// engine itself optimises for single-core event throughput:
+// A single-threaded engine: the parallelism in EPP lives one level up
+// (independent replications and parameter sweeps on util::ThreadPool, see
+// sim/replicate.hpp), so the engine optimises for single-core event
+// throughput and holds memory in proportion to its pending events:
 //
 //   * Two-tier calendar/ladder queue. Near-future events hash into an
 //     array of time buckets (the calendar year); only the bucket being
 //     drained is kept as a binary heap, so inserts into future buckets
-//     are O(1) amortised. Far-future events sit in an unsorted overflow
-//     ladder and are redistributed when the calendar year wraps. An
-//     event lives in its calendar entry, so scheduling allocates nothing
-//     once the buckets have grown.
+//     are O(1). Far-future events sit in an unsorted overflow ladder and
+//     are redistributed when the calendar year wraps. The buckets and the
+//     ladder are chains through one pool of 40-byte entries with a free
+//     chain, so the calendar holds 44 bytes per pending event (entry plus
+//     link), a 4-byte head per bucket (between a quarter and about four
+//     buckets per pending event, at least 64) and the drained bucket's
+//     heap. Scheduling allocates nothing once the pool has grown;
+//     reserve() sizes it up front.
 //   * Re-armable timers, one per resource, outside the calendar. A
 //     timer has at most one pending firing; arm_after() moves it and
 //     disarm() drops it in O(1), so a processor-sharing CPU whose next
@@ -64,6 +67,10 @@ class Engine {
                        std::uint64_t arg = 0);
   void schedule_raw_after(double delay, RawFn fn, void* ctx,
                           std::uint64_t arg = 0);
+
+  /// Make room for `n` pending events, so scheduling up to that many
+  /// neither reallocates the entry pool nor leaves it growth slack.
+  void reserve(std::size_t n);
 
   /// Register a re-armable timer that runs `fn(ctx, 0)` each time it
   /// fires. It starts disarmed; registrations last as long as the engine.
@@ -129,9 +136,23 @@ class Engine {
   /// The armed timer with the smallest (time, seq), or nullptr.
   TimerRecord* first_timer() noexcept;
 
+  /// Entries outside the drained bucket live in pool_ and link through
+  /// next_; kNil ends a chain.
+  using Slot = std::uint32_t;
+  static constexpr Slot kNil = std::numeric_limits<Slot>::max();
+
   void insert(const QEntry& entry);
   /// Put an entry of the current year into its bucket.
   void place(const QEntry& entry);
+  /// Store `entry` in a free pool slot (growing the pool if none is free)
+  /// and push it onto `chain`.
+  void push_new(const QEntry& entry, Slot& chain);
+  /// Move the pooled entry at `slot` to the bucket its time falls in, the
+  /// overflow ladder or (unordered; the caller re-heaps) the drained
+  /// bucket's heap, which frees the slot. relink_chain does so for every
+  /// entry of a chain.
+  void relink(Slot slot);
+  void relink_chain(Slot chain);
   /// Move to the next non-empty bucket; caller guarantees live_ > 0.
   /// Wrapping past the last bucket starts a new calendar year
   /// (redistributing the overflow ladder, jumping idle years).
@@ -140,11 +161,9 @@ class Engine {
   /// Re-bucket every entry into `num_buckets` buckets sized for the
   /// current pending population (grow/shrink path).
   void rebuild(std::size_t num_buckets);
-  std::vector<QEntry> drain_entries();
 
   double year_end() const noexcept {
-    return year_start_ +
-           static_cast<double>(buckets_.size()) * bucket_width_;
+    return year_start_ + static_cast<double>(heads_.size()) * bucket_width_;
   }
   std::size_t bucket_index(double time) const noexcept;
 
@@ -156,8 +175,12 @@ class Engine {
 
   std::vector<TimerRecord> timers_;
 
-  std::vector<std::vector<QEntry>> buckets_;  // buckets_[cur_] is a heap
-  std::vector<QEntry> overflow_;              // beyond the current year
+  std::vector<QEntry> pool_;
+  std::vector<Slot> next_;     // next_[s]: the entry after pool_[s]
+  Slot free_ = kNil;           // chain of unused pool slots
+  std::vector<Slot> heads_;    // per bucket: chain of its entries, unsorted
+  Slot overflow_ = kNil;       // chain of entries beyond the current year
+  std::vector<QEntry> current_;  // heap of bucket cur_'s entries
   std::size_t cur_ = 0;
   double year_start_ = 0.0;
   double bucket_width_ = 1.0;

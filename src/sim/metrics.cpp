@@ -66,11 +66,10 @@ double MetricsCollector::response_time_quantile(
 }
 
 double MetricsCollector::response_time_quantile(double q) const {
-  std::vector<double> all;
-  all.reserve(total_completions_);
-  for (const auto& [_, samples] : per_class_)
-    all.insert(all.end(), samples.samples().begin(), samples.samples().end());
-  return util::select_quantile(all, q);
+  std::vector<const util::SampleSet*> sets;
+  sets.reserve(per_class_.size());
+  for (const auto& [_, samples] : per_class_) sets.push_back(&samples);
+  return util::quantile_of(sets, q);
 }
 
 double MetricsCollector::throughput(double now) const {

@@ -4,11 +4,12 @@
 // class response-time samples and completion counts, taken after a warm-up
 // period ("a 1 minute warm-up period" in section 4.2).
 //
-// Each response time is stored once, in its class's SampleSet. The
-// overall mean comes from a running sum added in completion order, so it
-// is bit-identical to the mean of one set holding every sample; the
-// overall quantile selects over a scratch concatenation of the classes,
-// which holds the same multiset and so the same order statistics.
+// Each response time is stored once, in its class's SampleSet: a run's
+// collector holds 8 bytes per measured completion plus at most one
+// partly filled block per class. The overall mean comes from a running
+// sum added in completion order, so it is bit-identical to the mean of
+// one set holding every sample; the overall quantile selects over the
+// union of the classes without concatenating them (util::quantile_of).
 #pragma once
 
 #include <cstddef>
@@ -45,7 +46,7 @@ class MetricsCollector {
   double mean_response_time(const std::string& service_class) const;
   double mean_response_time() const;
   /// Exact q-quantile of recorded response times (q in [0,1]), selected
-  /// on a scratch copy in linear time.
+  /// in linear time without copying the samples.
   double response_time_quantile(const std::string& service_class,
                                 double q) const;
   double response_time_quantile(double q) const;

@@ -1,5 +1,6 @@
 #include "sim/trade/cluster.hpp"
 
+#include <span>
 #include <stdexcept>
 
 #include "sim/trade/simulation.hpp"
@@ -7,8 +8,10 @@
 namespace epp::sim::trade {
 namespace {
 
-ClusterClassResult summarize(const util::SampleSet& samples) {
-  return {samples.count(), samples.mean(), samples.quantile(0.90)};
+ClusterClassResult summarize(std::span<const util::SampleSet* const> sets) {
+  std::size_t count = 0;
+  for (const util::SampleSet* set : sets) count += set->count();
+  return {count, util::mean_of(sets), util::quantile_of(sets, 0.90)};
 }
 
 ClusterRunResult collect(const Simulation& sim, std::size_t servers,
@@ -20,17 +23,16 @@ ClusterRunResult collect(const Simulation& sim, std::size_t servers,
   out.disk_utilization = sim.disk().utilization(end);
   for (std::size_t s = 0; s < servers; ++s)
     out.app_cpu_utilization.push_back(sim.app_cpu(s).utilization(end));
-  // Per-class figures merge the class's buckets ("class@server") in
-  // bucket-name order, so a class mean sums its samples in that order.
-  std::map<std::string, util::SampleSet> per_class;
+  // A class's figures span its buckets ("class@server") in bucket-name
+  // order, so a class mean sums its samples in that order.
+  std::map<std::string, std::vector<const util::SampleSet*>> per_class;
   for (const std::string& bucket : metrics.service_classes()) {
-    const util::SampleSet& samples = metrics.samples(bucket);
-    out.per_bucket[bucket] = summarize(samples);
-    util::SampleSet& merged = per_class[bucket.substr(0, bucket.rfind('@'))];
-    for (const double s : samples.samples()) merged.add(s);
+    const util::SampleSet* samples = &metrics.samples(bucket);
+    out.per_bucket[bucket] = summarize({&samples, 1});
+    per_class[bucket.substr(0, bucket.rfind('@'))].push_back(samples);
   }
-  for (const auto& [name, samples] : per_class)
-    out.per_class[name] = summarize(samples);
+  for (const auto& [name, sets] : per_class)
+    out.per_class[name] = summarize(sets);
   return out;
 }
 

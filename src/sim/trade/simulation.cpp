@@ -42,6 +42,7 @@ void Simulation::reserve_clients(std::size_t n) {
   logged_in_.reserve(n);
   remaining_buys_.reserve(n);
   portfolio_.reserve(n);
+  engine_.reserve(n);  // a client has at most one pending event
 }
 
 std::uint32_t Simulation::add_client(std::uint32_t cls, std::uint32_t server,

@@ -44,6 +44,7 @@ class Simulation {
   /// Register a client behaviour; only `type`, `mean_think_time_s` and
   /// `open_arrival_rps` are used. Returns its class index.
   std::uint32_t add_class(const ServiceClassSpec& spec);
+  /// Room for `n` clients, and in the engine for their pending events.
   void reserve_clients(std::size_t n);
   /// Add a client of class `cls` routed to app server `server`, recording
   /// its response times under metrics handle `bucket`. The client id is

@@ -43,8 +43,8 @@ RunResult collect(const TestbedConfig& config, const Simulation& sim,
   if (keep_samples) {
     out.rt_samples_s.reserve(metrics.total_completions());
     for (const auto& name : metrics.service_classes())
-      for (double s : metrics.samples(name).samples())
-        out.rt_samples_s.push_back(s);
+      metrics.samples(name).for_each(
+          [&out](double s) { out.rt_samples_s.push_back(s); });
   }
   return out;
 }

@@ -58,10 +58,40 @@ TEST(PredictorBase, SaturationDetection) {
   const StubPredictor stub;
   WorkloadSpec light;
   light.browse_clients = 200.0;
-  EXPECT_FALSE(stub.predicts_saturated("s", light));
+  EXPECT_FALSE(stub.predicts_saturated("s", light, stub.predict("s", light)));
   WorkloadSpec heavy;
   heavy.browse_clients = 3000.0;
-  EXPECT_TRUE(stub.predicts_saturated("s", heavy));
+  EXPECT_TRUE(stub.predicts_saturated("s", heavy, stub.predict("s", heavy)));
+}
+
+// A percentile prediction costs one evaluation: the saturation check reads
+// the prediction the mean came from instead of predicting again.
+TEST(PredictorBase, PercentileIsOneEvaluation) {
+  class CountingStub final : public Predictor {
+   public:
+    std::string name() const override { return "counting"; }
+    Prediction predict(const std::string& server,
+                       const WorkloadSpec& w) const override {
+      ++evaluations;
+      return stub.predict(server, w);
+    }
+    double predict_max_throughput_rps(const std::string& server,
+                                      double buy_fraction) const override {
+      return stub.predict_max_throughput_rps(server, buy_fraction);
+    }
+    StubPredictor stub;
+    mutable int evaluations = 0;
+  };
+  const CountingStub counting;
+  const StubPredictor stub;
+  for (const double clients : {200.0, 3000.0}) {
+    WorkloadSpec w;
+    w.browse_clients = clients;
+    counting.evaluations = 0;
+    EXPECT_EQ(counting.predict_percentile_rt_s("s", w, 0.9, 0.2041),
+              stub.predict_percentile_rt_s("s", w, 0.9, 0.2041));
+    EXPECT_EQ(counting.evaluations, 1) << clients;
+  }
 }
 
 TEST(PredictorBase, PercentileUsesRegime) {

@@ -1,15 +1,17 @@
 // The simulator's steady state allocates nothing: a longer measured
-// window may cost a few more allocations (sample vectors doubling), but
-// not one per request. This program replaces the global operator new
-// with a counting one, so it is its own executable rather than part of
-// epp_tests. For each workload it runs run_testbed with a 20 s and a
-// 40 s measured window and fails if the second run allocates more than
+// window may cost a few more allocations (sample blocks), but not one per
+// request. This program replaces the global operator new with a counting
+// one, so it is its own executable rather than part of epp_tests. For
+// each workload it runs run_testbed with a 20 s and a 40 s measured
+// window and fails if the second run allocates more than
 // kMaxExtraAllocations beyond the first.
 //
 // It also counts bytes (frees sized with malloc_usable_size) and bounds
 // how much each extra measured completion of the 40 s run adds to the
-// peak live heap of the call: a response time should be held once, plus
-// one transient scratch copy for the p90, not in several copies.
+// peak live heap of the call: a response time should be held once, in a
+// sample block, with no scratch copy for the p90 and no doubling slack.
+// Last, it bounds the peak live heap of one saturation run on AppServVF,
+// the largest run calibration makes.
 #include <malloc.h>
 
 #include <atomic>
@@ -65,11 +67,17 @@ using namespace epp::sim::trade;
 constexpr std::uint64_t kMaxExtraAllocations = 64;
 /// Peak live heap of a run_testbed call per extra measured completion
 /// (the 40 s run against the 20 s one, which cancels the simulator's
-/// fixed state). One stored response time costs 8 bytes plus at most 8
-/// of vector growth slack, and the p90's scratch copy 8 more: at most 24.
-/// A second stored copy of every sample and a sorted one of each set
-/// cost at least 32.
-constexpr double kMaxPeakBytesPerCompletion = 30.0;
+/// fixed state). One stored response time costs 8 bytes, and a partly
+/// filled 4 KiB sample block about 1 more over ~3,700 extra completions:
+/// block storage reads 7.9-8.0. A scratch copy for the p90 adds 8 (16
+/// and up), and a doubling vector's growth slack reads 13 or more here.
+constexpr double kMaxPeakBytesPerCompletion = 12.0;
+/// Peak live heap of run_testbed(max_throughput_config(app_serv_vf())):
+/// ~4,000 clients' state and pending events plus ~38,400 response times.
+/// Pooled calendar entries and block-stored samples peak at about
+/// 1.04 MB; per-bucket calendar vectors, doubling sample vectors and a
+/// scratch copy for the p90 peaked at about 2.2 MB.
+constexpr std::uint64_t kMaxSaturationPeakBytes = 1'300'000;
 constexpr std::size_t kClients = 1500;
 
 struct RunCost {
@@ -78,8 +86,7 @@ struct RunCost {
   std::size_t completions = 0;
 };
 
-RunCost cost_of_run(TestbedConfig config, double measure_s) {
-  config.measure_s = measure_s;
+RunCost cost_of_run(const TestbedConfig& config) {
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   const std::uint64_t live_before =
       g_live_bytes.load(std::memory_order_relaxed);
@@ -93,10 +100,15 @@ RunCost cost_of_run(TestbedConfig config, double measure_s) {
     cost.completions += cls.completions;
   if (cost.completions == 0) {
     std::fprintf(stderr, "run at measure_s %.0f completed no requests\n",
-                 measure_s);
+                 config.measure_s);
     std::exit(1);
   }
   return cost;
+}
+
+RunCost cost_of_run(TestbedConfig config, double measure_s) {
+  config.measure_s = measure_s;
+  return cost_of_run(config);
 }
 
 bool check(const char* name, const TestbedConfig& config) {
@@ -131,10 +143,22 @@ bool check(const char* name, const TestbedConfig& config) {
   return allocations_ok && bytes_ok;
 }
 
+bool check_saturation_peak() {
+  const RunCost run = cost_of_run(max_throughput_config(app_serv_vf()));
+  const bool ok = run.peak_bytes <= kMaxSaturationPeakBytes;
+  std::printf("%s AppServVF saturation peak live heap: %llu bytes for %zu "
+              "completions (limit %llu)\n",
+              ok ? "ok  " : "FAIL",
+              static_cast<unsigned long long>(run.peak_bytes), run.completions,
+              static_cast<unsigned long long>(kMaxSaturationPeakBytes));
+  return ok;
+}
+
 }  // namespace
 
 int main() {
   bool ok = check("browse", typical_workload(app_serv_f(), kClients));
   ok = check("buy-25%", mixed_workload(app_serv_f(), kClients, 0.25)) && ok;
+  ok = check_saturation_peak() && ok;
   return ok ? 0 : 1;
 }

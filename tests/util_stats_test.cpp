@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -95,15 +96,104 @@ TEST(SampleSet, SelectionQuantileMatchesSortBitForBit) {
   for (const bool ties : {true, false}) {
     for (const std::size_t n : {1u, 2u, 3u, 10000u}) {
       SampleSet s;
+      std::vector<double> added;
       // With ties, few distinct values: most order statistics repeat.
-      for (std::size_t i = 0; i < n; ++i)
-        s.add(ties ? 0.125 * static_cast<double>(rng.below(40)) + 0.01
-                   : rng.uniform());
+      for (std::size_t i = 0; i < n; ++i) {
+        added.push_back(ties ? 0.125 * static_cast<double>(rng.below(40)) + 0.01
+                             : rng.uniform());
+        s.add(added.back());
+      }
       for (const double q : qs)
-        EXPECT_TRUE(same_bits(s.quantile(q), sorted_quantile(s.samples(), q)))
+        EXPECT_TRUE(same_bits(s.quantile(q), sorted_quantile(added, q)))
             << "ties=" << ties << " n=" << n << " q=" << q;
     }
   }
+}
+
+// Reference for quantile_of: in-place selection on one concatenated copy,
+// as SampleSet::quantile and the collector's overall p90 selected before
+// quantile_of.
+double select_quantile(std::vector<double>& values, double q) {
+  if (values.empty()) return 0.0;
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  const auto lo_it = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), lo_it, values.end());
+  const double hi = lo_it + 1 == values.end()
+                        ? *lo_it
+                        : *std::min_element(lo_it + 1, values.end());
+  return *lo_it * (1.0 - frac) + hi * frac;
+}
+
+// quantile_of over several sets equals selection on their concatenation,
+// bit for bit, for ties, all-equal values, single elements, q = 0 and 1,
+// heavy tails, ranges no bin width can split and empty sets; and it
+// leaves every set in insertion order.
+TEST(QuantileOf, MatchesSelectionOnTheConcatenationBitForBit) {
+  std::vector<double> qs{0.0, 1.0, 0.5, 0.9, 0.001, 0.999};
+  for (int k = 3; k < 100; k += 16) qs.push_back(k / 100.0);
+  const std::vector<std::vector<std::size_t>> shapes{
+      {1},    {0},          {0, 0},           {0, 1, 0},
+      {2, 3}, {10000},      {3000, 0, 7000, 5000}, {1, 20000}};
+  struct Source {
+    const char* name;
+    double (*draw)(Rng&);
+  };
+  const Source sources[] = {
+      {"uniform", [](Rng& r) { return r.uniform(); }},
+      {"ties", [](Rng& r) { return 0.125 * static_cast<double>(r.below(40)); }},
+      {"all-equal", [](Rng&) { return 3.75; }},
+      {"two-adjacent",
+       [](Rng& r) { return r.below(2) == 0 ? 1.0 : std::nextafter(1.0, 2.0); }},
+      {"subnormal",
+       [](Rng& r) {
+         return static_cast<double>(r.below(3)) *
+                std::numeric_limits<double>::denorm_min();
+       }},
+      {"exponential", [](Rng& r) { return r.exponential(0.25); }},
+      // Pareto with shape 0.7: infinite mean, a range that dwarfs the bulk.
+      {"heavy-tail",
+       [](Rng& r) { return std::pow(1.0 - r.uniform(), -1.0 / 0.7); }},
+      {"outlier",
+       [](Rng& r) { return r.below(5000) == 0 ? 1e12 : r.uniform(); }},
+      {"overflowing-range",
+       [](Rng& r) { return (2.0 * r.uniform() - 1.0) * 1e308; }},
+  };
+  Rng rng(11, 0x9A11);
+  for (const Source& source : sources) {
+    for (const auto& shape : shapes) {
+      std::vector<SampleSet> sets(shape.size());
+      std::vector<std::vector<double>> added(shape.size());
+      std::vector<double> all;
+      for (std::size_t k = 0; k < shape.size(); ++k)
+        for (std::size_t i = 0; i < shape[k]; ++i) {
+          added[k].push_back(source.draw(rng));
+          sets[k].add(added[k].back());
+          all.push_back(added[k].back());
+        }
+      std::vector<const SampleSet*> ptrs;
+      for (const SampleSet& set : sets) ptrs.push_back(&set);
+      for (const double q : qs) {
+        std::vector<double> copy = all;
+        EXPECT_TRUE(same_bits(quantile_of(ptrs, q), select_quantile(copy, q)))
+            << source.name << " sets=" << shape.size() << " n=" << all.size()
+            << " q=" << q;
+      }
+      double sum = 0.0;
+      for (const double x : all) sum += x;
+      const double mean =
+          all.empty() ? 0.0 : sum / static_cast<double>(all.size());
+      EXPECT_TRUE(same_bits(mean_of(ptrs), mean)) << source.name;
+      for (std::size_t k = 0; k < sets.size(); ++k) {
+        std::vector<double> seen;
+        sets[k].for_each([&seen](double x) { seen.push_back(x); });
+        EXPECT_EQ(seen, added[k]) << source.name;
+      }
+    }
+  }
+  EXPECT_EQ(quantile_of({}, 0.9), 0.0);
+  EXPECT_EQ(mean_of({}), 0.0);
 }
 
 TEST(SampleSet, EmpiricalCdf) {
