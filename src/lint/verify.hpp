@@ -48,9 +48,6 @@
 //   Fallback-chain coverage over ResilientPredictor configurations:
 //   EPP-SEM-020 (error)   a (method, server) request has no viable method
 //                         anywhere in its fallback chain
-//   EPP-SEM-021 (warning) chain with a single viable method while circuit
-//                         breaking is armed and stale replay disabled:
-//                         one open breaker dead-ends the chain
 //
 // The clean contract mirrors lint's: every artifact the calibration
 // pipeline produces must verify with zero findings under default options
@@ -96,7 +93,7 @@ void verify_hydra_curves(const calib::CalibrationBundle& bundle,
                          const VerifyOptions& options,
                          Diagnostics& diagnostics);
 
-/// Fallback-chain rules (EPP-SEM-020/021) over one parsed bundle under
+/// Fallback-chain rule (EPP-SEM-020) over one parsed bundle under
 /// the configured serving options.
 void verify_fallback_chains(const calib::CalibrationBundle& bundle,
                             const std::string& file,

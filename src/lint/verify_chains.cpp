@@ -1,4 +1,4 @@
-// EPP-SEM-020/021: fallback-chain coverage. Walks the degradation chain
+// EPP-SEM-020: fallback-chain coverage. Walks the degradation chain
 // ResilientPredictor builds per request (svc::fallback_chain: lqn ->
 // hybrid -> historical, starting at the requested method) against the
 // availability each method actually has against a bundle: the
@@ -6,8 +6,7 @@
 // registers them all), the historical predictor only servers with a fit
 // in the embedded mean model. A (method, server)
 // request whose whole chain is unavailable can never terminate in a
-// prediction; a single-method chain with circuit breaking armed and
-// stale replay disabled dies with the first open breaker.
+// prediction.
 #include "lint/verify.hpp"
 
 #include <string>
@@ -59,18 +58,18 @@ void verify_fallback_chains(const calib::CalibrationBundle& bundle,
     }
     for (const svc::Method requested : methods) {
       std::string listing;
-      std::size_t viable = 0;
+      bool viable = false;
       for (const svc::Method method :
            svc::fallback_chain(requested, res.fallback_enabled)) {
         const bool available = method == svc::Method::kHistorical
                                    ? bundle.mean_model.has_server(server)
                                    : in_catalog[i];
-        if (available) ++viable;
+        viable = viable || available;
         if (!listing.empty()) listing += " -> ";
         listing += std::string(method_name(method)) +
                    (available ? "" : " (unavailable)");
       }
-      if (viable == 0) {
+      if (!viable) {
         diagnostics.error(
             "EPP-SEM-020", where,
             "request (method '" + std::string(method_name(requested)) +
@@ -79,17 +78,6 @@ void verify_fallback_chains(const calib::CalibrationBundle& bundle,
             "re-run epp_calibrate so every catalog server gets a fit, or "
             "enable fallback to reach a method that covers '" + server +
                 "'");
-      } else if (viable == 1 && res.breaker_failure_threshold > 0 &&
-                 !res.serve_stale) {
-        diagnostics.warning(
-            "EPP-SEM-021", where,
-            "request (method '" + std::string(method_name(requested)) +
-                "', server '" + server +
-                "') rests on a single viable method (chain " + listing +
-                ") while circuit breaking is armed and stale replay is "
-                "disabled: one open breaker dead-ends it",
-            "enable serve_stale or keep at least two viable methods in "
-            "the chain so an open breaker degrades instead of failing");
       }
     }
   }

@@ -110,8 +110,8 @@ Allocation ResourceManager::run_allocation(
             probe(query, servers[i], allocation.per_server[i], classes, cls,
                   allocation.prediction_evaluations);
         // A failed probe is planned around, not fatal: the server just
-        // offers nothing this round (breaker-open servers are skipped
-        // entirely).
+        // offers nothing this round. A probe's failure depends only on
+        // its question, so the next round asks that server again.
         if (!extra) ++allocation.failed_probes;
         capacity[i] = extra.value_or(0.0);
       }

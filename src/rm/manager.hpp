@@ -44,10 +44,10 @@ class ResourceManager {
 
   /// Fault-tolerant Algorithm 1: capacity probes go through the resilient
   /// serving layer and come back as typed outcomes. A probe that fails —
-  /// circuit open for the (method, server) pair, solver divergence,
-  /// deadline — scores that server as zero additional capacity for the
-  /// round (counted in Allocation::failed_probes) instead of aborting the
-  /// whole allocation, so degraded servers are simply planned around.
+  /// solver divergence, a failed fit, deadline — scores that server as
+  /// zero additional capacity for the round (counted in
+  /// Allocation::failed_probes) instead of aborting the whole allocation,
+  /// so degraded servers are simply planned around.
   Allocation allocate(std::vector<ServiceClassSpec> classes,
                       const std::vector<PoolServer>& servers,
                       const svc::ResilientPredictor& resilient,

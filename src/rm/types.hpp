@@ -35,7 +35,7 @@ struct Allocation {
   /// Cost of the run in performance-model queries (section 8.5).
   int prediction_evaluations = 0;
   /// Resilient runs only: capacity probes that returned a typed error
-  /// (circuit open, divergence, deadline) and were scored as capacity 0
+  /// (divergence, a failed fit, deadline) and were scored as capacity 0
   /// instead of aborting the allocation.
   int failed_probes = 0;
 

@@ -280,11 +280,10 @@ bool PredictionServer::handle_frame(const SessionPtr& session,
 
   // A cached answer takes microseconds, less than handing the request
   // to a worker and back. Answer it here with the same evaluate and
-  // write a worker runs. Misses, observes and methods whose breaker is
-  // not closed queue as below.
+  // write a worker runs. Misses and observes queue as below.
   if (request.kind == net::MessageKind::kPredict &&
       request.method <= static_cast<std::uint8_t>(svc::Method::kHybrid) &&
-      pinned->resilient->answers_from_cache(prediction_request(request))) {
+      pinned->resilient->engine().peek(prediction_request(request))) {
     counters_.requests_enqueued.fetch_add(1, std::memory_order_relaxed);
     counters_.served_inline.fetch_add(1, std::memory_order_relaxed);
     serve(*session, request, *pinned);
@@ -447,8 +446,7 @@ void PredictionServer::handle_control(Session& session,
              << " stale_serves=" << resilience.stale_serves
              << " cache_entries=" << cache.entries
              << " cache_evictions=" << cache.evictions
-             << " deadline_hits=" << resilience.deadline_hits
-             << " breaker_opens=" << resilience.breaker_opens;
+             << " deadline_hits=" << resilience.deadline_hits;
       }
       if (options_.chaos != nullptr) {
         const net::ChaosStats chaos = options_.chaos->stats();

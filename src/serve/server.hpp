@@ -8,9 +8,9 @@
 //     session (at most max_connections; excess ones are closed at
 //     accept), reads what is ready into a per-session buffer and handles
 //     each whole frame. Ping, stats and shutdown are answered inline, as
-//     is a predict whose method has a cached answer and a closed breaker
-//     on the pinned version (ResilientPredictor::answers_from_cache, a
-//     non-mutating probe, decides), by the same serve() a worker runs.
+//     is a predict whose method has a cached answer on the pinned version
+//     (BatchPredictor::peek, a non-mutating probe, decides), by the same
+//     serve() a worker runs.
 //     Other predicts, observes and reloads (a bundle load plus the
 //     EPP-SEM gate) go on the bounded queue; when it is full the request
 //     is shed at once with a typed kOverloaded error. The loop also keeps

@@ -32,8 +32,6 @@ std::string_view error_code_name(ErrorCode code) {
       return "solver-diverged";
     case ErrorCode::kDeadlineExceeded:
       return "deadline-exceeded";
-    case ErrorCode::kCircuitOpen:
-      return "circuit-open";
     case ErrorCode::kInvalidWorkload:
       return "invalid-workload";
     case ErrorCode::kTransientFailure:

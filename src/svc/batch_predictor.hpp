@@ -45,16 +45,16 @@ struct PredictionRequest {
 
 /// Failure taxonomy for predictions. Codes are contractual (the sweep
 /// tool prints them, the wire carries them, tests assert on them); see
-/// DESIGN.md.
+/// DESIGN.md. The numbers are the wire's error_code byte: a retired code
+/// keeps its number unused (3 was circuit-open).
 enum class ErrorCode {
-  kNotCalibrated,     // unknown server / method not supplied
-  kSolverDiverged,    // analytic solver refused its clamped iterate
-  kDeadlineExceeded,  // per-request deadline or batch budget exhausted
-  kCircuitOpen,       // breaker rejected the call without evaluating
-  kInvalidWorkload,   // workload failed boundary validation
-  kTransientFailure,  // transient fault persisted through all retries
-  kInternal,          // anything else (bug shield, never expected)
-  kOverloaded,        // admission control shed the request (epp_serve)
+  kNotCalibrated = 0,     // unknown server / method not supplied
+  kSolverDiverged = 1,    // analytic solver refused its clamped iterate
+  kDeadlineExceeded = 2,  // per-request deadline or batch budget exhausted
+  kInvalidWorkload = 4,   // workload failed boundary validation
+  kTransientFailure = 5,  // transient fault persisted through all retries
+  kInternal = 6,          // anything else (bug shield, never expected)
+  kOverloaded = 7,        // admission control shed the request (epp_serve)
 };
 
 std::string_view error_code_name(ErrorCode code);

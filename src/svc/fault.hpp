@@ -1,6 +1,6 @@
 // Deterministic fault injection at the prediction boundary.
 //
-// Resilience policies (retry, fallback, circuit breaking, deadlines) are
+// Resilience policies (retry, fallback, stale replay, deadlines) are
 // impossible to test reliably against real failures — a flaky simulator
 // run or a sleep-based latency spike makes every test timing-sensitive.
 // The FaultInjector replaces both with *seeded, counter-based* streams:
@@ -108,7 +108,7 @@ class FaultInjector {
   /// Draw the next virtual-latency sample for the pair (seconds).
   double injected_latency_s(Method method, const std::string& server) const;
 
-  /// Master switch (e.g. "chaos off" while a test heals a breaker).
+  /// Master switch (e.g. "chaos off" while a test warms the cache).
   void set_enabled(bool enabled) noexcept {
     enabled_.store(enabled, std::memory_order_relaxed);
   }

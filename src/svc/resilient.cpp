@@ -22,12 +22,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             Clock::now().time_since_epoch())
-      .count();
-}
-
 /// Degradation order: the most structured model falls back to the next
 /// cheaper one. The requested method starts the chain; methods *after*
 /// it in this order complete it.
@@ -36,15 +30,6 @@ constexpr std::array<Method, 3> kFallbackOrder = {
 
 bool is_retryable(ErrorCode code) {
   return code == ErrorCode::kTransientFailure;
-}
-
-/// Which failures count toward opening a circuit. Calibration gaps and
-/// invalid workloads are caller errors, not server-pair health; deadline
-/// hits abort the whole chain and would open breakers spuriously under
-/// tight sweep deadlines.
-bool trips_breaker(ErrorCode code) {
-  return code == ErrorCode::kTransientFailure ||
-         code == ErrorCode::kSolverDiverged || code == ErrorCode::kInternal;
 }
 
 }  // namespace
@@ -70,104 +55,10 @@ ResilientPredictor::ResilientPredictor(const BatchPredictor& engine,
     : engine_(engine), options_(options) {
   if (options_.max_retries < 0)
     throw std::invalid_argument("ResilientPredictor: max_retries < 0");
-  if (options_.breaker_failure_threshold < 0)
-    throw std::invalid_argument(
-        "ResilientPredictor: breaker_failure_threshold < 0");
   if (!(options_.deadline_s >= 0.0) || !(options_.backoff_base_s >= 0.0) ||
-      !(options_.backoff_cap_s >= 0.0) || !(options_.breaker_cooldown_s >= 0.0))
+      !(options_.backoff_cap_s >= 0.0))
     throw std::invalid_argument(
         "ResilientPredictor: durations must be finite and non-negative");
-}
-
-ResilientPredictor::Breaker* ResilientPredictor::breaker_lookup(
-    Method method, const std::string& server) const {
-  if (breakers_created_.load(std::memory_order_acquire) == 0) return nullptr;
-  const std::pair<int, std::string> key{static_cast<int>(method), server};
-  const std::shared_lock lock(breaker_mutex_);
-  const auto it = breakers_.find(key);
-  return it != breakers_.end() ? it->second.get() : nullptr;
-}
-
-ResilientPredictor::Breaker& ResilientPredictor::breaker_obtain(
-    Method method, const std::string& server) const {
-  const std::pair<int, std::string> key{static_cast<int>(method), server};
-  const std::unique_lock lock(breaker_mutex_);
-  auto& slot = breakers_[key];
-  if (slot == nullptr) {
-    slot = std::make_unique<Breaker>();
-    breakers_created_.fetch_add(1, std::memory_order_release);
-  }
-  return *slot;
-}
-
-bool ResilientPredictor::breaker_admit(Breaker& breaker) const {
-  if (options_.breaker_failure_threshold == 0) return true;
-  const auto state =
-      static_cast<BreakerState>(breaker.state.load(std::memory_order_acquire));
-  if (state == BreakerState::kClosed) return true;
-  if (state == BreakerState::kHalfOpen) return false;  // a probe is out
-  const auto cooldown_ns =
-      static_cast<std::int64_t>(options_.breaker_cooldown_s * 1e9);
-  const auto cooled = [&] {
-    return now_ns() - breaker.opened_at_ns.load(std::memory_order_acquire) >=
-           cooldown_ns;
-  };
-  if (!cooled()) return false;
-  // The state carries the probe: only the caller that moves it
-  // Open -> HalfOpen is admitted, and every outcome of that call moves it
-  // on (success, failure or release).
-  int expected = static_cast<int>(BreakerState::kOpen);
-  if (!breaker.state.compare_exchange_strong(
-          expected, static_cast<int>(BreakerState::kHalfOpen),
-          std::memory_order_acq_rel))
-    return false;
-  // A probe that failed since our first look re-opened the circuit with a
-  // fresh stamp (stored before the state): honour that cooldown too.
-  if (cooled()) return true;
-  breaker_release(breaker);
-  return false;
-}
-
-void ResilientPredictor::breaker_success(Breaker& breaker) const {
-  breaker.consecutive_failures.store(0, std::memory_order_relaxed);
-  breaker.state.store(static_cast<int>(BreakerState::kClosed),
-                      std::memory_order_release);
-}
-
-void ResilientPredictor::breaker_failure(Breaker& breaker) const {
-  if (options_.breaker_failure_threshold == 0) return;
-  const auto state =
-      static_cast<BreakerState>(breaker.state.load(std::memory_order_acquire));
-  if (state == BreakerState::kHalfOpen) {
-    // The probe failed: straight back to open, fresh cooldown.
-    breaker.opened_at_ns.store(now_ns(), std::memory_order_release);
-    breaker.state.store(static_cast<int>(BreakerState::kOpen),
-                        std::memory_order_release);
-    counters_.breaker_opens.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const int failures =
-      breaker.consecutive_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (failures >= options_.breaker_failure_threshold &&
-      state == BreakerState::kClosed) {
-    // Stamp the cooldown before the state flips, so no caller sees an
-    // open circuit with an older stamp and probes at once.
-    breaker.opened_at_ns.store(now_ns(), std::memory_order_release);
-    int expected = static_cast<int>(BreakerState::kClosed);
-    if (breaker.state.compare_exchange_strong(
-            expected, static_cast<int>(BreakerState::kOpen),
-            std::memory_order_acq_rel))
-      counters_.breaker_opens.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void ResilientPredictor::breaker_release(Breaker& breaker) {
-  // Back to open under the stamp it had, so the next caller probes at
-  // once. A no-op unless a probe is out.
-  int expected = static_cast<int>(BreakerState::kHalfOpen);
-  breaker.state.compare_exchange_strong(
-      expected, static_cast<int>(BreakerState::kOpen),
-      std::memory_order_acq_rel);
 }
 
 double ResilientPredictor::next_backoff_s(int attempt) const {
@@ -199,8 +90,8 @@ Outcome ResilientPredictor::serve(const PredictionRequest& request,
                                   const util::CancellationToken* budget) const {
   counters_.requests.fetch_add(1, std::memory_order_relaxed);
 
-  // Reject malformed workloads before they can touch breakers, retries or
-  // the fallback chain — they are invalid for every method alike.
+  // Reject malformed workloads before they can touch retries or the
+  // fallback chain — they are invalid for every method alike.
   if (std::string error = core::workload_error(request.workload);
       !error.empty()) {
     counters_.errors.fetch_add(1, std::memory_order_relaxed);
@@ -250,24 +141,10 @@ Outcome ResilientPredictor::serve(const PredictionRequest& request,
       attempt_request = &fallback_request;
     }
 
-    // Healthy pairs have no breaker at all; one materializes on the
-    // first breaker-worthy failure.
-    Breaker* breaker = breaker_lookup(method, request.server);
-    if (breaker != nullptr && !breaker_admit(*breaker)) {
-      counters_.breaker_rejections.fetch_add(1, std::memory_order_relaxed);
-      if (!primary_error)
-        primary_error = PredictionError{
-            ErrorCode::kCircuitOpen, method, request.server,
-            "circuit open for " + std::string(method_name(method)) + "/" +
-                request.server};
-      continue;
-    }
-
     for (int attempt = 0;; ++attempt) {
       double remaining = remaining_s();
       if (remaining <= 0.0) {
         deadline_hit = true;
-        if (breaker != nullptr) breaker_release(*breaker);
         break;
       }
       if (injector != nullptr &&
@@ -276,7 +153,6 @@ Outcome ResilientPredictor::serve(const PredictionRequest& request,
         remaining = remaining_s();
         if (remaining <= 0.0) {
           deadline_hit = true;
-          if (breaker != nullptr) breaker_release(*breaker);
           break;
         }
       }
@@ -290,8 +166,6 @@ Outcome ResilientPredictor::serve(const PredictionRequest& request,
         prediction = engine_.predict(*attempt_request);
       }
       if (prediction.ok()) {
-        if (breaker != nullptr) breaker_success(*breaker);
-
         ResilientResult result;
         result.prediction = prediction;
         result.requested = request.method;
@@ -310,16 +184,7 @@ Outcome ResilientPredictor::serve(const PredictionRequest& request,
                                   std::move(prediction.error)};
       if (error.code == ErrorCode::kDeadlineExceeded) {
         deadline_hit = true;
-        if (breaker != nullptr) breaker_release(*breaker);
         break;
-      }
-      if (trips_breaker(error.code) &&
-          options_.breaker_failure_threshold != 0) {
-        if (breaker == nullptr)
-          breaker = &breaker_obtain(method, request.server);
-        breaker_failure(*breaker);
-      } else if (breaker != nullptr) {
-        breaker_release(*breaker);
       }
       if (!primary_error) primary_error = error;
 
@@ -423,15 +288,6 @@ CapacityOutcome ResilientPredictor::max_clients_for_goal(
     Method method, const std::string& server, double goal_s,
     double buy_fraction, double think_time_s) const {
   counters_.requests.fetch_add(1, std::memory_order_relaxed);
-
-  Breaker* breaker = breaker_lookup(method, server);
-  if (breaker != nullptr && !breaker_admit(*breaker)) {
-    counters_.breaker_rejections.fetch_add(1, std::memory_order_relaxed);
-    counters_.errors.fetch_add(1, std::memory_order_relaxed);
-    return PredictionError{ErrorCode::kCircuitOpen, method, server,
-                           "circuit open for capacity probe"};
-  }
-
   try {
     core::CapacityResult result;
     if (options_.deadline_s > 0.0) {
@@ -443,46 +299,16 @@ CapacityOutcome ResilientPredictor::max_clients_for_goal(
       result = engine_.predictor_for(method).max_clients_for_goal(
           server, goal_s, buy_fraction, think_time_s);
     }
-    if (breaker != nullptr) breaker_success(*breaker);
     counters_.served.fetch_add(1, std::memory_order_relaxed);
     return result;
   } catch (...) {
     PredictionResult failed = map_active_exception();
-    const PredictionError error{*failed.code, method, server,
-                                std::move(failed.error)};
-    if (error.code == ErrorCode::kDeadlineExceeded) {
+    if (*failed.code == ErrorCode::kDeadlineExceeded)
       counters_.deadline_hits.fetch_add(1, std::memory_order_relaxed);
-      if (breaker != nullptr) breaker_release(*breaker);
-    } else if (trips_breaker(error.code) &&
-               options_.breaker_failure_threshold != 0) {
-      if (breaker == nullptr) breaker = &breaker_obtain(method, server);
-      breaker_failure(*breaker);
-    } else if (breaker != nullptr) {
-      breaker_release(*breaker);
-    }
     counters_.errors.fetch_add(1, std::memory_order_relaxed);
-    return error;
+    return PredictionError{*failed.code, method, server,
+                           std::move(failed.error)};
   }
-}
-
-bool ResilientPredictor::answers_from_cache(
-    const PredictionRequest& request) const {
-  const Breaker* breaker = breaker_lookup(request.method, request.server);
-  if (breaker != nullptr &&
-      breaker->state.load(std::memory_order_acquire) !=
-          static_cast<int>(BreakerState::kClosed))
-    return false;
-  return engine_.peek(request).has_value();
-}
-
-BreakerState ResilientPredictor::breaker_state(
-    Method method, const std::string& server) const {
-  const std::pair<int, std::string> key{static_cast<int>(method), server};
-  const std::shared_lock lock(breaker_mutex_);
-  const auto it = breakers_.find(key);
-  if (it == breakers_.end()) return BreakerState::kClosed;
-  return static_cast<BreakerState>(
-      it->second->state.load(std::memory_order_acquire));
 }
 
 ResilienceStats ResilientPredictor::stats() const {
@@ -494,9 +320,6 @@ ResilienceStats ResilientPredictor::stats() const {
   stats.fallbacks = counters_.fallbacks.load(std::memory_order_relaxed);
   stats.stale_serves = counters_.stale_serves.load(std::memory_order_relaxed);
   stats.deadline_hits = counters_.deadline_hits.load(std::memory_order_relaxed);
-  stats.breaker_rejections =
-      counters_.breaker_rejections.load(std::memory_order_relaxed);
-  stats.breaker_opens = counters_.breaker_opens.load(std::memory_order_relaxed);
   return stats;
 }
 

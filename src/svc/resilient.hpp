@@ -21,9 +21,11 @@
 //     historical); results served by a fallback are flagged. As a last
 //     resort the engine cache's answer for the request's quantized
 //     workload is replayed, flagged `stale`.
-//   * circuit breakers — per (method, server); N consecutive breaker-
-//     worthy failures open the circuit, a cooldown later one half-open
-//     probe is admitted and either closes or re-opens it.
+//
+// The layer keeps no per-(method, server) health state. Without fault
+// injection a failure depends only on its request, and so does the
+// chain's answer; stale replay, which reads the engine cache, is the one
+// answer that depends on history.
 //
 // Fast-path contract: with no deadline, no batch budget and no latency
 // injection the serving layer performs no clock reads and no allocation
@@ -34,9 +36,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <shared_mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -45,9 +44,7 @@
 
 #include "core/predictor.hpp"
 #include "svc/batch_predictor.hpp"
-#include "util/annotations.hpp"
 #include "util/cancellation.hpp"
-#include "util/lock_rank.hpp"
 #include "util/thread_pool.hpp"
 
 namespace epp::svc {
@@ -104,12 +101,10 @@ struct ResilientResult {
 using Outcome = Expected<ResilientResult>;
 using CapacityOutcome = Expected<core::CapacityResult>;
 
-enum class BreakerState { kClosed, kOpen, kHalfOpen };
-
 /// A request's degradation chain: the requested method, then (when
 /// fallback is enabled) every method after it in the order lqn -> hybrid
 /// -> historical. Allocation-free; the serving path builds one per
-/// request and the EPP-SEM-020/021 chain verifier walks the same one.
+/// request and the EPP-SEM-020 chain verifier walks the same one.
 struct FallbackChain {
   std::array<Method, 3> methods;
   std::size_t count;
@@ -131,12 +126,6 @@ struct ResilienceOptions {
   double backoff_cap_s = 0.010;
   /// Seed for backoff jitter (tools pass calib::kRetryJitterSeed).
   std::uint64_t jitter_seed = 0xB0FFC0DEULL;
-  /// Consecutive breaker-worthy failures that open a (method, server)
-  /// circuit; 0 disables breaking entirely.
-  int breaker_failure_threshold = 5;
-  /// Open-state dwell before one half-open probe is admitted. 0 admits
-  /// the probe immediately (useful for deterministic tests).
-  double breaker_cooldown_s = 1.0;
   /// When the whole chain fails, replay the engine cache's answer for the
   /// request's quantized workload from the first method of the chain
   /// that has one (flagged stale). The engine cache is the only store, so
@@ -155,8 +144,6 @@ struct ResilienceStats {
   std::uint64_t fallbacks = 0;        // served by a non-requested method
   std::uint64_t stale_serves = 0;
   std::uint64_t deadline_hits = 0;
-  std::uint64_t breaker_rejections = 0;  // calls refused while open
-  std::uint64_t breaker_opens = 0;       // closed/half-open -> open edges
 };
 
 class ResilientPredictor {
@@ -165,9 +152,9 @@ class ResilientPredictor {
   explicit ResilientPredictor(const BatchPredictor& engine,
                               ResilienceOptions options = {});
 
-  /// Serve one request through validation, the breaker, the retry loop,
-  /// the fallback chain and stale replay. Never throws on request
-  /// failure. Thread-safe.
+  /// Serve one request through validation, the retry loop, the fallback
+  /// chain and stale replay. Never throws on request failure.
+  /// Thread-safe.
   Outcome predict(const PredictionRequest& request) const;
 
   /// Serve one request under a caller-supplied deadline that overrides
@@ -186,24 +173,13 @@ class ResilientPredictor {
       const std::vector<PredictionRequest>& requests,
       util::ThreadPool* pool = nullptr, double batch_budget_s = 0.0) const;
 
-  /// SLA capacity probe with breaker admission, deadline and typed
-  /// errors; no fallback chain (capacity is a per-method question).
+  /// SLA capacity probe with the configured deadline and typed errors;
+  /// no fallback chain (capacity is a per-method question).
   CapacityOutcome max_clients_for_goal(Method method,
                                        const std::string& server,
                                        double goal_s,
                                        double buy_fraction = 0.0,
                                        double think_time_s = 7.0) const;
-
-  /// Whether predict(request) would be answered by the requested method
-  /// from the engine's cache: its breaker is closed and the quantized
-  /// request has a cache entry. A probe for routing cheap requests: it
-  /// counts nothing and changes no cache or breaker state, so the answer
-  /// may be out of date by the time the caller acts on it.
-  bool answers_from_cache(const PredictionRequest& request) const;
-
-  /// Current stored state of a (method, server) breaker (kClosed when the
-  /// pair has never failed).
-  BreakerState breaker_state(Method method, const std::string& server) const;
 
   ResilienceStats stats() const;
 
@@ -211,40 +187,13 @@ class ResilientPredictor {
   const BatchPredictor& engine() const noexcept { return engine_; }
 
  private:
-  struct Breaker {
-    std::atomic<int> consecutive_failures{0};
-    std::atomic<int> state{0};  // BreakerState underlying value
-    std::atomic<std::int64_t> opened_at_ns{0};
-  };
   Outcome serve(const PredictionRequest& request,
                 const util::CancellationToken* budget) const;
-
-  /// Existing breaker for the pair, or nullptr. Healthy traffic never
-  /// creates breakers (they materialize on first breaker-worthy failure,
-  /// via breaker_obtain), so the no-failure fast path skips the map —
-  /// and the lock — entirely behind one relaxed atomic load.
-  Breaker* breaker_lookup(Method method, const std::string& server) const;
-  Breaker& breaker_obtain(Method method, const std::string& server) const;
-  /// Admission decision. Closed admits everyone; after the cooldown the
-  /// one caller that moves the state Open -> HalfOpen is the probe, and
-  /// half-open rejects everyone else.
-  bool breaker_admit(Breaker& breaker) const;
-  void breaker_success(Breaker& breaker) const;
-  void breaker_failure(Breaker& breaker) const;
-  /// End a half-open probe without a verdict (deadline, non-breaker
-  /// error): back to open under the old stamp, so the next caller probes.
-  static void breaker_release(Breaker& breaker);
 
   double next_backoff_s(int attempt) const;
 
   const BatchPredictor& engine_;
   ResilienceOptions options_;
-
-  mutable util::RankedSharedMutex breaker_mutex_{EPP_LOCK_RANK(60),
-                                               "svc.resilient.breakers"};
-  mutable std::map<std::pair<int, std::string>, std::unique_ptr<Breaker>>
-      breakers_;
-  mutable std::atomic<int> breakers_created_{0};
 
   mutable std::atomic<std::uint64_t> jitter_counter_{0};
 
@@ -256,8 +205,6 @@ class ResilientPredictor {
     std::atomic<std::uint64_t> fallbacks{0};
     std::atomic<std::uint64_t> stale_serves{0};
     std::atomic<std::uint64_t> deadline_hits{0};
-    std::atomic<std::uint64_t> breaker_rejections{0};
-    std::atomic<std::uint64_t> breaker_opens{0};
   };
   mutable Counters counters_;
 };

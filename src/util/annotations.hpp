@@ -40,15 +40,9 @@
 #define EPP_PT_GUARDED_BY(x) EPP_TSA_ATTR(pt_guarded_by(x))
 /// Function requires the caller to hold the listed capabilities.
 #define EPP_REQUIRES(...) EPP_TSA_ATTR(requires_capability(__VA_ARGS__))
-#define EPP_REQUIRES_SHARED(...) \
-  EPP_TSA_ATTR(requires_shared_capability(__VA_ARGS__))
 /// Function acquires / releases the listed capabilities.
 #define EPP_ACQUIRE(...) EPP_TSA_ATTR(acquire_capability(__VA_ARGS__))
-#define EPP_ACQUIRE_SHARED(...) \
-  EPP_TSA_ATTR(acquire_shared_capability(__VA_ARGS__))
 #define EPP_RELEASE(...) EPP_TSA_ATTR(release_capability(__VA_ARGS__))
-#define EPP_RELEASE_SHARED(...) \
-  EPP_TSA_ATTR(release_shared_capability(__VA_ARGS__))
 #define EPP_TRY_ACQUIRE(...) EPP_TSA_ATTR(try_acquire_capability(__VA_ARGS__))
 /// Function must be called *without* the listed capabilities held.
 #define EPP_EXCLUDES(...) EPP_TSA_ATTR(locks_excluded(__VA_ARGS__))
@@ -58,10 +52,9 @@
 #define EPP_NO_THREAD_SAFETY_ANALYSIS \
   EPP_TSA_ATTR(no_thread_safety_analysis)
 
-/// Lock-order rank for a util::RankedMutex / RankedSharedMutex
-/// declaration. Evaluates to the plain integer at runtime; epp_srclint
-/// keys on the macro name to learn the declared rank, so every ranked
-/// mutex must be initialized as
+/// Lock-order rank for a util::RankedMutex declaration. Evaluates to the
+/// plain integer at runtime; epp_srclint keys on the macro name to learn
+/// the declared rank, so every ranked mutex must be initialized as
 ///   util::RankedMutex mutex_{EPP_LOCK_RANK(40), "serve.server.queue"};
 #define EPP_LOCK_RANK(n) (n)
 

@@ -1,8 +1,7 @@
 // Ranked mutexes and the debug runtime lock-rank tracker.
 //
-// Every long-lived mutex in the tree is a RankedMutex (or
-// RankedSharedMutex) declared with an EPP_LOCK_RANK(n) rank and a
-// stable dotted name:
+// Every long-lived mutex in the tree is a RankedMutex declared with an
+// EPP_LOCK_RANK(n) rank and a stable dotted name:
 //
 //   mutable util::RankedMutex mutex_{EPP_LOCK_RANK(30), "serve.registry"};
 //
@@ -15,11 +14,10 @@
 // follow — callbacks, virtual dispatch, locks taken through several
 // call layers — still aborts loudly with both lock names on the first
 // inversion. Release builds compile the checks out entirely; the
-// wrappers are then a plain std::mutex / std::shared_mutex.
+// wrapper is then a plain std::mutex.
 #pragma once
 
 #include <mutex>
-#include <shared_mutex>
 
 #include "util/annotations.hpp"
 
@@ -101,70 +99,6 @@ class EPP_CAPABILITY("mutex") RankedMutex {
   std::mutex mutex_;  // epp-lint: ignore(EPP-CONC-008) tracked via the enclosing RankedMutex's rank
 };
 
-/// std::shared_mutex with a declared lock-order rank. Shared
-/// acquisitions obey the same rank discipline as exclusive ones: a
-/// reader that later takes a lower-ranked writer lock is exactly the
-/// deadlock shape the rank order exists to prevent.
-class EPP_CAPABILITY("shared_mutex") RankedSharedMutex {
- public:
-  RankedSharedMutex(int rank, const char* name) noexcept
-      : rank_(rank), name_(name) {}
-  RankedSharedMutex(const RankedSharedMutex&) = delete;
-  RankedSharedMutex& operator=(const RankedSharedMutex&) = delete;
-
-  void lock() EPP_ACQUIRE() {
-#ifdef EPP_LOCK_RANK_CHECKS
-    if (!lock_rank::on_acquire(rank_, name_, this)) return;
-#endif
-    mutex_.lock();
-  }
-
-  bool try_lock() EPP_TRY_ACQUIRE(true) {
-    if (!mutex_.try_lock()) return false;
-#ifdef EPP_LOCK_RANK_CHECKS
-    lock_rank::on_acquire(rank_, name_, this);
-#endif
-    return true;
-  }
-
-  void unlock() EPP_RELEASE() {
-#ifdef EPP_LOCK_RANK_CHECKS
-    if (!lock_rank::on_release(this)) return;
-#endif
-    mutex_.unlock();
-  }
-
-  void lock_shared() EPP_ACQUIRE_SHARED() {
-#ifdef EPP_LOCK_RANK_CHECKS
-    if (!lock_rank::on_acquire(rank_, name_, this)) return;
-#endif
-    mutex_.lock_shared();
-  }
-
-  bool try_lock_shared() EPP_TRY_ACQUIRE(true) {
-    if (!mutex_.try_lock_shared()) return false;
-#ifdef EPP_LOCK_RANK_CHECKS
-    lock_rank::on_acquire(rank_, name_, this);
-#endif
-    return true;
-  }
-
-  void unlock_shared() EPP_RELEASE_SHARED() {
-#ifdef EPP_LOCK_RANK_CHECKS
-    if (!lock_rank::on_release(this)) return;
-#endif
-    mutex_.unlock_shared();
-  }
-
-  int rank() const noexcept { return rank_; }
-  const char* name() const noexcept { return name_; }
-
- private:
-  const int rank_;
-  const char* const name_;
-  std::shared_mutex mutex_;  // epp-lint: ignore(EPP-CONC-008) tracked via the enclosing RankedSharedMutex's rank
-};
-
 /// RAII exclusive lock over RankedMutex, annotated for clang's
 /// thread-safety analysis (std::lock_guard is analysis-opaque). The
 /// lock()/unlock() passthroughs exist so std::condition_variable_any
@@ -185,23 +119,6 @@ class EPP_SCOPED_CAPABILITY MutexLock {
 
  private:
   RankedMutex& mutex_;
-};
-
-/// RAII shared (reader) lock over RankedSharedMutex. Per the capability
-/// convention, release annotations are unconditional EPP_RELEASE even
-/// for shared acquisitions.
-class EPP_SCOPED_CAPABILITY SharedMutexLock {
- public:
-  explicit SharedMutexLock(RankedSharedMutex& mutex) EPP_ACQUIRE_SHARED(mutex)
-      : mutex_(mutex) {
-    mutex_.lock_shared();
-  }
-  ~SharedMutexLock() EPP_RELEASE() { mutex_.unlock_shared(); }
-  SharedMutexLock(const SharedMutexLock&) = delete;
-  SharedMutexLock& operator=(const SharedMutexLock&) = delete;
-
- private:
-  RankedSharedMutex& mutex_;
 };
 
 }  // namespace epp::util

@@ -144,24 +144,9 @@ double SampleSet::mean() const noexcept {
   return mean_of({&self, 1});
 }
 
-double SampleSet::variance() const noexcept {
-  if (count_ < 2) return 0.0;
-  const double m = mean();
-  double acc = 0.0;
-  for_each([&](double s) { acc += (s - m) * (s - m); });
-  return acc / static_cast<double>(count_ - 1);
-}
-
 double SampleSet::quantile(double q) const {
   const SampleSet* self = this;
   return quantile_of({&self, 1}, q);
-}
-
-double SampleSet::cdf(double x) const {
-  if (count_ == 0) return 0.0;
-  std::size_t at_most = 0;
-  for_each([&](double s) { at_most += s <= x ? 1 : 0; });
-  return static_cast<double>(at_most) / static_cast<double>(count_);
 }
 
 double prediction_accuracy_percent(double predicted, double actual) {

@@ -56,12 +56,9 @@ class SampleSet {
   std::size_t count() const noexcept { return count_; }
   /// Mean of the samples summed in insertion order.
   double mean() const noexcept;
-  double variance() const noexcept;
   /// Exact sample quantile, q in [0, 1], linear interpolation between order
   /// statistics. Returns 0 on an empty set. See quantile_of.
   double quantile(double q) const;
-  /// Empirical P(X <= x), by a linear scan.
-  double cdf(double x) const;
   /// Call `f(x)` for every sample, in insertion order.
   template <typename F>
   void for_each(F&& f) const {

@@ -82,8 +82,8 @@ TEST(PredictionCache, InsertRefreshesExistingEntryWithoutEviction) {
 }
 
 TEST(PredictionCache, ZeroCapacityIsRejected) {
-  // Stale replay reads this cache, so an engine without one would have
-  // nothing to replay while the EPP-SEM-021 check counts it as a rescue.
+  // Stale replay reads this cache, so an engine without one would
+  // silently have nothing to replay.
   EXPECT_THROW(PredictionCache(0, 2), std::invalid_argument);
 }
 

@@ -138,18 +138,6 @@ TEST_F(LockRank, DoubleLockReportsTheSameMutexOnBothSides) {
   EXPECT_EQ(recorded()[0].held, "test.once");
 }
 
-TEST_F(LockRank, SharedAcquisitionsObeyTheSameOrder) {
-  util::RankedSharedMutex low{EPP_LOCK_RANK(1), "test.shared.low"};
-  util::RankedSharedMutex high{EPP_LOCK_RANK(2), "test.shared.high"};
-  {
-    const util::SharedMutexLock a(high);
-    const util::SharedMutexLock b(low);
-  }
-  ASSERT_EQ(recorded().size(), 1u);
-  EXPECT_EQ(recorded()[0].acquiring, "test.shared.low");
-  EXPECT_EQ(recorded()[0].held, "test.shared.high");
-}
-
 TEST_F(LockRank, ReleaseOutOfOrderStillBalances) {
   util::RankedMutex a{EPP_LOCK_RANK(1), "test.a"};
   util::RankedMutex b{EPP_LOCK_RANK(2), "test.b"};

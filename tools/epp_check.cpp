@@ -1,7 +1,6 @@
 // epp_check — the one front end for EPP's checks.
 //
 //   epp_check verify [--json] [--fault-spec SPEC]... [--no-fallback]
-//                    [--no-stale] [--breaker-threshold N]
 //                    [--max-clients-factor F] FILE...
 //   epp_check src    [--json] [--no-suppress] [--rules=LIST] PATH...
 //   epp_check replay [--artifact NAME]... [--check-stdout]
@@ -17,9 +16,9 @@
 //   parsed cleanly; see src/lint/lint.hpp and src/lint/verify.hpp for the
 //   rule catalogs. Refutations carry concrete witnesses (the client count
 //   where a curve goes negative, the chain that dead-ends) in the fix-it
-//   hint. --no-fallback, --no-stale and --breaker-threshold describe the
-//   serving configuration the chain analyzer proves coverage for;
-//   --max-clients-factor widens or narrows the verified client range.
+//   hint. --no-fallback describes the serving configuration the chain
+//   analyzer proves coverage for; --max-clients-factor widens or narrows
+//   the verified client range.
 //
 // src — the concurrency, hot-path and determinism analyzer for the
 //   tree's own C++ sources (src/lint/src/srclint.hpp has the catalog).
@@ -165,13 +164,6 @@ int run_verify(const std::vector<std::string>& args) {
        {"--no-fallback", false,
         [&](const std::string&) {
           options.resilience.fallback_enabled = false;
-        }},
-       {"--no-stale", false,
-        [&](const std::string&) { options.resilience.serve_stale = false; }},
-       {"--breaker-threshold", true,
-        [&](const std::string& v) {
-          options.resilience.breaker_failure_threshold = static_cast<int>(
-              cli::parse_int("--breaker-threshold", v, 0, 1'000'000));
         }},
        {"--max-clients-factor", true, [&](const std::string& v) {
           options.max_clients_factor =
@@ -412,16 +404,13 @@ struct Subcommand {
 
 constexpr Subcommand kSubcommands[] = {
     {"verify",
-     "verify [--json] [--fault-spec SPEC]... [--no-fallback] [--no-stale]\n"
-     "                 [--breaker-threshold N] [--max-clients-factor F] "
-     "FILE...\n"
+     "verify [--json] [--fault-spec SPEC]... [--no-fallback]\n"
+     "                 [--max-clients-factor F] FILE...\n"
      "  FILEs: .epp bundles, .lqn models, .wkl workload grids,\n"
      "         .fspec fault specs\n"
      "  --json                  machine-readable findings on stdout\n"
      "  --fault-spec SPEC       check a fault-injection spec string\n"
      "  --no-fallback           analyze chains with fallback disabled\n"
-     "  --no-stale              analyze chains with stale replay off\n"
-     "  --breaker-threshold N   breaker failure threshold (0 disarms)\n"
      "  --max-clients-factor F  verified client range, x clients-at-max\n"
      "  exit code: 0 clean/notes, 1 warnings, 2 errors\n",
      run_verify},

@@ -314,8 +314,7 @@ int main(int argc, char** argv) try {
               << resilience_stats.retries << " retries, "
               << resilience_stats.fallbacks << " fallbacks, "
               << resilience_stats.stale_serves << " stale, "
-              << resilience_stats.deadline_hits << " deadline, "
-              << resilience_stats.breaker_opens << " breaker opens; cache "
+              << resilience_stats.deadline_hits << " deadline; cache "
               << cache_stats.entries << " entries, " << cache_stats.evictions
               << " evictions\n";
   }

@@ -375,9 +375,7 @@ int main(int argc, char** argv) try {
               << rstats.errors << " errors of " << rstats.requests
               << " requests; " << rstats.retries << " retries, "
               << rstats.fallbacks << " fallbacks, " << rstats.stale_serves
-              << " stale, " << rstats.deadline_hits << " deadline, "
-              << rstats.breaker_rejections << " breaker-rejected ("
-              << rstats.breaker_opens << " opens)\n";
+              << " stale, " << rstats.deadline_hits << " deadline\n";
   }
   if (injector)
     std::cerr << "faults: " << injector->injected_failures() << " injected"
