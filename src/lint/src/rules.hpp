@@ -1,7 +1,8 @@
 // Internal seam between the epp_srclint driver and its rule libraries.
 // Each entry point consumes the whole model set, because resolution is
 // cross-file: a guard in server.cpp locks a mutex declared in
-// server.hpp, and lock-order cycles can span translation units.
+// server.hpp, and a loop in a .cpp walks a container its header
+// declares.
 #pragma once
 
 #include <vector>
@@ -11,7 +12,7 @@
 
 namespace epp::lint::srcrules {
 
-/// EPP-CONC-001..008 over the merged lock model.
+/// EPP-CONC-003..008 over the merged lock model.
 void check_concurrency(const std::vector<srcmodel::FileModel>& files,
                        Diagnostics& out);
 

@@ -1,11 +1,7 @@
-#include <algorithm>
 #include <cstddef>
-#include <deque>
 #include <map>
 #include <regex>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "lint/src/rules.hpp"
@@ -34,165 +30,34 @@ std::string stem_of(const std::string& path) {
 class Resolver {
  public:
   explicit Resolver(const std::vector<FileModel>& files) {
-    for (const FileModel& file : files) {
-      for (const MutexDecl& decl : file.decls) {
-        const int id = static_cast<int>(decls_.size());
-        decls_.push_back(&decl);
-        by_name_[decl.name].push_back(id);
-      }
-    }
+    for (const FileModel& file : files)
+      for (const MutexDecl& decl : file.decls)
+        by_name_[decl.name].push_back(&decl);
   }
 
-  int resolve(const std::string& file, const std::string& name) const {
+  const MutexDecl* resolve(const std::string& file,
+                           const std::string& name) const {
     const auto it = by_name_.find(name);
-    if (it == by_name_.end()) return -1;
-    const std::vector<int>& candidates = it->second;
-    for (const int id : candidates)
-      if (decls_[static_cast<std::size_t>(id)]->file == file) return id;
+    if (it == by_name_.end()) return nullptr;
+    const std::vector<const MutexDecl*>& candidates = it->second;
+    for (const MutexDecl* decl : candidates)
+      if (decl->file == file) return decl;
     const std::string stem = stem_of(file);
-    for (const int id : candidates)
-      if (stem_of(decls_[static_cast<std::size_t>(id)]->file) == stem)
-        return id;
-    if (candidates.size() == 1) return candidates.front();
-    return -1;
+    for (const MutexDecl* decl : candidates)
+      if (stem_of(decl->file) == stem) return decl;
+    return candidates.size() == 1 ? candidates.front() : nullptr;
   }
-
-  const MutexDecl& decl(int id) const {
-    return *decls_[static_cast<std::size_t>(id)];
-  }
-  std::size_t size() const { return decls_.size(); }
 
  private:
-  std::vector<const MutexDecl*> decls_;
-  std::map<std::string, std::vector<int>> by_name_;
+  std::map<std::string, std::vector<const MutexDecl*>> by_name_;
 };
-
-std::string display_name(const MutexDecl& decl) {
-  if (!decl.label.empty()) return decl.label;
-  return decl.name;
-}
-
-struct Edge {
-  std::string file;
-  int line = 0;
-  bool reported = false;
-};
-
-void check_lock_order(const std::vector<FileModel>& files,
-                      const Resolver& resolver, Diagnostics& out) {
-  // held-decl -> acquired-decl, first occurrence wins for reporting.
-  std::map<std::pair<int, int>, Edge> edges;
-
-  for (const FileModel& file : files) {
-    for (const srcmodel::Acquisition& acquisition : file.acquisitions) {
-      const int acquired = resolver.resolve(file.path, acquisition.mutex_name);
-      if (acquired < 0) continue;
-      const MutexDecl& acquired_decl = resolver.decl(acquired);
-      for (const std::string& held_name : acquisition.held) {
-        const int held = resolver.resolve(file.path, held_name);
-        if (held < 0) continue;
-        const MutexDecl& held_decl = resolver.decl(held);
-        if (held == acquired) {
-          out.error("EPP-CONC-002",
-                    {file.path, acquisition.line},
-                    "mutex '" + display_name(acquired_decl) +
-                        "' is locked again in a scope that already holds "
-                        "it — non-recursive mutexes self-deadlock here",
-                    "drop the inner acquisition, or split the outer scope");
-          continue;
-        }
-        auto [it, inserted] = edges.try_emplace(
-            std::make_pair(held, acquired),
-            Edge{file.path, acquisition.line, false});
-        Edge& edge = it->second;
-        if (held_decl.rank >= 0 && acquired_decl.rank >= 0 &&
-            held_decl.rank >= acquired_decl.rank) {
-          if (!edge.reported) {
-            edge.reported = true;
-            out.error(
-                "EPP-CONC-001",
-                {file.path, acquisition.line},
-                "acquiring '" + display_name(acquired_decl) + "' (rank " +
-                    std::to_string(acquired_decl.rank) +
-                    ") while holding '" + display_name(held_decl) +
-                    "' (rank " + std::to_string(held_decl.rank) +
-                    "); lock ranks must strictly increase along every "
-                    "acquisition chain",
-                "acquire in ascending rank order, or re-rank the mutexes "
-                "in the lock table");
-          }
-        }
-        (void)inserted;
-      }
-    }
-  }
-
-  // Cycle pass: rank checking is complete when every mutex is ranked;
-  // cycles among unranked mutexes still deadlock, so hunt them in the
-  // acquired-while-holding graph. A cycle is reported once, at its
-  // first edge, unless a rank violation already flagged part of it.
-  std::map<int, std::vector<int>> adjacency;
-  for (const auto& [key, edge] : edges) adjacency[key.first].push_back(key.second);
-  std::set<std::vector<int>> reported_cycles;
-  for (const auto& [key, edge] : edges) {
-    const auto [from, to] = key;
-    // Find a path to -> ... -> from; together with (from, to) it closes
-    // a cycle through this edge.
-    std::map<int, int> parent;
-    std::deque<int> queue{to};
-    parent[to] = to;
-    while (!queue.empty()) {
-      const int node = queue.front();
-      queue.pop_front();
-      if (node == from) break;
-      const auto next = adjacency.find(node);
-      if (next == adjacency.end()) continue;
-      for (const int successor : next->second) {
-        if (parent.count(successor) > 0) continue;
-        parent[successor] = node;
-        queue.push_back(successor);
-      }
-    }
-    if (parent.count(from) == 0) continue;  // edge closes no cycle
-    std::vector<int> cycle{from};
-    for (int node = from; node != to; node = parent[node])
-      cycle.push_back(parent[node]);
-    std::reverse(cycle.begin() + 1, cycle.end());
-    // Canonical form for dedup: the same cycle discovered from any of
-    // its edges has the same node set.
-    std::vector<int> canonical = cycle;
-    std::sort(canonical.begin(), canonical.end());
-    if (!reported_cycles.insert(canonical).second) continue;
-    bool already_flagged = false;
-    std::string chain;
-    for (std::size_t i = 0; i <= cycle.size(); ++i) {
-      const int node = cycle[i % cycle.size()];
-      if (!chain.empty()) chain += " -> ";
-      chain += display_name(resolver.decl(node));
-      if (i < cycle.size()) {
-        const auto cycle_edge =
-            edges.find({node, cycle[(i + 1) % cycle.size()]});
-        if (cycle_edge != edges.end() && cycle_edge->second.reported)
-          already_flagged = true;
-      }
-    }
-    if (already_flagged) continue;  // the rank rule said it better
-    out.error("EPP-CONC-001",
-              {edge.file, edge.line},
-              "lock-order cycle: " + chain +
-                  " (each acquired while holding the previous) — two "
-                  "threads taking opposite ends deadlock",
-              "pick one global order for these mutexes and declare it "
-              "with EPP_LOCK_RANK");
-  }
-}
 
 void check_guarded_fields(const std::vector<FileModel>& files,
                           const Resolver& resolver, Diagnostics& out) {
   for (const FileModel& file : files) {
     for (const srcmodel::GuardedField& field : file.guarded) {
-      const int mutex = resolver.resolve(field.file, field.mutex_name);
-      if (mutex < 0) continue;
+      const MutexDecl* mutex = resolver.resolve(field.file, field.mutex_name);
+      if (mutex == nullptr) continue;
       const std::regex use(R"(\b)" + field.name + R"(\b)");
       const std::string stem = stem_of(field.file);
       for (const FileModel& candidate : files) {
@@ -239,7 +104,8 @@ void check_concurrency(const std::vector<FileModel>& files,
             "mutex '" + decl.name +
                 "' is outside the lock-rank order (plain std type)",
             "declare it as a util::RankedMutex with EPP_LOCK_RANK(n) and a "
-            "\"component.name\" label so both checkers see its order");
+            "\"component.name\" label so the lock-rank tracker checks "
+            "its order");
       } else if (decl.ranked_type && decl.rank < 0) {
         out.warning(
             "EPP-CONC-008",
@@ -293,7 +159,6 @@ void check_concurrency(const std::vector<FileModel>& files,
     }
   }
 
-  check_lock_order(files, resolver, out);
   check_guarded_fields(files, resolver, out);
 }
 

@@ -233,7 +233,10 @@ void check_pool_accumulation(const std::vector<FileModel>& files,
         // lambda body is per-invocation state.
         if (decl.line >= lambda.body_begin && decl.line <= lambda.body_end)
           continue;
-        const std::regex mutate("\\b" + decl.name + R"(\s*[-+*/]=)");
+        // A compound assignment, or an atomic read-modify-write: both
+        // fold lanes into the sum in scheduling order.
+        const std::regex mutate("\\b" + decl.name +
+                                R"((?:\s*[-+*/]=|\s*\.\s*fetch_(?:add|sub)\s*\())");
         for (int line = lambda.body_begin; line <= lambda.body_end; ++line) {
           if (!std::regex_search(token_line(file, line), mutate)) continue;
           out.error(

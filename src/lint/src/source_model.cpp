@@ -10,20 +10,11 @@
 namespace epp::lint::srcmodel {
 namespace {
 
-/// Two same-shape views of the source: `code` blanks comments only
-/// (string literals survive, so declaration labels can be read);
-/// `pure` additionally blanks string/char literal contents, so token
-/// scans never match quoted or commented-out code. Line structure is
-/// preserved exactly in both.
-struct StrippedViews {
-  std::string code;
-  std::string pure;
-};
-
-StrippedViews strip(const std::string& text) {
-  StrippedViews views;
-  views.code = text;
-  views.pure = text;
+/// The token view of the source: comments and string/char literal
+/// contents blanked, so scans never match quoted or commented-out code.
+/// Line structure is preserved exactly.
+std::string strip(const std::string& text) {
+  std::string pure = text;
   enum class State { kCode, kLineComment, kBlockComment, kString, kChar };
   State state = State::kCode;
   for (std::size_t i = 0; i < text.size(); ++i) {
@@ -33,10 +24,10 @@ StrippedViews strip(const std::string& text) {
       case State::kCode:
         if (c == '/' && next == '/') {
           state = State::kLineComment;
-          views.code[i] = views.pure[i] = ' ';
+          pure[i] = ' ';
         } else if (c == '/' && next == '*') {
           state = State::kBlockComment;
-          views.code[i] = views.pure[i] = ' ';
+          pure[i] = ' ';
         } else if (c == '"') {
           state = State::kString;
         } else if (c == '\'') {
@@ -47,43 +38,32 @@ StrippedViews strip(const std::string& text) {
         if (c == '\n')
           state = State::kCode;
         else
-          views.code[i] = views.pure[i] = ' ';
+          pure[i] = ' ';
         break;
       case State::kBlockComment:
         if (c == '*' && next == '/') {
-          views.code[i] = views.pure[i] = ' ';
-          views.code[i + 1] = views.pure[i + 1] = ' ';
+          pure[i] = pure[i + 1] = ' ';
           ++i;
           state = State::kCode;
         } else if (c != '\n') {
-          views.code[i] = views.pure[i] = ' ';
+          pure[i] = ' ';
         }
         break;
       case State::kString:
-        if (c == '\\') {
-          views.pure[i] = ' ';
-          if (next != '\n' && next != '\0') views.pure[i + 1] = ' ';
-          ++i;
-        } else if (c == '"') {
-          state = State::kCode;
-        } else if (c != '\n') {
-          views.pure[i] = ' ';
-        }
-        break;
       case State::kChar:
         if (c == '\\') {
-          views.pure[i] = ' ';
-          if (next != '\n' && next != '\0') views.pure[i + 1] = ' ';
+          pure[i] = ' ';
+          if (next != '\n' && next != '\0') pure[i + 1] = ' ';
           ++i;
-        } else if (c == '\'') {
+        } else if (c == (state == State::kString ? '"' : '\'')) {
           state = State::kCode;
         } else if (c != '\n') {
-          views.pure[i] = ' ';
+          pure[i] = ' ';
         }
         break;
     }
   }
-  return views;
+  return pure;
 }
 
 std::vector<std::size_t> line_starts(const std::string& text) {
@@ -205,14 +185,14 @@ struct GuardScope {
 
 const std::regex& guard_pattern() {
   static const std::regex pattern(
-      R"((?:std::)?(lock_guard|unique_lock|scoped_lock|shared_lock)\s*(?:<[^;{}<>]*>)?\s+[A-Za-z_]\w*\s*[({]([^;]*?)[)}]\s*;)"
-      R"(|(?:util::)?(MutexLock|SharedMutexLock)\s+[A-Za-z_]\w*\s*[({]([^;]*?)[)}]\s*;)");
+      R"((?:std::)?(lock_guard|unique_lock|scoped_lock)\s*(?:<[^;{}<>]*>)?\s+[A-Za-z_]\w*\s*[({]([^;]*?)[)}]\s*;)"
+      R"(|(?:util::)?(MutexLock)\s+[A-Za-z_]\w*\s*[({]([^;]*?)[)}]\s*;)");
   return pattern;
 }
 
 const std::regex& bare_lock_pattern() {
   static const std::regex pattern(
-      R"(^\s*([A-Za-z_][\w.\->\[\]]*?)(?:\.|->)(lock|lock_shared|unlock|unlock_shared)\(\)\s*;\s*$)");
+      R"(^\s*([A-Za-z_][\w.\->\[\]]*?)(?:\.|->)(lock|unlock)\(\)\s*;\s*$)");
   return pattern;
 }
 
@@ -275,49 +255,43 @@ FileModel scan_file(const std::string& path, const std::string& text) {
   FileModel model;
   model.path = path;
 
-  const StrippedViews views = strip(text);
+  const std::string pure = strip(text);
   const std::vector<std::size_t> starts = line_starts(text);
   model.line_count = static_cast<int>(starts.size());
 
-  // --- declarations (on `code`, labels intact) -----------------------
+  // --- declarations -------------------------------------------------
   {
     static const std::regex ranked(
-        R"((?:util::)?Ranked(Shared)?Mutex\s+([A-Za-z_]\w*)\s*([{(]))");
+        R"((?:util::)?RankedMutex\s+([A-Za-z_]\w*)\s*([{(]))");
     static const std::regex rank_macro(R"(EPP_LOCK_RANK\(\s*(\d+)\s*\))");
-    static const std::regex label_literal("\"([^\"]*)\"");
-    for (auto it = std::sregex_iterator(views.code.begin(), views.code.end(),
-                                        ranked);
+    for (auto it = std::sregex_iterator(pure.begin(), pure.end(), ranked);
          it != std::sregex_iterator(); ++it) {
       MutexDecl decl;
       decl.file = path;
-      decl.line = line_of(starts, static_cast<std::size_t>(it->position(2)));
-      decl.name = (*it)[2];
-      decl.shared = (*it)[1].matched;
+      decl.line = line_of(starts, static_cast<std::size_t>(it->position(1)));
+      decl.name = (*it)[1];
       decl.ranked_type = true;
       // The initializer runs to the statement end; read the rank macro
-      // and label out of it.
+      // out of it.
       const std::size_t init_begin =
-          static_cast<std::size_t>(it->position(3));
-      const std::size_t init_end = views.code.find(';', init_begin);
-      const std::string init = views.code.substr(
+          static_cast<std::size_t>(it->position(2));
+      const std::size_t init_end = pure.find(';', init_begin);
+      const std::string init = pure.substr(
           init_begin, init_end == std::string::npos
                           ? std::string::npos
                           : init_end - init_begin);
       std::smatch m;
       if (std::regex_search(init, m, rank_macro)) decl.rank = std::stoi(m[1]);
-      if (std::regex_search(init, m, label_literal)) decl.label = m[1];
       model.decls.push_back(std::move(decl));
     }
     static const std::regex std_mutex(
         R"(std::(recursive_timed_mutex|recursive_mutex|timed_mutex|shared_mutex|mutex)\s+([A-Za-z_]\w*)\s*[;{(=])");
-    for (auto it = std::sregex_iterator(views.code.begin(), views.code.end(),
-                                        std_mutex);
+    for (auto it = std::sregex_iterator(pure.begin(), pure.end(), std_mutex);
          it != std::sregex_iterator(); ++it) {
       MutexDecl decl;
       decl.file = path;
       decl.line = line_of(starts, static_cast<std::size_t>(it->position(2)));
       decl.name = (*it)[2];
-      decl.shared = (*it)[1] == "shared_mutex";
       decl.std_type = true;
       model.decls.push_back(std::move(decl));
     }
@@ -327,8 +301,7 @@ FileModel scan_file(const std::string& path, const std::string& text) {
   {
     static const std::regex guarded(
         R"(([A-Za-z_]\w*)\s+EPP_GUARDED_BY\(\s*([^)]+?)\s*\))");
-    for (auto it = std::sregex_iterator(views.code.begin(), views.code.end(),
-                                        guarded);
+    for (auto it = std::sregex_iterator(pure.begin(), pure.end(), guarded);
          it != std::sregex_iterator(); ++it) {
       GuardedField field;
       field.name = (*it)[1];
@@ -347,16 +320,15 @@ FileModel scan_file(const std::string& path, const std::string& text) {
     // init list (`: name(seed, stream)`) elsewhere in the TU — only
     // when neither exists is the declaration default-seeded.
     static const std::regex rng_decl(R"(\bRng\s+([A-Za-z_]\w*)\s*([;({=]))");
-    for (auto it = std::sregex_iterator(views.pure.begin(), views.pure.end(),
-                                        rng_decl);
+    for (auto it = std::sregex_iterator(pure.begin(), pure.end(), rng_decl);
          it != std::sregex_iterator(); ++it) {
       RngDecl decl;
       decl.line = line_of(starts, static_cast<std::size_t>(it->position(1)));
       decl.name = (*it)[1];
-      const char term = views.pure[static_cast<std::size_t>(it->position(2))];
+      const char term = pure[static_cast<std::size_t>(it->position(2))];
       if (term == '(' || term == '{') {
         const std::string args = bracket_args(
-            views.pure, static_cast<std::size_t>(it->position(2)));
+            pure, static_cast<std::size_t>(it->position(2)));
         bool any = false;
         for (const char c : args)
           if (!std::isspace(static_cast<unsigned char>(c))) any = true;
@@ -367,13 +339,13 @@ FileModel scan_file(const std::string& path, const std::string& text) {
         // `, name(...)` anywhere in the TU.
         const std::regex ctor_init("[:,]\\s*" + decl.name + "\\s*[({]");
         std::smatch m;
-        std::string::const_iterator search = views.pure.cbegin();
+        std::string::const_iterator search = pure.cbegin();
         bool seeded = false;
-        while (std::regex_search(search, views.pure.cend(), m, ctor_init)) {
+        while (std::regex_search(search, pure.cend(), m, ctor_init)) {
           const std::size_t open = static_cast<std::size_t>(
-              (search - views.pure.cbegin()) + m.position(0) + m.length(0) -
+              (search - pure.cbegin()) + m.position(0) + m.length(0) -
               1);
-          const std::string args = bracket_args(views.pure, open);
+          const std::string args = bracket_args(pure, open);
           bool any = false;
           for (const char c : args)
             if (!std::isspace(static_cast<unsigned char>(c))) any = true;
@@ -396,8 +368,7 @@ FileModel scan_file(const std::string& path, const std::string& text) {
     // (`std::unordered_map<K, std::list<V>::iterator>`).
     static const std::regex assoc(
         R"(std::(unordered_)?(?:multi)?(?:map|set)\s*<)");
-    for (auto it = std::sregex_iterator(views.pure.begin(), views.pure.end(),
-                                        assoc);
+    for (auto it = std::sregex_iterator(pure.begin(), pure.end(), assoc);
          it != std::sregex_iterator(); ++it) {
       const std::size_t open =
           static_cast<std::size_t>(it->position(0)) +
@@ -405,33 +376,33 @@ FileModel scan_file(const std::string& path, const std::string& text) {
       int angle = 1;
       std::string first_arg;
       std::size_t i = open + 1;
-      for (; i < views.pure.size() && angle > 0; ++i) {
-        const char c = views.pure[i];
+      for (; i < pure.size() && angle > 0; ++i) {
+        const char c = pure[i];
         if (c == '<') ++angle;
         if (c == '>') --angle;
         if (angle == 1 && c == ',' && first_arg.empty())
-          first_arg = views.pure.substr(open + 1, i - open - 1);
+          first_arg = pure.substr(open + 1, i - open - 1);
         if (c == ';' || c == '{') break;  // never balanced; bail out
       }
       if (angle != 0) continue;
       if (first_arg.empty())
-        first_arg = views.pure.substr(open + 1, i - 1 - open - 1);
+        first_arg = pure.substr(open + 1, i - 1 - open - 1);
       // The declared identifier follows the closing '>' (possibly a
       // reference/pointer parameter); anything else (`::iterator`, a
       // function name before '(') is not a variable.
       std::size_t p = i;
-      while (p < views.pure.size() &&
-             (std::isspace(static_cast<unsigned char>(views.pure[p])) ||
-              views.pure[p] == '&' || views.pure[p] == '*'))
+      while (p < pure.size() &&
+             (std::isspace(static_cast<unsigned char>(pure[p])) ||
+              pure[p] == '&' || pure[p] == '*'))
         ++p;
       std::size_t name_begin = p;
-      while (p < views.pure.size() && is_ident(views.pure[p])) ++p;
+      while (p < pure.size() && is_ident(pure[p])) ++p;
       if (p == name_begin) continue;
-      const std::string name = views.pure.substr(name_begin, p - name_begin);
-      while (p < views.pure.size() &&
-             std::isspace(static_cast<unsigned char>(views.pure[p])))
+      const std::string name = pure.substr(name_begin, p - name_begin);
+      while (p < pure.size() &&
+             std::isspace(static_cast<unsigned char>(pure[p])))
         ++p;
-      if (p < views.pure.size() && views.pure[p] == '(')
+      if (p < pure.size() && pure[p] == '(')
         continue;  // a function returning the container
       ContainerDecl decl;
       decl.line = line_of(starts, name_begin);
@@ -443,7 +414,6 @@ FileModel scan_file(const std::string& path, const std::string& text) {
   }
 
   // --- scope walk over `pure` ---------------------------------------
-  const std::string& pure = views.pure;
   model.held_by_line.resize(static_cast<std::size_t>(model.line_count));
   model.tokens.resize(static_cast<std::size_t>(model.line_count));
 
@@ -573,7 +543,7 @@ FileModel scan_file(const std::string& path, const std::string& text) {
         const std::string op = m[2];
         Event event{static_cast<std::size_t>(m.position(1)), 3,
                     {normalize_mutex_name(m[1])},
-                    op == "unlock" || op == "unlock_shared", false};
+                    op == "unlock", false};
         events.push_back(std::move(event));
       }
     }
@@ -631,17 +601,8 @@ FileModel scan_file(const std::string& path, const std::string& text) {
             }
             break;
           }
-          std::vector<std::string> held;
-          for (const GuardScope& guard : guards)
-            held.insert(held.end(), guard.names.begin(), guard.names.end());
-          for (const std::string& name : event.names) {
-            Acquisition acquisition;
-            acquisition.line = line;
-            acquisition.mutex_name = name;
-            acquisition.held = held;
-            model.acquisitions.push_back(std::move(acquisition));
-            held.push_back(name);  // scoped_lock(a, b): b sees a held
-          }
+          for (const std::string& name : event.names)
+            model.acquisitions.push_back(Acquisition{line, name});
           GuardScope scope;
           scope.names = std::move(event.names);
           scope.depth = depth;

@@ -1,23 +1,20 @@
-// The per-translation-unit lock model behind epp_srclint.
+// The per-translation-unit model behind epp_srclint.
 //
 // scan_file() reduces one C++ source file to the facts the EPP-CONC,
 // EPP-HOT and EPP-DET rules consume. It is a deliberately lightweight textual
 // scanner — no libclang, no preprocessor — built on three passes:
 //
-//   1. *stripping*: two views of the text are produced, both preserving
-//      line structure — `code` (comments blanked, string literals kept,
-//      used to read mutex labels out of declarations) and a pure token
-//      view (comments AND literal contents blanked, used for every
-//      other scan so quoted or commented-out code never matches);
-//   2. *declaration harvest*: RankedMutex / RankedSharedMutex / std
-//      mutex declarations with their EPP_LOCK_RANK ranks and labels,
-//      and EPP_GUARDED_BY field bindings;
+//   1. *stripping*: a token view of the text with comments and literal
+//      contents blanked and line structure preserved, so quoted or
+//      commented-out code never matches;
+//   2. *declaration harvest*: RankedMutex / std mutex declarations with
+//      their EPP_LOCK_RANK ranks, and EPP_GUARDED_BY field bindings;
 //   3. *scope walk*: a brace-depth walk recording guard scopes
-//      (lock_guard / unique_lock / scoped_lock / shared_lock /
-//      util::MutexLock / util::SharedMutexLock and statement-form bare
-//      .lock()/.unlock()), which mutexes are held on every line, loop
-//      blocks, and the call sites the rules care about (blocking calls,
-//      cv waits with their argument counts, detach, CAS, hot markers).
+//      (lock_guard / unique_lock / scoped_lock / util::MutexLock and
+//      statement-form bare .lock()/.unlock()), which mutexes are held on
+//      every line, loop blocks, and the call sites the rules care about
+//      (blocking calls, cv waits with their argument counts, detach,
+//      CAS, hot markers).
 //
 // A fourth, determinism-oriented value-flow pass feeds the EPP-DET
 // rules: util::Rng declarations (and whether a constructor init list
@@ -28,11 +25,10 @@
 // floating-point accumulators declared outside them.
 //
 // The model is intra-procedural and name-based: it sees locks a
-// function takes directly, not locks taken inside callees. That blind
-// spot is exactly what the runtime lock-rank tracker
-// (util/lock_rank.hpp) covers dynamically; the two share the
-// EPP_LOCK_RANK declarations so they can never disagree about the
-// intended order.
+// function takes directly, not locks taken inside callees. Lock order
+// and re-locking are not judged here at all: the runtime lock-rank
+// tracker (util/lock_rank.hpp) checks every acquisition in sanitizer
+// and Debug builds, through callees included.
 #pragma once
 
 #include <string>
@@ -43,11 +39,9 @@ namespace epp::lint::srcmodel {
 struct MutexDecl {
   std::string file;
   int line = 0;
-  std::string name;   // declared identifier, e.g. "mutex_"
-  std::string label;  // runtime dotted name, e.g. "serve.registry"
-  int rank = -1;      // EPP_LOCK_RANK value; -1 = none declared
-  bool shared = false;
-  bool ranked_type = false;  // util::RankedMutex / RankedSharedMutex
+  std::string name;  // declared identifier, e.g. "mutex_"
+  int rank = -1;     // EPP_LOCK_RANK value; -1 = none declared
+  bool ranked_type = false;  // util::RankedMutex
   bool std_type = false;     // std::mutex family
 };
 
@@ -62,8 +56,7 @@ struct GuardedField {
 /// One lock acquisition (guard construction or statement-form .lock()).
 struct Acquisition {
   int line = 0;
-  std::string mutex_name;         // normalized (last member component)
-  std::vector<std::string> held;  // mutexes already held at this point
+  std::string mutex_name;  // normalized (last member component)
 };
 
 /// A call matching the blocking-call list while at least one lock is

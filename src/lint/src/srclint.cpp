@@ -17,12 +17,11 @@ namespace epp::lint {
 namespace {
 
 constexpr std::string_view kRuleIds[] = {
-    "EPP-CONC-001", "EPP-CONC-002", "EPP-CONC-003", "EPP-CONC-004",
-    "EPP-CONC-005", "EPP-CONC-006", "EPP-CONC-007", "EPP-CONC-008",
-    "EPP-HOT-001",  "EPP-HOT-002",  "EPP-HOT-003",  "EPP-HOT-004",
-    "EPP-HOT-005",  "EPP-DET-001",  "EPP-DET-002",  "EPP-DET-003",
-    "EPP-DET-004",  "EPP-DET-005",  "EPP-DET-006",  "EPP-META-001",
-    "EPP-META-002"};
+    "EPP-CONC-003", "EPP-CONC-004", "EPP-CONC-005", "EPP-CONC-006",
+    "EPP-CONC-007", "EPP-CONC-008", "EPP-HOT-001",  "EPP-HOT-002",
+    "EPP-HOT-003",  "EPP-HOT-004",  "EPP-HOT-005",  "EPP-DET-001",
+    "EPP-DET-002",  "EPP-DET-003",  "EPP-DET-004",  "EPP-DET-005",
+    "EPP-DET-006",  "EPP-META-001", "EPP-META-002"};
 
 bool lintable_extension(const std::filesystem::path& path) {
   const std::string ext = path.extension().string();

@@ -11,12 +11,6 @@
 //
 // Rule catalog (see README.md for the full table):
 //
-//   EPP-CONC-001  error    lock-order violation: acquiring a mutex whose
-//                          EPP_LOCK_RANK is not strictly greater than a
-//                          held mutex's rank, or a cycle in the
-//                          acquired-while-holding graph
-//   EPP-CONC-002  error    double lock of a non-recursive mutex in one
-//                          scope
 //   EPP-CONC-003  warning  blocking call (join / sleep_for / recv / poll
 //                          / accept / connect / system / getline) while
 //                          holding a lock
@@ -57,9 +51,10 @@
 //   EPP-META-002  error    input file could not be read
 //
 // The analysis is textual and intra-procedural by design (no compiler
-// front end, no call graph): it proves the lock discipline a reader can
-// check by eye, and leaves cross-call-chain ordering to the runtime
-// lock-rank tracker that shares the same EPP_LOCK_RANK declarations.
+// front end, no call graph). A rule is kept only where no runtime gate
+// catches the same defect: lock order and re-locking are left to the
+// runtime lock-rank tracker (util/lock_rank.hpp), which aborts on every
+// inversion or double lock in sanitizer and Debug builds.
 #pragma once
 
 #include <span>

@@ -7,15 +7,15 @@
 //      in the dedicated clang CI job.
 //   2. the epp_srclint static analyzer (src/lint/src) — it parses these
 //      macros textually to build the per-translation-unit lock model:
-//      EPP_LOCK_RANK declares a mutex's position in the global lock
-//      order, EPP_GUARDED_BY binds a field to its mutex, and
+//      a mutex without EPP_LOCK_RANK is outside the order (EPP-CONC-008),
+//      EPP_GUARDED_BY binds a field to its mutex, and
 //      EPP_HOT_BEGIN/EPP_HOT_END bracket regions where allocation,
 //      locking, std::function construction and console/file I/O are
 //      flagged (EPP-HOT-001..004).
 //   3. the debug runtime lock-rank tracker (util/lock_rank.hpp) — the
 //      integer EPP_LOCK_RANK evaluates to is fed to util::RankedMutex,
-//      so the static rank graph and the dynamic checker read the same
-//      declaration and can never silently disagree.
+//      and the tracker checks the order on every acquisition. It is the
+//      only check of lock order and re-locking.
 //
 // The rank convention: a thread may only acquire a mutex whose rank is
 // *strictly greater* than every mutex it already holds. Outermost locks

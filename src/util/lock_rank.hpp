@@ -7,14 +7,14 @@
 //
 // The rank discipline is strict ascent: a thread may only acquire a
 // mutex whose rank is strictly greater than the rank of every mutex it
-// already holds. epp_srclint proves the discipline statically from the
-// guard scopes it can see (EPP-CONC-001); this tracker enforces the
-// same rule dynamically on every acquisition in debug/sanitizer builds
-// (EPP_LOCK_RANK_CHECKS), so a code path the static scanner cannot
-// follow — callbacks, virtual dispatch, locks taken through several
-// call layers — still aborts loudly with both lock names on the first
-// inversion. Release builds compile the checks out entirely; the
-// wrapper is then a plain std::mutex.
+// already holds. This tracker is the tree's only check of it: it
+// enforces the rule on every acquisition in debug/sanitizer builds
+// (EPP_LOCK_RANK_CHECKS), through callbacks, virtual dispatch and locks
+// taken several call layers down, and aborts with both lock names on
+// the first inversion or re-lock. Of the source analyzer's rules, only
+// EPP-CONC-008 concerns the order: it flags a mutex left out of it.
+// Release builds compile the checks out entirely; the wrapper is then a
+// plain std::mutex.
 #pragma once
 
 #include <mutex>

@@ -1,11 +1,7 @@
-// Corpus: EPP-CONC-001 (rank inversion). Also the runtime cross-check
-// fixture: tests/util_lock_rank_test.cpp #includes this file and calls
-// lock_inverted() under a recording handler — the static analyzer and
-// the runtime tracker must agree on this defect.
-//
-// lock_in_order() and lock_inverted() together also form a lock-order
-// cycle (low -> high and high -> low); the analyzer reports the rank
-// inversion and elides the redundant cycle report.
+// Runtime fixture for the lock-rank tracker: tests/util_lock_rank_test.cpp
+// #includes this file and calls lock_inverted() under a recording
+// handler, which must name both locks. No source rule flags it: lock
+// order is the tracker's to check.
 #include "util/annotations.hpp"
 #include "util/lock_rank.hpp"
 

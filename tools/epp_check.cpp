@@ -24,7 +24,7 @@
 //   tree's own C++ sources (src/lint/src/srclint.hpp has the catalog).
 //   PATHs are files or directories (directories recurse over
 //   .hpp/.h/.hh/.cpp/.cc/.cxx). --rules narrows the run to rule-ID
-//   prefixes ("EPP-DET", "EPP-CONC-001", ...); a prefix that matches no
+//   prefixes ("EPP-DET", "EPP-CONC-003", ...); a prefix that matches no
 //   rule in the catalog is a usage error, not a silently clean run.
 //   EPP-META-002 input errors always report. `// epp-lint:
 //   ignore(<RULE>)` comments suppress a finding on the next line (or
