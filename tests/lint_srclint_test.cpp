@@ -1,6 +1,6 @@
 // epp_srclint — the source-level concurrency / hot-path analyzer.
 //
-// Three contracts are pinned here:
+// Four contracts are pinned here:
 //
 //   1. The defect corpus (tests/lint_corpus/src): every file seeds one
 //      or more defects, and the table below fixes the exact rule ID,
@@ -16,11 +16,15 @@
 //      SrclintOptions::rule_prefixes, and the static/runtime
 //      cross-check — det_replay_divergence.cpp is #included below and
 //      executed twice, so the same source line the analyzer flags is
-//      shown to actually diverge between "runs".
+//      shown to actually diverge between "runs". EPP-DET-004's scope
+//      is pinned on inline sources: an atomic float read-modify-write is
+//      flagged; an integer counter, a lane-local double or a lambda that
+//      never reaches the pool is not.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -303,6 +307,70 @@ TEST(SrclintDeterminism, StaticFindingAndRuntimeDivergenceAgree) {
   const auto run_b = lint_corpus::entropy_draws();
   EXPECT_NE(run_a, run_b)
       << "two entropy-seeded runs produced identical draw sequences";
+}
+
+// Writes `text` to a fresh file under the test temp dir and lints it.
+Diagnostics lint_text(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + name;
+  std::ofstream(path) << text;
+  return lint_paths({path});
+}
+
+TEST(SrclintDeterminism, AtomicFloatFetchSubInPoolLambdaIsFlagged) {
+  const Diagnostics diagnostics = lint_text(
+      "det004_fetch_sub.cpp",
+      "#include <atomic>\n"
+      "#include \"util/thread_pool.hpp\"\n"
+      "double drain(epp::util::ThreadPool& pool) {\n"
+      "  std::atomic<double> remaining{1.0};\n"
+      "  pool.parallel_for(4, [&](std::size_t lane) {\n"
+      "    remaining.fetch_sub(0.1 * static_cast<double>(lane));\n"
+      "  });\n"
+      "  return remaining.load();\n"
+      "}\n");
+  ASSERT_EQ(diagnostics.size(), 1u) << lint::render_text(diagnostics);
+  EXPECT_EQ(diagnostics.all()[0].rule, "EPP-DET-004");
+  EXPECT_EQ(diagnostics.all()[0].location.line, 6);
+  EXPECT_NE(diagnostics.all()[0].message.find("'remaining'"),
+            std::string::npos);
+}
+
+TEST(SrclintDeterminism, IntegerCounterAndLaneLocalFloatAreNotFlagged) {
+  // An integer atomic sums the same in any order, and a double declared
+  // inside the lambda body is per-lane state: neither is EPP-DET-004.
+  const Diagnostics diagnostics = lint_text(
+      "det004_clean.cpp",
+      "#include <atomic>\n"
+      "#include <cstddef>\n"
+      "#include \"util/thread_pool.hpp\"\n"
+      "std::size_t count(epp::util::ThreadPool& pool, double* out) {\n"
+      "  std::atomic<std::size_t> done{0};\n"
+      "  pool.parallel_for(4, [&](std::size_t lane) {\n"
+      "    double partial = 0.0;\n"
+      "    partial += static_cast<double>(lane);\n"
+      "    out[lane] = partial;\n"
+      "    done.fetch_add(1);\n"
+      "  });\n"
+      "  return done.load();\n"
+      "}\n");
+  EXPECT_TRUE(diagnostics.empty()) << lint::render_text(diagnostics);
+}
+
+TEST(SrclintDeterminism, NamedLambdaNeverHandedToThePoolIsNotFlagged) {
+  // A by-reference lambda that accumulates into an outer double but only
+  // runs on the calling thread sums in a fixed order.
+  const Diagnostics diagnostics = lint_text(
+      "det004_serial.cpp",
+      "#include <vector>\n"
+      "double total(const std::vector<double>& xs) {\n"
+      "  double sum = 0.0;\n"
+      "  auto add = [&sum](double x) {\n"
+      "    sum += x;\n"
+      "  };\n"
+      "  for (double x : xs) add(x);\n"
+      "  return sum;\n"
+      "}\n");
+  EXPECT_TRUE(diagnostics.empty()) << lint::render_text(diagnostics);
 }
 
 }  // namespace
